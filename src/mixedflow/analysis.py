@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import AdmissibilityError, FitConvergenceError
 from .flow import FlowConfig, FlowProblem
-from .geometry import curvature_bundle, enclosed_volume
+from .geometry import CurvatureBundle, curvature_bundle, enclosed_volume
 from .harmonics import (
     SPHERE_AREA,
     Grid,
@@ -32,19 +32,22 @@ from .speeds import SpeedSpec, umbilic_derivative
 # -- conserved quantities -----------------------------------------------------
 
 
-def mixed_volume(rho: RadialField, k: int) -> float:
+def mixed_volume(rho: RadialField, k: int, bundle: CurvatureBundle | None = None) -> float:
     """The quantity the k-constrained flow holds fixed.
 
     k = -1 is the enclosed volume; 0 <= k <= n-1 is the E_k-weighted surface
     integral with the conventional binomial normalization.  On a sphere of
-    radius r these reduce to |S^n| r^{n-k} / (n+1).
+    radius r these reduce to |S^n| r^{n-k} / (n+1).  A caller that already
+    holds the curvature bundle of rho passes it as bundle, and it is used in
+    place of a new one; k = -1 reads only rho.values.
     """
     n = rho.grid.n
     if not -1 <= k <= n - 1:
         raise ValueError(f"k must lie in [-1, {n - 1}], got {k}")
     if k == -1:
         return enclosed_volume(rho)
-    bundle = curvature_bundle(rho)
+    if bundle is None:
+        bundle = curvature_bundle(rho)
     total = rho.R ** n * rho.grid.integrate(bundle.E[k] * bundle.mu)
     return total / ((n + 1) * math.comb(n, k))
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AdmissibilityError, ConstraintDegenerateError, MixedFlowError, StepRejectedError
-from .geometry import bundle_from_coeffs, curvature_bundle
+from .geometry import CurvatureBundle, bundle_from_coeffs
 from .harmonics import Grid, RadialField, build_grid
 from .speeds import SpeedSpec, eval_speed, make_speed, umbilic_derivative
 
@@ -133,6 +133,10 @@ class FlowProblem:
         diag[ell == 0] = 0.0
         diag.flags.writeable = False
         self.linear_diag = diag
+        # (coefficient bytes, G, h) left by the last diagnostics record; the
+        # next velocity evaluation takes it once if its coefficients match.
+        # Only G and h are kept: holding the whole bundle costs more than it saves.
+        self._handoff = None
 
     # -- velocity -----------------------------------------------------------
 
@@ -141,7 +145,13 @@ class FlowProblem:
 
     def velocity_values(self, coeffs: np.ndarray) -> tuple[np.ndarray, float]:
         """Grid values of G together with the constraint constant h."""
-        bundle = bundle_from_coeffs(self.grid, self.config.R, coeffs)
+        handoff, self._handoff = self._handoff, None
+        # Keyed on the bytes, not the array: callers may change a vector in place.
+        if handoff is not None and handoff[0] == np.asarray(coeffs).tobytes():
+            return handoff[1], handoff[2]
+        return self._velocity(bundle_from_coeffs(self.grid, self.config.R, coeffs))
+
+    def _velocity(self, bundle: CurvatureBundle) -> tuple[np.ndarray, float]:
         F = eval_speed(self.config.speed, bundle)
         weight = bundle.E[self.config.k + 1] * bundle.mu
         den = self.grid.integrate(weight)
@@ -204,9 +214,10 @@ class FlowProblem:
         from .analysis import fit_sphere, mixed_volume
 
         rho = self.field(coeffs)
-        G, h = self.velocity_values(coeffs)
-        bundle = curvature_bundle(rho)
-        V = mixed_volume(rho, self.config.k)
+        bundle = bundle_from_coeffs(self.grid, self.config.R, coeffs)
+        G, h = self._velocity(bundle)
+        self._handoff = (coeffs.tobytes(), G, h)
+        V = mixed_volume(rho, self.config.k, bundle=bundle)
         energies = self.grid.mode_energies(coeffs)
         try:
             _, residual = fit_sphere(rho)
@@ -269,8 +280,11 @@ def run(config: FlowConfig, rho0: RadialField | None = None,
         problem: FlowProblem | None = None) -> FlowRun:
     """Evolve from rho0 until time T or until the velocity drops below g_tol.
 
+    The run takes ceil(T/dt) steps; when T is not a whole number of steps
+    (to a relative 1e-9 of a step), the last one is shortened to end at T.
     Diagnostics are recorded at t = 0, every `cadence` steps, and at the
-    final state, always recomputed from the current surface.
+    final state.  Each record evaluates the curvature and velocity of its
+    state once and hands the velocity to the step that starts from it.
     """
     prob = problem if problem is not None else FlowProblem(config)
     if rho0 is None:
@@ -281,6 +295,7 @@ def run(config: FlowConfig, rho0: RadialField | None = None,
         raise AdmissibilityError("initial field is not an admissible graph")
     dt = default_timestep(config)
     n_steps = max(1, math.ceil(config.T / dt - 1e-9))
+    whole = n_steps - config.T / dt <= 1e-9
     coeffs = rho0.coeffs.copy()
     rec = prob.diagnostics(0.0, coeffs)
     records = [rec]
@@ -290,9 +305,13 @@ def run(config: FlowConfig, rho0: RadialField | None = None,
         n_steps = 0
     step_no = 0
     while step_no < n_steps:
-        coeffs = prob.step(coeffs, dt)
         step_no += 1
-        t = step_no * dt
+        if step_no < n_steps or whole:
+            coeffs = prob.step(coeffs, dt)
+            t = step_no * dt
+        else:
+            coeffs = prob.step(coeffs, config.T - (n_steps - 1) * dt)
+            t = config.T
         if step_no % config.cadence == 0 or step_no == n_steps:
             rec = prob.diagnostics(t, coeffs)
             records.append(rec)

@@ -5,14 +5,17 @@ derivatives of rho are taken spectrally, so the curvature fields inherit the
 accuracy of the band-limited representation.  For n = 2 the shape operator
 is assembled from the first and second fundamental forms in (theta, phi)
 coordinates; its trace and determinant give the elementary symmetric
-curvature functions directly, without an eigendecomposition, and the
-principal curvatures follow from the quadratic formula with the
-discriminant clamped at zero against roundoff at umbilic points.
+curvature functions directly, without an eigendecomposition.  Speeds read
+only those, so the principal curvatures are formed on demand, on first
+access to CurvatureBundle.kappa: the quadratic formula on the stored
+shape-operator entries, with the discriminant clamped at zero against
+roundoff at umbilic points.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -24,18 +27,31 @@ from .harmonics import RadialField
 class CurvatureBundle:
     """Pointwise curvature data of a radial graph on its grid.
 
-    kappa holds the principal curvatures (n arrays, largest first), E the
-    elementary symmetric functions E_0 = 1 through E_n, mu the area element
-    relative to the reference sphere measure, and graph_factor the length
-    distortion sqrt(1 + |grad rho|^2 / r^2) relating normal speed to radial
-    speed.
+    E holds the elementary symmetric functions E_0 = 1 through E_n, mu the
+    area element relative to the reference sphere measure, and graph_factor
+    the length distortion sqrt(1 + |grad rho|^2 / r^2) relating normal speed
+    to radial speed.  shape_operator holds the entries the principal
+    curvatures kappa (n arrays, largest first) are computed from on first
+    access: (kappa_1,) for n = 1, (w11, w12, w21, w22) for n = 2.
     """
 
-    kappa: tuple[np.ndarray, ...]
     E: tuple[np.ndarray, ...]
     mu: np.ndarray
     graph_factor: np.ndarray
     radius: np.ndarray
+    shape_operator: tuple[np.ndarray, ...]
+
+    @cached_property
+    def kappa(self) -> tuple[np.ndarray, ...]:
+        if len(self.shape_operator) == 1:
+            return self.shape_operator
+        w11, w12, w21, w22 = self.shape_operator
+        # Discriminant in a form free of the cancellation that tr^2 - 4 det
+        # suffers at umbilics.
+        disc = (w11 - w22) ** 2 + 4.0 * w12 * w21
+        sq = np.sqrt(np.maximum(disc, 0.0))
+        trW = self.E[1]
+        return (0.5 * (trW + sq), 0.5 * (trW - sq))
 
 
 def elementary_symmetric(kappa, l: int) -> float:
@@ -63,7 +79,7 @@ def _check_radius(r: np.ndarray) -> None:
 
 
 def curvature_bundle(rho: RadialField) -> CurvatureBundle:
-    """Principal curvatures and measure data of the graph r = R + rho."""
+    """Curvature and measure data of the graph r = R + rho."""
     return bundle_from_coeffs(rho.grid, rho.R, rho.coeffs)
 
 
@@ -79,11 +95,11 @@ def bundle_from_coeffs(grid, R: float, coeffs: np.ndarray) -> CurvatureBundle:
         kappa1 = (r * r + 2.0 * rt * rt - r * rtt) / (w2 * den)
         ones = np.ones_like(r)
         return CurvatureBundle(
-            kappa=(kappa1,),
             E=(ones, kappa1),
             mu=den / R,
             graph_factor=den / r,
             radius=r,
+            shape_operator=(kappa1,),
         )
     st = grid.sin_theta[:, None]
     ct = grid.x[:, None]
@@ -103,25 +119,19 @@ def bundle_from_coeffs(grid, R: float, coeffs: np.ndarray) -> CurvatureBundle:
     h12 = (2.0 * rt * rp - r * hess12) / den
     h22 = (2.0 * rp * rp + (r * st) ** 2 - r * hess22) / den
     detg = g11 * g22 - g12 * g12
-    # Shape operator entries; the discriminant is assembled from them in a
-    # form free of the cancellation that tr^2 - 4 det suffers at umbilics.
     w11 = (g22 * h11 - g12 * h12) / detg
     w12 = (g22 * h12 - g12 * h22) / detg
     w21 = (g11 * h12 - g12 * h11) / detg
     w22 = (g11 * h22 - g12 * h12) / detg
     trW = w11 + w22
     detW = w11 * w22 - w12 * w21
-    disc = (w11 - w22) ** 2 + 4.0 * w12 * w21
-    sq = np.sqrt(np.maximum(disc, 0.0))
-    kappa1 = 0.5 * (trW + sq)
-    kappa2 = 0.5 * (trW - sq)
     ones = np.ones_like(r)
     return CurvatureBundle(
-        kappa=(kappa1, kappa2),
         E=(ones, trW, detW),
         mu=r * den / (R * R),
         graph_factor=den / r,
         radius=r,
+        shape_operator=(w11, w12, w21, w22),
     )
 
 

@@ -111,7 +111,8 @@ class Grid:
             # Per-order normalization of the Fourier basis, constant apart.
             self._norm = np.full(L + 1, 1.0 / math.sqrt(math.pi))
             self._norm[0] = 1.0 / math.sqrt(2.0 * math.pi)
-            _freeze(self.theta, self.quad_weights, self._norm)
+            self._directions = (np.cos(self.theta), np.sin(self.theta))
+            _freeze(self.theta, self.quad_weights, self._norm, *self._directions)
         else:
             n_lat = max(math.ceil(oversample * (L + 1)), L + 1)
             n_lon = max(math.ceil(oversample * (2 * L + 1)), 2 * L + 2)
@@ -136,8 +137,13 @@ class Grid:
             self._tab_mjl = np.ascontiguousarray(tab.transpose(2, 0, 1))
             self._tab_dt_mjl = np.ascontiguousarray(tab_dt.transpose(2, 0, 1))
             self._tab_mlj = np.ascontiguousarray(tab.transpose(2, 1, 0))
+            st = self.sin_theta[:, None]
+            self._directions = (st * np.cos(self.phi)[None, :],
+                                st * np.sin(self.phi)[None, :],
+                                np.broadcast_to(self.x[:, None], self.shape))
             _freeze(self.x, self.glw, self.theta, self.sin_theta, self.phi,
-                    self.quad_weights, self._tab_mjl, self._tab_dt_mjl, self._tab_mlj)
+                    self.quad_weights, self._tab_mjl, self._tab_dt_mjl, self._tab_mlj,
+                    *self._directions)
         self.size = total_coefficients(L, n)
         self._build_layout()
 
@@ -326,13 +332,8 @@ class Grid:
         return self.integrate(values) / SPHERE_AREA[self.n]
 
     def directions(self) -> tuple[np.ndarray, ...]:
-        """Components of the unit position vector at the nodes."""
-        if self.n == 1:
-            return np.cos(self.theta), np.sin(self.theta)
-        st = self.sin_theta[:, None]
-        return (st * np.cos(self.phi)[None, :],
-                st * np.sin(self.phi)[None, :],
-                np.broadcast_to(self.x[:, None], self.shape).copy())
+        """Components of the unit position vector at the nodes (read-only)."""
+        return self._directions
 
     def basis_function(self, l: int, p: int) -> np.ndarray:
         e = np.zeros(self.size)

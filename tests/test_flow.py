@@ -275,3 +275,97 @@ def test_run_determinism():
     a, b = outs
     assert np.array_equal(a.final.rho.coeffs, b.final.rho.coeffs)
     assert [r.t for r in a.records] == [r.t for r in b.records]
+
+
+def test_run_ends_at_T():
+    # 0.01 / 3e-4 is not a whole number of steps: the last step is shortened
+    cfg = FlowConfig(n=2, R=1.0, k=-1, integrator="imex", dt=3e-4, T=0.01,
+                     L_max=8, cadence=10)
+    prob = FlowProblem(cfg)
+    rho0 = random_band_field(prob.grid, 1.0, 0.02, 2, 4, 7)
+    out = run(cfg, rho0, problem=prob)
+    assert out.status == "reached_T"
+    assert out.final.t == 0.01
+    assert out.records[-1].t == 0.01
+
+
+# -- one evaluation per state ------------------------------------------------------
+
+
+def _short_run_config(n, k, integrator, cadence=1):
+    return FlowConfig(n=n, R=1.0, k=k, integrator=integrator, dt=1e-3, T=6e-3,
+                      L_max=8, cadence=cadence)
+
+
+def test_records_match_fresh_evaluation():
+    # every recorded figure equals one computed from scratch at the same state
+    from mixedflow.analysis import mixed_volume
+    from mixedflow.geometry import curvature_bundle
+
+    for n in (1, 2):
+        for k in range(-1, n):
+            for integrator in ("imex", "rk4"):
+                cfg = _short_run_config(n, k, integrator)
+                prob = FlowProblem(cfg)
+                rho0 = random_band_field(prob.grid, 1.0, 0.05, 2, 5, 3)
+                out = run(cfg, rho0, problem=prob)
+                assert len(out.records) == 7
+                for rec in out.records:
+                    fresh = FlowProblem(cfg, grid=prob.grid)
+                    G, h = fresh.velocity_values(rec.coeffs)
+                    rho = RadialField(prob.grid, 1.0, coeffs=rec.coeffs)
+                    kappa = curvature_bundle(rho).kappa
+                    assert rec.h_k == h
+                    assert rec.V == mixed_volume(rho, k)
+                    assert rec.sup_G == float(np.max(np.abs(G)))
+                    assert rec.kappa_min == min(float(np.min(x)) for x in kappa)
+                    assert rec.kappa_max == max(float(np.max(x)) for x in kappa)
+
+
+def _count_bundles(monkeypatch):
+    from mixedflow import flow, geometry
+
+    calls = []
+    original = geometry.bundle_from_coeffs
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(flow, "bundle_from_coeffs", counted)
+    monkeypatch.setattr(geometry, "bundle_from_coeffs", counted)
+    return calls
+
+
+def test_one_bundle_per_state(monkeypatch):
+    # a record's velocity is reused by the step that starts from it, so a run
+    # of N steps builds one bundle per step evaluation plus the final record's
+    calls = _count_bundles(monkeypatch)
+    for integrator, evals_per_step in (("imex", 1), ("rk4", 4)):
+        for cadence in (1, 4, 10 ** 9):
+            cfg = _short_run_config(2, 0, integrator, cadence)
+            prob = FlowProblem(cfg)
+            rho0 = random_band_field(prob.grid, 1.0, 0.05, 2, 5, 3)
+            calls.clear()
+            run(cfg, rho0, problem=prob)
+            assert len(calls) == evals_per_step * 6 + 1
+
+
+def test_handoff_needs_equal_coefficients(monkeypatch):
+    cfg = _short_run_config(2, 0, "imex")
+    prob = FlowProblem(cfg)
+    c = random_band_field(prob.grid, 1.0, 0.05, 2, 5, 3).coeffs.copy()
+    prob.diagnostics(0.0, c)
+    # changed in place after the record: a fresh evaluation, not the record's
+    c[prob.grid.flat_index(3, 2)] += 1e-3
+    G, h = prob.velocity_values(c)
+    G_new, h_new = FlowProblem(cfg, grid=prob.grid).velocity_values(c)
+    assert np.array_equal(G, G_new) and h == h_new
+    # equal coefficients take the record's velocity once, then evaluate again
+    calls = _count_bundles(monkeypatch)
+    rec = prob.diagnostics(0.0, c)
+    prob.velocity_values(c)
+    assert len(calls) == 1
+    G, h = prob.velocity_values(c)
+    assert len(calls) == 2
+    assert np.array_equal(G, G_new) and h == h_new == rec.h_k

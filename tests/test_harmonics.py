@@ -242,3 +242,12 @@ def test_synthesize_derivs_y22(grid2):
     assert np.max(np.abs(d["utt"] - 2 * N * np.cos(2 * t) * np.cos(2 * p))) < 1e-10
     assert np.max(np.abs(d["utp"] + 4 * N * s * ct * np.sin(2 * p))) < 1e-10
     assert np.max(np.abs(d["upp"] + 4 * N * s ** 2 * np.cos(2 * p))) < 1e-10
+
+
+def test_directions_built_once_read_only(grid1, grid2):
+    for grid in (grid1, grid2):
+        omega = grid.directions()
+        assert grid.directions() is omega
+        assert all(not w.flags.writeable for w in omega)
+        r2 = sum(w * w for w in omega)
+        assert np.max(np.abs(r2 - 1.0)) <= 1e-15
