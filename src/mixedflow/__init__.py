@@ -17,15 +17,11 @@ from .errors import (
 from .harmonics import (
     Grid,
     RadialField,
-    analyze,
     build_grid,
     gradient_sq,
     harmonic_multiplicity,
     laplace_beltrami,
-    mean_value,
     project_center,
-    quadrature,
-    synthesize,
     total_coefficients,
 )
 from .geometry import (

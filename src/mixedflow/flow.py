@@ -27,12 +27,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AdmissibilityError, ConstraintDegenerateError, MixedFlowError, StepRejectedError
+from .errors import (AdmissibilityError, ConstraintDegenerateError, MixedFlowError, SpeedError,
+                     StepRejectedError)
 from .geometry import CurvatureBundle, bundle_from_coeffs
 from .harmonics import Grid, RadialField, build_grid
 from .speeds import SpeedSpec, eval_speed, make_speed, umbilic_derivative
 
 _INTEGRATORS = ("imex", "rk4")
+# Failures of a velocity evaluation that the steppers report as a rejected step.
+_STAGE_ERRORS = (AdmissibilityError, ConstraintDegenerateError, SpeedError)
 
 
 @dataclass(frozen=True)
@@ -184,7 +187,7 @@ class FlowProblem:
             k2 = self.g_coeffs(coeffs + 0.5 * dt * k1)
             k3 = self.g_coeffs(coeffs + 0.5 * dt * k2)
             k4 = self.g_coeffs(coeffs + dt * k3)
-        except (AdmissibilityError, ConstraintDegenerateError) as exc:
+        except _STAGE_ERRORS as exc:
             raise StepRejectedError(f"stage failed: {exc}", suggested_dt=0.5 * dt) from exc
         out = coeffs + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if not np.all(np.isfinite(out)):
@@ -194,7 +197,7 @@ class FlowProblem:
     def step_imex(self, coeffs: np.ndarray, dt: float) -> np.ndarray:
         try:
             g = self.g_coeffs(coeffs)
-        except (AdmissibilityError, ConstraintDegenerateError) as exc:
+        except _STAGE_ERRORS as exc:
             raise StepRejectedError(f"velocity failed: {exc}", suggested_dt=0.5 * dt) from exc
         d = self.linear_diag
         out = (coeffs + dt * (g - d * coeffs)) / (1.0 - dt * d)

@@ -2,14 +2,20 @@
 
 A surface is described by r = R + rho over the reference sphere.  All
 derivatives of rho are taken spectrally, so the curvature fields inherit the
-accuracy of the band-limited representation.  For n = 2 the shape operator
-is assembled from the first and second fundamental forms in (theta, phi)
-coordinates; its trace and determinant give the elementary symmetric
-curvature functions directly, without an eigendecomposition.  Speeds read
-only those, so the principal curvatures are formed on demand, on first
-access to CurvatureBundle.kappa: the quadratic formula on the stored
-shape-operator entries, with the discriminant clamped at zero against
-roundoff at umbilic points.
+accuracy of the band-limited representation.  For n = 2 the elementary
+symmetric curvature functions come in closed form from the first and second
+fundamental forms g and h in (theta, phi) coordinates, without forming the
+shape operator g^-1 h:
+
+    det g = r^2 sin^2(theta) w2,    w2 = r^2 + |grad r|^2,  den = sqrt(w2),
+    E_1 = tr(g^-1 h) = (g22 H11 - 2 g12 H12 + g11 H22) / (den det g),
+    E_2 = det(g^-1 h) = (H11 H22 - H12^2) / (w2 det g),
+
+with H = den * h, which is polynomial in r and its derivatives.  Speeds
+read only E, so the principal curvatures are formed on demand, on first
+access to CurvatureBundle.kappa: the shape-operator entries from the stored
+g, H and den * det g, then the quadratic formula, with the discriminant
+clamped at zero against roundoff at umbilic points.
 """
 
 from __future__ import annotations
@@ -30,9 +36,11 @@ class CurvatureBundle:
     E holds the elementary symmetric functions E_0 = 1 through E_n, mu the
     area element relative to the reference sphere measure, and graph_factor
     the length distortion sqrt(1 + |grad rho|^2 / r^2) relating normal speed
-    to radial speed.  shape_operator holds the entries the principal
-    curvatures kappa (n arrays, largest first) are computed from on first
-    access: (kappa_1,) for n = 1, (w11, w12, w21, w22) for n = 2.
+    to radial speed.  shape_operator holds what the principal curvatures
+    kappa (n arrays, largest first) are computed from on first access:
+    (kappa_1,) for n = 1; for n = 2 the fundamental forms and the common
+    denominator of the shape operator, (g11, g12, g22, H11, H12, H22,
+    den * det g) with H = den * h (see the module docstring).
     """
 
     E: tuple[np.ndarray, ...]
@@ -45,7 +53,11 @@ class CurvatureBundle:
     def kappa(self) -> tuple[np.ndarray, ...]:
         if len(self.shape_operator) == 1:
             return self.shape_operator
-        w11, w12, w21, w22 = self.shape_operator
+        g11, g12, g22, H11, H12, H22, den_detg = self.shape_operator
+        w11 = (g22 * H11 - g12 * H12) / den_detg
+        w12 = (g22 * H12 - g12 * H22) / den_detg
+        w21 = (g11 * H12 - g12 * H11) / den_detg
+        w22 = (g11 * H22 - g12 * H12) / den_detg
         # Discriminant in a form free of the cancellation that tr^2 - 4 det
         # suffers at umbilics.
         disc = (w11 - w22) ** 2 + 4.0 * w12 * w21
@@ -105,33 +117,31 @@ def bundle_from_coeffs(grid, R: float, coeffs: np.ndarray) -> CurvatureBundle:
     ct = grid.x[:, None]
     rt, rp = d["ut"], d["up"]
     rtt, rtp, rpp = d["utt"], d["utp"], d["upp"]
-    grad2 = rt * rt + (rp / st) ** 2
-    w2 = r * r + grad2
-    den = np.sqrt(w2)
-    g11 = r * r + rt * rt
+    r2 = r * r
+    rs2 = r2 * (st * st)
+    g11 = r2 + rt * rt
     g12 = rt * rp
-    g22 = (r * st) ** 2 + rp * rp
+    g22 = rs2 + rp * rp
+    w2 = g11 + (rp / st) ** 2
+    den = np.sqrt(w2)
     # Covariant Hessian of r on the round sphere, (theta, phi) components.
-    hess11 = rtt
     hess12 = rtp - (ct / st) * rp
     hess22 = rpp + st * ct * rt
-    h11 = (2.0 * rt * rt + r * r - r * hess11) / den
-    h12 = (2.0 * rt * rp - r * hess12) / den
-    h22 = (2.0 * rp * rp + (r * st) ** 2 - r * hess22) / den
-    detg = g11 * g22 - g12 * g12
-    w11 = (g22 * h11 - g12 * h12) / detg
-    w12 = (g22 * h12 - g12 * h22) / detg
-    w21 = (g11 * h12 - g12 * h11) / detg
-    w22 = (g11 * h22 - g12 * h12) / detg
-    trW = w11 + w22
-    detW = w11 * w22 - w12 * w21
+    # H = den * h: the second fundamental form without its 1/den factor.
+    H11 = 2.0 * rt * rt + r2 - r * rtt
+    H12 = 2.0 * rt * rp - r * hess12
+    H22 = 2.0 * rp * rp + rs2 - r * hess22
+    detg = rs2 * w2
+    den_detg = den * detg
+    trW = (g22 * H11 - 2.0 * g12 * H12 + g11 * H22) / den_detg
+    detW = (H11 * H22 - H12 * H12) / (w2 * detg)
     ones = np.ones_like(r)
     return CurvatureBundle(
         E=(ones, trW, detW),
         mu=r * den / (R * R),
         graph_factor=den / r,
         radius=r,
-        shape_operator=(w11, w12, w21, w22),
+        shape_operator=(g11, g12, g22, H11, H12, H22, den_detg),
     )
 
 

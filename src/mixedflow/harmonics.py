@@ -8,6 +8,11 @@ Coefficients are stored flat, degree-major: degree l ascending, and inside a
 degree the order p runs m = 0, (1, cos), (1, sin), (2, cos), ... for n = 2
 and cos, sin for n = 1.
 
+Transforms: n = 1 uses real FFTs.  n = 2 uses real matmuls only: a
+Legendre stage over the degree l for all orders m at once, against a value
+table and a theta-derivative table, and a longitude stage against one
+matrix of cos(m phi), sin(m phi) and their phi-derivatives (see Grid).
+
 The reference radius R never enters the tables.  Downstream operators apply
 it through explicit factors: Laplace-Beltrami scales by R^-2, the measure by
 R^n, squared gradients by R^-2.
@@ -42,10 +47,11 @@ def total_coefficients(L_max: int, n: int) -> int:
 def _legendre_tables(L: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Normalized associated Legendre values and theta-derivatives at nodes x.
 
-    Returns arrays of shape (len(x), L+1, L+1) indexed [node, l, m], zero for
+    Returns arrays of shape (L+1, len(x), L+1) indexed [m, node, l], zero for
     m > l.  Normalization: the integral of P[l,m]^2 over x in [-1, 1] equals
     1/(2*pi) for every order, so that the assembled real harmonics are unit
-    vectors on the sphere.  Stable three-term recurrences in l at fixed m.
+    vectors on the sphere.  Stable three-term recurrences in l, run for all
+    orders m at once.
     """
     x = np.asarray(x, dtype=float)
     s = np.sqrt(np.clip(1.0 - x * x, 0.0, None))
@@ -53,21 +59,23 @@ def _legendre_tables(L: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise GridError("nodes must avoid the poles")
     P = np.zeros((L + 1, L + 1, x.size))
     P[0, 0] = 1.0 / math.sqrt(4.0 * math.pi)
-    for m in range(1, L + 1):
-        P[m, m] = math.sqrt((2 * m + 1) / (2.0 * m)) * s * P[m - 1, m - 1]
-    for m in range(0, L):
-        P[m + 1, m] = math.sqrt(2.0 * m + 3.0) * x * P[m, m]
-    for m in range(0, L + 1):
-        for l in range(m + 2, L + 1):
-            a = math.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))
-            b = math.sqrt(((l - 1.0) ** 2 - m * m) / (4.0 * (l - 1.0) ** 2 - 1.0))
-            P[l, m] = a * (x * P[l - 1, m] - b * P[l - 2, m])
+    for l in range(1, L + 1):
+        P[l, l] = math.sqrt((2 * l + 1) / (2.0 * l)) * s * P[l - 1, l - 1]
+    i = np.arange(L)
+    m = i.astype(float)
+    P[i + 1, i] = np.sqrt(2.0 * m + 3.0)[:, None] * x * P[i, i]
+    for l in range(2, L + 1):
+        mm = m[:l - 1]
+        a = np.sqrt((4.0 * l * l - 1.0) / (l * l - mm * mm))[:, None]
+        b = np.sqrt(((l - 1.0) ** 2 - mm * mm) / (4.0 * (l - 1.0) ** 2 - 1.0))[:, None]
+        P[l, :l - 1] = a * (x * P[l - 1, :l - 1] - b * P[l - 2, :l - 1])
+    ell = np.arange(L + 1, dtype=float)[:, None]
+    # c[l, m]; zero above the diagonal, where the radicand is negative and P vanishes.
+    c = np.sqrt(np.maximum((2.0 * ell + 1.0) * (ell - ell.T) * (ell + ell.T) / (2.0 * ell - 1.0),
+                           0.0))
     dP = np.zeros_like(P)
-    for m in range(0, L + 1):
-        for l in range(max(m, 1), L + 1):
-            c = math.sqrt((2.0 * l + 1.0) * (l - m) * (l + m) / (2.0 * l - 1.0))
-            dP[l, m] = (l * x * P[l, m] - c * P[l - 1, m]) / s
-    return np.ascontiguousarray(P.transpose(2, 0, 1)), np.ascontiguousarray(dP.transpose(2, 0, 1))
+    dP[1:] = ((ell[1:, :, None] * x) * P[1:] - c[1:, :, None] * P[:-1]) / s
+    return np.ascontiguousarray(P.transpose(1, 2, 0)), np.ascontiguousarray(dP.transpose(1, 2, 0))
 
 
 def _gauss_legendre(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
@@ -84,10 +92,25 @@ class Grid:
     """Collocation nodes, quadrature weights, and transform tables, unit radius.
 
     n = 1: uniform nodes on the circle, trapezoid weights (exact for the
-    band limit).  n = 2: Gauss-Legendre nodes in cos(theta) crossed with a
-    uniform longitude grid; the poles are never sampled.  All tables are
-    immutable after construction and every transform is a dense contraction
-    against them, so repeated calls allocate only the output arrays.
+    band limit); transforms are real FFTs of a complex per-order container.
+
+    n = 2: Gauss-Legendre nodes in cos(theta) crossed with a uniform
+    longitude grid; the poles are never sampled.  Every transform is a pair
+    of real matmuls against tables frozen at construction:
+
+    - the real spectral container B[m, l, c] holds the cosine (c = 0) and
+      sine (c = 1) coefficient of degree l and order m; a flat coefficient
+      vector is scattered into it through one index array, and gathered
+      back from it the same way;
+    - two Legendre tables, values and theta-derivatives, each indexed
+      [m, node, l], contract B over l for all orders at once (a batched
+      matmul over m); analysis contracts against the transposed view of
+      the value table;
+    - three longitude matrices map a latitude row [D(m, c)] to grid
+      values: rows indexed (m, c), columns by the longitude nodes, holding
+      cos(m phi) and sin(m phi), then their first and their second
+      phi-derivatives.  One batched matmul gives a field and its
+      phi-derivatives; analysis uses the transpose of the first matrix.
     """
 
     def __init__(self, n: int, L_max: int, oversample: float = 2.0):
@@ -128,21 +151,23 @@ class Grid:
             self.phi = 2.0 * math.pi * np.arange(n_lon) / n_lon
             self.quad_weights = np.outer(w, np.full(n_lon, 2.0 * math.pi / n_lon))
             P, dP = _legendre_tables(L, x)
-            scale = np.full(L + 1, math.sqrt(2.0))
+            scale = np.full((L + 1, 1, 1), math.sqrt(2.0))
             scale[0] = 1.0
-            tab = P * scale[None, None, :]
-            tab_dt = dP * scale[None, None, :]
-            # Contractions run as batched real matmuls over the order index;
-            # keep the tables contiguous in the layouts those need.
-            self._tab_mjl = np.ascontiguousarray(tab.transpose(2, 0, 1))
-            self._tab_dt_mjl = np.ascontiguousarray(tab_dt.transpose(2, 0, 1))
-            self._tab_mlj = np.ascontiguousarray(tab.transpose(2, 1, 0))
+            self._tab_mjl = P * scale
+            self._tab_dt_mjl = dP * scale
+            m = np.arange(L + 1)
+            # Reduce m*phi exactly before the trigonometric calls.
+            angle = (2.0 * math.pi / n_lon) * (np.outer(m, np.arange(n_lon)) % n_lon)
+            cs = np.stack([np.cos(angle), np.sin(angle)], axis=1)
+            d_cs = m[:, None, None] * np.stack([-cs[:, 1], cs[:, 0]], axis=1)
+            m2_cs = -(m * m)[:, None, None] * cs
+            self._lon = np.stack([cs, d_cs, m2_cs]).reshape(3, 2 * (L + 1), n_lon)
             st = self.sin_theta[:, None]
             self._directions = (st * np.cos(self.phi)[None, :],
                                 st * np.sin(self.phi)[None, :],
                                 np.broadcast_to(self.x[:, None], self.shape))
             _freeze(self.x, self.glw, self.theta, self.sin_theta, self.phi,
-                    self.quad_weights, self._tab_mjl, self._tab_dt_mjl, self._tab_mlj,
+                    self.quad_weights, self._tab_mjl, self._tab_dt_mjl, self._lon,
                     *self._directions)
         self.size = total_coefficients(L, n)
         self._build_layout()
@@ -158,29 +183,19 @@ class Grid:
                 degrees[2 * m - 1] = m
                 degrees[2 * m] = m
         else:
-            cos_l, cos_m, cos_flat = [], [], []
-            sin_l, sin_m, sin_flat = [], [], []
+            # Position of each flat coefficient in the flattened container
+            # B[m, l, c]: the order-m cosine member of degree l sits at flat
+            # l*l + 2m - 1 (l*l for m = 0), its sine partner right after it.
+            slot = np.empty(self.size, dtype=int)
             for l in range(L + 1):
                 base = l * l
                 degrees[base:base + 2 * l + 1] = l
-                cos_l.append(l)
-                cos_m.append(0)
-                cos_flat.append(base)
+                slot[base] = 2 * l
                 for m in range(1, l + 1):
-                    cos_l.append(l)
-                    cos_m.append(m)
-                    cos_flat.append(base + 2 * m - 1)
-                    sin_l.append(l)
-                    sin_m.append(m)
-                    sin_flat.append(base + 2 * m)
-            self._cos_l = np.array(cos_l)
-            self._cos_m = np.array(cos_m)
-            self._cos_flat = np.array(cos_flat)
-            self._sin_l = np.array(sin_l)
-            self._sin_m = np.array(sin_m)
-            self._sin_flat = np.array(sin_flat)
-            _freeze(self._cos_l, self._cos_m, self._cos_flat,
-                    self._sin_l, self._sin_m, self._sin_flat)
+                    slot[base + 2 * m - 1] = 2 * (m * (L + 1) + l)
+                    slot[base + 2 * m] = 2 * (m * (L + 1) + l) + 1
+            self._slot = slot
+            _freeze(self._slot)
         self.degrees = degrees
         ell = np.arange(L + 1, dtype=float)
         self.laplace_factor = -(ell * (ell + n - 1))
@@ -208,32 +223,40 @@ class Grid:
 
     # -- spectral containers --------------------------------------------------
 
-    def _to_matrix(self, coeffs: np.ndarray) -> np.ndarray:
-        """Flat real coefficients to the complex per-order container A[l, m]."""
-        c = self._pad(coeffs)
-        L = self.L_max
-        if self.n == 1:
-            A = np.zeros(L + 1, dtype=complex)
-            A[0] = c[0]
-            A.real[1:] = c[1::2]
-            A.imag[1:] = -c[2::2]
-            return A * self._norm
-        A = np.zeros((L + 1, L + 1), dtype=complex)
-        A.real[self._cos_l, self._cos_m] = c[self._cos_flat]
-        A.imag[self._sin_l, self._sin_m] = -c[self._sin_flat]
-        return A
+    def _container(self, coeffs: np.ndarray) -> np.ndarray:
+        """Flat real coefficients to the real container B[m, l, c], n = 2."""
+        L1 = self.L_max + 1
+        B = np.zeros((L1, L1, 2))
+        B.reshape(-1)[self._slot] = self._pad(coeffs)
+        return B
 
-    def _from_matrix(self, A: np.ndarray) -> np.ndarray:
+    def _rows(self, D: np.ndarray) -> np.ndarray:
+        """Legendre output D[m, node, c] as latitude rows [node, (m, c)]."""
+        return D.transpose(1, 0, 2).reshape(self.n_lat, -1)
+
+    def _to_fourier(self, coeffs: np.ndarray) -> np.ndarray:
+        """Flat real coefficients to the complex per-order container A[m], n = 1."""
+        c = self._pad(coeffs)
+        A = np.zeros(self.L_max + 1, dtype=complex)
+        A[0] = c[0]
+        A.real[1:] = c[1::2]
+        A.imag[1:] = -c[2::2]
+        return A * self._norm
+
+    def _from_fourier(self, A: np.ndarray) -> np.ndarray:
+        B = A / self._norm
         c = np.empty(self.size)
-        if self.n == 1:
-            B = A / self._norm
-            c[0] = B.real[0]
-            c[1::2] = B.real[1:]
-            c[2::2] = -B.imag[1:]
-            return c
-        c[self._cos_flat] = A.real[self._cos_l, self._cos_m]
-        c[self._sin_flat] = -A.imag[self._sin_l, self._sin_m]
+        c[0] = B.real[0]
+        c[1::2] = B.real[1:]
+        c[2::2] = -B.imag[1:]
         return c
+
+    def _fourier_inverse(self, A_batch: np.ndarray) -> np.ndarray:
+        """Batched inverse FFT of complex containers of shape (k, L+1), n = 1."""
+        F = np.zeros((A_batch.shape[0], self.n_theta // 2 + 1), dtype=complex)
+        F[:, 1:self.L_max + 1] = A_batch[:, 1:] * (self.n_theta / 2.0)
+        F[:, 0] = A_batch[:, 0] * self.n_theta
+        return np.fft.irfft(F, n=self.n_theta, axis=1)
 
     # -- transforms -----------------------------------------------------------
 
@@ -242,56 +265,24 @@ class Grid:
         v = np.asarray(values, dtype=float)
         if v.shape != self.shape:
             raise GridError(f"field shape {v.shape} does not match grid shape {self.shape}")
-        L = self.L_max
         if self.n == 1:
-            C = np.fft.rfft(v)[:L + 1]
+            C = np.fft.rfft(v)[:self.L_max + 1]
             # One norm factor from the basis member, one from the projection.
-            A = (2.0 * math.pi / self.n_theta) * self._norm ** 2 * C
-            return self._from_matrix(A)
-        C = np.fft.rfft(v, axis=1)[:, :L + 1]
-        W = self.glw[:, None] * C
-        Wm = np.empty((L + 1, self.n_lat, 2))
-        Wm[:, :, 0] = W.real.T
-        Wm[:, :, 1] = W.imag.T
-        prod = np.matmul(self._tab_mlj, Wm)
-        A = (2.0 * math.pi / self.n_lon) * (prod[:, :, 0] + 1j * prod[:, :, 1]).T
-        return self._from_matrix(A)
+            return self._from_fourier((2.0 * math.pi / self.n_theta) * self._norm ** 2 * C)
+        # Columns (m, c) of the longitude sums, each row weighted by its
+        # quadrature weight (Gauss weight times 2*pi/n_lon).
+        Y = v @ self._lon[0].T
+        Y *= self.quad_weights[:, :1]
+        Y = Y.reshape(self.n_lat, self.L_max + 1, 2).transpose(1, 0, 2)
+        B = np.matmul(self._tab_mjl.transpose(0, 2, 1), Y)
+        return B.reshape(-1)[self._slot]
 
     def synthesize(self, coeffs: np.ndarray) -> np.ndarray:
         """Evaluate a coefficient vector on the grid."""
-        return self._inverse(self._to_matrix(coeffs)[None, ...])[0]
-
-    def _inverse(self, A_batch: np.ndarray) -> np.ndarray:
-        """Batched inverse transform of complex containers, shape (k, L+1[, L+1])."""
-        L = self.L_max
         if self.n == 1:
-            k = A_batch.shape[0]
-            F = np.zeros((k, self.n_theta // 2 + 1), dtype=complex)
-            F[:, 1:L + 1] = A_batch[:, 1:] * (self.n_theta / 2.0)
-            F[:, 0] = A_batch[:, 0] * self.n_theta
-            return np.fft.irfft(F, n=self.n_theta, axis=1)
-        D = self._contract(self._tab_mjl, A_batch)
-        return self._assemble_longitude(D)
-
-    def _contract(self, tab_mjl: np.ndarray, A_batch: np.ndarray) -> np.ndarray:
-        """Real batched matmul of a (m, j, l) table with k complex coefficient sets."""
-        k = A_batch.shape[0]
-        L1 = self.L_max + 1
-        B = np.empty((L1, L1, 2 * k))
-        T = A_batch.transpose(2, 1, 0)
-        B[:, :, :k] = T.real
-        B[:, :, k:] = T.imag
-        out = np.matmul(tab_mjl, B)
-        D = out[:, :, :k] + 1j * out[:, :, k:]
-        return D.transpose(2, 1, 0)
-
-    def _assemble_longitude(self, D: np.ndarray) -> np.ndarray:
-        L = self.L_max
-        k = D.shape[0]
-        F = np.zeros((k, self.n_lat, self.n_lon // 2 + 1), dtype=complex)
-        F[:, :, 1:L + 1] = D[:, :, 1:] * (self.n_lon / 2.0)
-        F[:, :, 0] = D[:, :, 0] * self.n_lon
-        return np.fft.irfft(F, n=self.n_lon, axis=2)
+            return self._fourier_inverse(self._to_fourier(coeffs)[None, :])[0]
+        D = np.matmul(self._tab_mjl, self._container(coeffs))
+        return self._rows(D) @ self._lon[0]
 
     def synthesize_derivs(self, coeffs: np.ndarray) -> dict[str, np.ndarray]:
         """Field together with the surface derivatives the geometry needs.
@@ -299,23 +290,24 @@ class Grid:
         Keys for n = 1: u, ut, utt.  Keys for n = 2: u, ut, up, utt, utp,
         upp, lap.  All derivatives are taken spectrally; the second
         theta-derivative is recovered from the Laplacian identity so no
-        second derivative table is required.
+        second derivative table is required.  For n = 2 the Legendre sums
+        run over three coefficient sets: B and laplace_factor * B against
+        the value table, B against the derivative table.  The phi-derivatives
+        come from the longitude matrices, since differentiating in phi
+        commutes with the sum over l.
         """
-        A = self._to_matrix(coeffs)
         L = self.L_max
         if self.n == 1:
+            A = self._to_fourier(coeffs)
             m = np.arange(L + 1, dtype=float)
-            batch = np.stack([A, 1j * m * A, -(m * m) * A])
-            u, ut, utt = self._inverse(batch)
+            u, ut, utt = self._fourier_inverse(np.stack([A, 1j * m * A, -(m * m) * A]))
             return {"u": u, "ut": ut, "utt": utt}
-        m = np.arange(L + 1, dtype=float)[None, :]
-        lap = self.laplace_factor[:, None]
-        Am = (1j * m) * A
-        batch_t = np.stack([A, Am, -(m * m) * A, lap * A])
-        batch_dt = np.stack([A, Am])
-        D = self._contract(self._tab_mjl, batch_t)
-        Dd = self._contract(self._tab_dt_mjl, batch_dt)
-        u, up, upp, lap_u, ut, utp = self._assemble_longitude(np.concatenate([D, Dd]))
+        B = self._container(coeffs)
+        D = np.matmul(self._tab_mjl, np.concatenate([B, self.laplace_factor[:, None] * B], axis=2))
+        Dt = np.matmul(self._tab_dt_mjl, B)
+        u, up, upp = np.matmul(self._rows(D[:, :, :2]), self._lon)
+        lap_u = self._rows(D[:, :, 2:]) @ self._lon[0]
+        ut, utp = np.matmul(self._rows(Dt), self._lon[:2])
         st = self.sin_theta[:, None]
         ct = self.x[:, None]
         utt = lap_u - (ct / st) * ut - upp / (st * st)
@@ -352,24 +344,6 @@ class Grid:
 
 def build_grid(n: int, L_max: int, oversample: float = 2.0) -> Grid:
     return Grid(n, L_max, oversample)
-
-
-def analyze(values: np.ndarray, grid: Grid) -> np.ndarray:
-    return grid.analyze(values)
-
-
-def synthesize(coeffs: np.ndarray, grid: Grid) -> np.ndarray:
-    return grid.synthesize(coeffs)
-
-
-def quadrature(values: np.ndarray, grid: Grid, R: float = 1.0) -> float:
-    """Integral against the radius-R sphere measure."""
-    return R ** grid.n * grid.integrate(values)
-
-
-def mean_value(values: np.ndarray, grid: Grid) -> float:
-    """Average over the sphere; independent of the radius."""
-    return grid.mean(values)
 
 
 def laplace_beltrami(values: np.ndarray, grid: Grid, R: float = 1.0) -> np.ndarray:

@@ -19,6 +19,12 @@ def grid2_small():
     return build_grid(2, 8, oversample=2.0)
 
 
+@pytest.fixture(scope="session", params=(8, 24, 64))
+def grid2_band(request):
+    """Sphere grids across the band limits, from small to the largest allowed."""
+    return build_grid(2, request.param, oversample=2.0)
+
+
 @pytest.fixture()
 def rng():
     return np.random.default_rng(1234)

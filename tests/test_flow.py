@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from mixedflow.errors import AdmissibilityError, StepRejectedError
+from mixedflow.errors import AdmissibilityError, SpeedError, StepRejectedError
 from mixedflow.flow import (
     FlowConfig,
     FlowProblem,
@@ -147,6 +147,20 @@ def test_cfl_rejection():
     assert info.value.suggested_dt is not None
     assert info.value.suggested_dt <= cfl_timestep(cfg)
     prob.step_rk4(c0, info.value.suggested_dt)
+
+
+def test_speed_failure_rejects_step():
+    # beta = 0.5 needs a positive mean curvature; this admissible field's
+    # turns negative, so the speed is undefined there and the step is rejected
+    speed = make_speed("power_mean", n=2, R=1.0, m=1, beta=0.5)
+    cfg = FlowConfig(n=2, R=1.0, speed=speed, L_max=16)
+    prob = FlowProblem(cfg)
+    c0 = random_band_field(prob.grid, 1.0, 0.6, 6, 10, 3).coeffs
+    for step, dt in ((prob.step_imex, default_timestep(cfg)), (prob.step_rk4, cfl_timestep(cfg))):
+        with pytest.raises(StepRejectedError) as info:
+            step(c0, dt)
+        assert info.value.suggested_dt == 0.5 * dt
+        assert isinstance(info.value.__cause__, SpeedError)
 
 
 def test_step_wrappers():

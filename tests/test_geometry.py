@@ -75,6 +75,16 @@ def test_el_consistency(grid2, rng):
     assert np.max(np.abs(b.E[0] - 1.0)) == 0.0
 
 
+def test_curvature_functions_match_kappa_across_band_limits(grid2_band, rng):
+    # E comes from closed forms, kappa from the shape operator formed on access
+    for _ in range(3):
+        c = band_coeffs(grid2_band, rng, l_lo=0, l_hi=12, scale=0.02)
+        b = curvature_bundle(RadialField(grid2_band, 1.0, coeffs=c))
+        k1, k2 = b.kappa
+        assert np.max(np.abs(b.E[1] - (k1 + k2))) <= 1e-12 * np.max(np.abs(b.E[1]))
+        assert np.max(np.abs(b.E[2] - k1 * k2)) <= 1e-12 * np.max(np.abs(b.E[2]))
+
+
 def test_scaling_covariance(grid2, grid1, rng):
     for grid in (grid2, grid1):
         n = grid.n

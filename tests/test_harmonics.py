@@ -10,13 +10,12 @@ from mixedflow.errors import DegreeOverflowError, GridError
 from mixedflow.harmonics import (
     Grid,
     RadialField,
+    _legendre_tables,
     build_grid,
     gradient_sq,
     harmonic_multiplicity,
     laplace_beltrami,
-    mean_value,
     project_center,
-    quadrature,
     total_coefficients,
 )
 from conftest import band_coeffs
@@ -114,12 +113,12 @@ def test_parseval(grid2_small, seed):
 def test_quadrature_radius_scaling(grid2_small, rng):
     c = band_coeffs(grid2_small, rng)
     u = grid2_small.synthesize(c)
-    assert abs(quadrature(u * u, grid2_small, R=2.0) - 4.0 * np.sum(c * c)) < 1e-9
+    assert abs(2.0 ** 2 * grid2_small.integrate(u * u) - 4.0 * np.sum(c * c)) < 1e-9
 
 
 def test_mean_value(grid2_small):
     u = 3.0 + grid2_small.synthesize(band_coeffs(grid2_small, np.random.default_rng(7), l_lo=1))
-    assert abs(mean_value(u, grid2_small) - 3.0) < 1e-12
+    assert abs(grid2_small.mean(u) - 3.0) < 1e-12
 
 
 # -- calculus --------------------------------------------------------------------
@@ -155,8 +154,8 @@ def test_integration_by_parts(grid2_small, seed):
     rng = np.random.default_rng(seed)
     u = grid2_small.synthesize(band_coeffs(grid2_small, rng))
     for R in (1.0, 1.7):
-        lhs = quadrature(gradient_sq(u, grid2_small, R), grid2_small, R)
-        rhs = -quadrature(u * laplace_beltrami(u, grid2_small, R), grid2_small, R)
+        lhs = R ** 2 * grid2_small.integrate(gradient_sq(u, grid2_small, R))
+        rhs = -R ** 2 * grid2_small.integrate(u * laplace_beltrami(u, grid2_small, R))
         assert abs(lhs - rhs) <= 1e-8 * max(1.0, abs(rhs))
 
 
@@ -202,8 +201,8 @@ def test_project_center_idempotent_orthogonal(grid2, rng):
 
     pu = P(u)
     assert np.max(np.abs(P(pu) - pu)) < 1e-10 * max(1.0, np.max(np.abs(pu)))
-    inner = quadrature(pu * (v - P(v)), grid2, R)
-    norm = math.sqrt(quadrature(pu * pu, grid2, R) * quadrature(v * v, grid2, R))
+    inner = R ** 2 * grid2.integrate(pu * (v - P(v)))
+    norm = math.sqrt(R ** 2 * grid2.integrate(pu * pu) * R ** 2 * grid2.integrate(v * v))
     assert abs(inner) <= 1e-10 * max(1.0, norm)
 
 
@@ -251,3 +250,66 @@ def test_directions_built_once_read_only(grid1, grid2):
         assert all(not w.flags.writeable for w in omega)
         r2 = sum(w * w for w in omega)
         assert np.max(np.abs(r2 - 1.0)) <= 1e-15
+
+
+# -- n = 2 transforms across band limits -------------------------------------------
+
+
+def phi_derivative(grid, c):
+    """d/dphi in coefficient space: each order-m pair (c_cos, c_sin) -> m (c_sin, -c_cos)."""
+    out = np.zeros_like(c)
+    for l in range(grid.L_max + 1):
+        for m in range(1, l + 1):
+            i_cos, i_sin = grid.flat_index(l, 2 * m), grid.flat_index(l, 2 * m + 1)
+            out[i_cos], out[i_sin] = m * c[i_sin], -m * c[i_cos]
+    return out
+
+
+def test_sphere_round_trip_across_band_limits(grid2_band, rng):
+    c = band_coeffs(grid2_band, rng)
+    back = grid2_band.analyze(grid2_band.synthesize(c))
+    assert np.max(np.abs(back - c)) < 1e-12 * max(1.0, np.max(np.abs(c)))
+
+
+def test_synthesize_derivs_across_band_limits(grid2_band, rng):
+    g = grid2_band
+    c = band_coeffs(g, rng)
+    d = g.synthesize_derivs(c)
+    dc = phi_derivative(g, c)
+    expected = {"u": g.synthesize(c),
+                "lap": g.synthesize(g.laplace_factor[g.degrees] * c),
+                "up": g.synthesize(dc),
+                "upp": g.synthesize(phi_derivative(g, dc))}
+    for key, want in expected.items():
+        assert np.max(np.abs(d[key] - want)) <= 1e-12 * np.max(np.abs(want)), key
+
+
+def legendre_tables_loop(L, x):
+    """Reference: the same recurrences one order and one degree at a time, [m, node, l]."""
+    s = np.sqrt(1.0 - x * x)
+    P = np.zeros((L + 1, L + 1, x.size))
+    P[0, 0] = 1.0 / math.sqrt(4.0 * math.pi)
+    for m in range(1, L + 1):
+        P[m, m] = math.sqrt((2 * m + 1) / (2.0 * m)) * s * P[m - 1, m - 1]
+    for m in range(0, L):
+        P[m + 1, m] = math.sqrt(2.0 * m + 3.0) * x * P[m, m]
+    for m in range(0, L + 1):
+        for l in range(m + 2, L + 1):
+            a = math.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))
+            b = math.sqrt(((l - 1.0) ** 2 - m * m) / (4.0 * (l - 1.0) ** 2 - 1.0))
+            P[l, m] = a * (x * P[l - 1, m] - b * P[l - 2, m])
+    dP = np.zeros_like(P)
+    for m in range(0, L + 1):
+        for l in range(max(m, 1), L + 1):
+            c = math.sqrt((2.0 * l + 1.0) * (l - m) * (l + m) / (2.0 * l - 1.0))
+            dP[l, m] = (l * x * P[l, m] - c * P[l - 1, m]) / s
+    return P.transpose(1, 2, 0), dP.transpose(1, 2, 0)
+
+
+def test_legendre_tables_match_loop_reference(grid2_band):
+    # same arithmetic per entry, only the loop order differs: equal bit for bit
+    L = grid2_band.L_max
+    P, dP = _legendre_tables(L, grid2_band.x)
+    P_ref, dP_ref = legendre_tables_loop(L, grid2_band.x)
+    assert np.array_equal(P, P_ref)
+    assert np.array_equal(dP, dP_ref)
