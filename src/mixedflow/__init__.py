@@ -40,12 +40,7 @@ from .flow import (
     FlowState,
     cfl_timestep,
     default_timestep,
-    evaluate_G,
-    global_term,
-    linearized_at_zero,
     run,
-    step_explicit,
-    step_imex,
 )
 from .analysis import (
     SphereCoords,

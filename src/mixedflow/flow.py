@@ -76,11 +76,10 @@ class FlowConfig:
 
 @dataclass(frozen=True)
 class FlowState:
-    """Flow time, height field, and the diagnostics last computed for it."""
+    """Flow time and height field; a run's diagnostics live in its records."""
 
     t: float
     rho: RadialField
-    diagnostics: dict | None = None
 
 
 @dataclass(frozen=True)
@@ -172,9 +171,6 @@ class FlowProblem:
         G, _ = self.velocity_values(coeffs)
         return self.grid.analyze(G)
 
-    def global_term(self, coeffs: np.ndarray) -> float:
-        return self.velocity_values(coeffs)[1]
-
     # -- steppers -------------------------------------------------------------
 
     def step_rk4(self, coeffs: np.ndarray, dt: float) -> np.ndarray:
@@ -244,41 +240,6 @@ class FlowProblem:
         )
 
 
-def _state_diag(record: DiagnosticsRecord) -> dict:
-    return {"h_k": record.h_k, "V": record.V, "kappa_min": record.kappa_min,
-            "kappa_max": record.kappa_max}
-
-
-def global_term(state: FlowState, config: FlowConfig) -> float:
-    """Constraint constant h for the current surface."""
-    return FlowProblem(config, grid=state.rho.grid).global_term(state.rho.coeffs)
-
-
-def evaluate_G(state: FlowState, config: FlowConfig) -> np.ndarray:
-    """Velocity field on the grid, truncated to the band limit."""
-    prob = FlowProblem(config, grid=state.rho.grid)
-    return prob.grid.synthesize(prob.g_coeffs(state.rho.coeffs))
-
-
-def linearized_at_zero(values: np.ndarray, config: FlowConfig, grid: Grid | None = None) -> np.ndarray:
-    """Action of the flow's linearization at the round sphere on a field."""
-    prob = FlowProblem(config, grid=grid)
-    c = prob.grid.analyze(values)
-    return prob.grid.synthesize(prob.linear_diag * c)
-
-
-def step_explicit(state: FlowState, dt: float, config: FlowConfig) -> FlowState:
-    prob = FlowProblem(config, grid=state.rho.grid)
-    coeffs = prob.step_rk4(state.rho.coeffs, dt)
-    return FlowState(t=state.t + dt, rho=prob.field(coeffs))
-
-
-def step_imex(state: FlowState, dt: float, config: FlowConfig) -> FlowState:
-    prob = FlowProblem(config, grid=state.rho.grid)
-    coeffs = prob.step_imex(state.rho.coeffs, dt)
-    return FlowState(t=state.t + dt, rho=prob.field(coeffs))
-
-
 def run(config: FlowConfig, rho0: RadialField | None = None,
         problem: FlowProblem | None = None) -> FlowRun:
     """Evolve from rho0 until time T or until the velocity drops below g_tol.
@@ -288,6 +249,8 @@ def run(config: FlowConfig, rho0: RadialField | None = None,
     Diagnostics are recorded at t = 0, every `cadence` steps, and at the
     final state.  Each record evaluates the curvature and velocity of its
     state once and hands the velocity to the step that starts from it.
+    An initial field that is not a graph, or on which the velocity cannot
+    be evaluated, is rejected with AdmissibilityError before any step.
     """
     prob = problem if problem is not None else FlowProblem(config)
     if rho0 is None:
@@ -300,7 +263,10 @@ def run(config: FlowConfig, rho0: RadialField | None = None,
     n_steps = max(1, math.ceil(config.T / dt - 1e-9))
     whole = n_steps - config.T / dt <= 1e-9
     coeffs = rho0.coeffs.copy()
-    rec = prob.diagnostics(0.0, coeffs)
+    try:
+        rec = prob.diagnostics(0.0, coeffs)
+    except _STAGE_ERRORS as exc:
+        raise AdmissibilityError(f"initial field is outside the flow's domain: {exc}") from exc
     records = [rec]
     status = "reached_T"
     if rec.sup_G <= config.g_tol:
@@ -322,6 +288,5 @@ def run(config: FlowConfig, rho0: RadialField | None = None,
                 status = "converged"
                 break
     final_rec = records[-1]
-    final = FlowState(t=final_rec.t, rho=prob.field(coeffs),
-                      diagnostics=_state_diag(final_rec))
+    final = FlowState(t=final_rec.t, rho=prob.field(coeffs))
     return FlowRun(status=status, records=records, final=final, config=config)

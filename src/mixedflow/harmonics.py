@@ -8,10 +8,12 @@ Coefficients are stored flat, degree-major: degree l ascending, and inside a
 degree the order p runs m = 0, (1, cos), (1, sin), (2, cos), ... for n = 2
 and cos, sin for n = 1.
 
-Transforms: n = 1 uses real FFTs.  n = 2 uses real matmuls only: a
-Legendre stage over the degree l for all orders m at once, against a value
-table and a theta-derivative table, and a longitude stage against one
-matrix of cos(m phi), sin(m phi) and their phi-derivatives (see Grid).
+Transforms are real matmuls only, with no FFT.  Both dimensions share one
+longitude stage against matrices of cos(m phi), sin(m phi) and their
+phi-derivatives; on the circle phi is the angle theta and that stage is the
+whole transform.  n = 2 adds a Legendre stage over the degree l for all
+orders m at once, against a value table and a theta-derivative table (see
+Grid).
 
 The reference radius R never enters the tables.  Downstream operators apply
 it through explicit factors: Laplace-Beltrami scales by R^-2, the measure by
@@ -92,25 +94,25 @@ class Grid:
     """Collocation nodes, quadrature weights, and transform tables, unit radius.
 
     n = 1: uniform nodes on the circle, trapezoid weights (exact for the
-    band limit); transforms are real FFTs of a complex per-order container.
+    band limit).  n = 2: Gauss-Legendre nodes in cos(theta) crossed with a
+    uniform longitude grid; the poles are never sampled.  Every transform is
+    a real matmul against tables frozen at construction:
 
-    n = 2: Gauss-Legendre nodes in cos(theta) crossed with a uniform
-    longitude grid; the poles are never sampled.  Every transform is a pair
-    of real matmuls against tables frozen at construction:
-
-    - the real spectral container B[m, l, c] holds the cosine (c = 0) and
-      sine (c = 1) coefficient of degree l and order m; a flat coefficient
-      vector is scattered into it through one index array, and gathered
-      back from it the same way;
-    - two Legendre tables, values and theta-derivatives, each indexed
-      [m, node, l], contract B over l for all orders at once (a batched
-      matmul over m); analysis contracts against the transposed view of
-      the value table;
-    - three longitude matrices map a latitude row [D(m, c)] to grid
-      values: rows indexed (m, c), columns by the longitude nodes, holding
-      cos(m phi) and sin(m phi), then their first and their second
-      phi-derivatives.  One batched matmul gives a field and its
-      phi-derivatives; analysis uses the transpose of the first matrix.
+    - the real spectral container holds the cosine (c = 0) and sine (c = 1)
+      coefficient of each order m, B[m, c] on the circle and B[m, l, c] of
+      degree l on the sphere; a flat coefficient vector is scattered into it
+      through one index array, and gathered back from it the same way;
+    - n = 2 only: two Legendre tables, values and theta-derivatives, each
+      indexed [m, node, l], contract B over l for all orders at once (a
+      batched matmul over m); analysis contracts against the transposed view
+      of the value table;
+    - three longitude matrices, built the same way for both n from the
+      uniform node count, map a row [D(m, c)] to grid values: rows indexed
+      (m, c), columns by the uniform nodes, holding cos(m phi) and
+      sin(m phi), then their first and their second phi-derivatives.  On the
+      circle the rows also carry the basis normalization.  One batched
+      matmul gives a field and its phi-derivatives; analysis uses the
+      transpose of the first matrix.
     """
 
     def __init__(self, n: int, L_max: int, oversample: float = 2.0):
@@ -131,11 +133,12 @@ class Grid:
             self.shape = (n_theta,)
             self.theta = 2.0 * math.pi * np.arange(n_theta) / n_theta
             self.quad_weights = np.full(n_theta, 2.0 * math.pi / n_theta)
-            # Per-order normalization of the Fourier basis, constant apart.
-            self._norm = np.full(L + 1, 1.0 / math.sqrt(math.pi))
-            self._norm[0] = 1.0 / math.sqrt(2.0 * math.pi)
+            # The circle's basis normalization, per order; the sphere's sits
+            # in its Legendre tables.
+            lon_scale = np.full((L + 1, 1, 1), 1.0 / math.sqrt(math.pi))
+            lon_scale[0] = 1.0 / math.sqrt(2.0 * math.pi)
             self._directions = (np.cos(self.theta), np.sin(self.theta))
-            _freeze(self.theta, self.quad_weights, self._norm, *self._directions)
+            _freeze(self.theta, self.quad_weights, *self._directions)
         else:
             n_lat = max(math.ceil(oversample * (L + 1)), L + 1)
             n_lon = max(math.ceil(oversample * (2 * L + 1)), 2 * L + 2)
@@ -155,20 +158,22 @@ class Grid:
             scale[0] = 1.0
             self._tab_mjl = P * scale
             self._tab_dt_mjl = dP * scale
-            m = np.arange(L + 1)
-            # Reduce m*phi exactly before the trigonometric calls.
-            angle = (2.0 * math.pi / n_lon) * (np.outer(m, np.arange(n_lon)) % n_lon)
-            cs = np.stack([np.cos(angle), np.sin(angle)], axis=1)
-            d_cs = m[:, None, None] * np.stack([-cs[:, 1], cs[:, 0]], axis=1)
-            m2_cs = -(m * m)[:, None, None] * cs
-            self._lon = np.stack([cs, d_cs, m2_cs]).reshape(3, 2 * (L + 1), n_lon)
+            lon_scale = 1.0
             st = self.sin_theta[:, None]
             self._directions = (st * np.cos(self.phi)[None, :],
                                 st * np.sin(self.phi)[None, :],
                                 np.broadcast_to(self.x[:, None], self.shape))
             _freeze(self.x, self.glw, self.theta, self.sin_theta, self.phi,
-                    self.quad_weights, self._tab_mjl, self._tab_dt_mjl, self._lon,
-                    *self._directions)
+                    self.quad_weights, self._tab_mjl, self._tab_dt_mjl, *self._directions)
+        n_uni = self.shape[-1]
+        m = np.arange(L + 1)
+        # Reduce m*phi exactly before the trigonometric calls.
+        angle = (2.0 * math.pi / n_uni) * (np.outer(m, np.arange(n_uni)) % n_uni)
+        cs = lon_scale * np.stack([np.cos(angle), np.sin(angle)], axis=1)
+        d_cs = m[:, None, None] * np.stack([-cs[:, 1], cs[:, 0]], axis=1)
+        m2_cs = -(m * m)[:, None, None] * cs
+        self._lon = np.stack([cs, d_cs, m2_cs]).reshape(3, 2 * (L + 1), n_uni)
+        _freeze(self._lon)
         self.size = total_coefficients(L, n)
         self._build_layout()
 
@@ -176,16 +181,16 @@ class Grid:
 
     def _build_layout(self) -> None:
         L, n = self.L_max, self.n
-        degrees = np.empty(self.size, dtype=int)
         if n == 1:
-            degrees[0] = 0
-            for m in range(1, L + 1):
-                degrees[2 * m - 1] = m
-                degrees[2 * m] = m
+            # Flat 2m - 1 (cos) and 2m (sin) sit at 2m and 2m + 1 of B[m, c].
+            k = np.arange(self.size)
+            degrees = (k + 1) // 2
+            slot = k + (k > 0)
         else:
             # Position of each flat coefficient in the flattened container
             # B[m, l, c]: the order-m cosine member of degree l sits at flat
             # l*l + 2m - 1 (l*l for m = 0), its sine partner right after it.
+            degrees = np.empty(self.size, dtype=int)
             slot = np.empty(self.size, dtype=int)
             for l in range(L + 1):
                 base = l * l
@@ -194,12 +199,11 @@ class Grid:
                 for m in range(1, l + 1):
                     slot[base + 2 * m - 1] = 2 * (m * (L + 1) + l)
                     slot[base + 2 * m] = 2 * (m * (L + 1) + l) + 1
-            self._slot = slot
-            _freeze(self._slot)
+        self._slot = slot
         self.degrees = degrees
         ell = np.arange(L + 1, dtype=float)
         self.laplace_factor = -(ell * (ell + n - 1))
-        _freeze(self.degrees, self.laplace_factor)
+        _freeze(self._slot, self.degrees, self.laplace_factor)
 
     def flat_index(self, l: int, p: int) -> int:
         """Flat position of the degree-l, order-p basis member (p is 1-based)."""
@@ -224,39 +228,15 @@ class Grid:
     # -- spectral containers --------------------------------------------------
 
     def _container(self, coeffs: np.ndarray) -> np.ndarray:
-        """Flat real coefficients to the real container B[m, l, c], n = 2."""
-        L1 = self.L_max + 1
-        B = np.zeros((L1, L1, 2))
+        """Flat real coefficients to the real container: B[m, l, c] for n = 2,
+        B[m, c] for n = 1 (c = 0 cosine, c = 1 sine)."""
+        B = np.zeros((self.L_max + 1,) * self.n + (2,))
         B.reshape(-1)[self._slot] = self._pad(coeffs)
         return B
 
     def _rows(self, D: np.ndarray) -> np.ndarray:
         """Legendre output D[m, node, c] as latitude rows [node, (m, c)]."""
         return D.transpose(1, 0, 2).reshape(self.n_lat, -1)
-
-    def _to_fourier(self, coeffs: np.ndarray) -> np.ndarray:
-        """Flat real coefficients to the complex per-order container A[m], n = 1."""
-        c = self._pad(coeffs)
-        A = np.zeros(self.L_max + 1, dtype=complex)
-        A[0] = c[0]
-        A.real[1:] = c[1::2]
-        A.imag[1:] = -c[2::2]
-        return A * self._norm
-
-    def _from_fourier(self, A: np.ndarray) -> np.ndarray:
-        B = A / self._norm
-        c = np.empty(self.size)
-        c[0] = B.real[0]
-        c[1::2] = B.real[1:]
-        c[2::2] = -B.imag[1:]
-        return c
-
-    def _fourier_inverse(self, A_batch: np.ndarray) -> np.ndarray:
-        """Batched inverse FFT of complex containers of shape (k, L+1), n = 1."""
-        F = np.zeros((A_batch.shape[0], self.n_theta // 2 + 1), dtype=complex)
-        F[:, 1:self.L_max + 1] = A_batch[:, 1:] * (self.n_theta / 2.0)
-        F[:, 0] = A_batch[:, 0] * self.n_theta
-        return np.fft.irfft(F, n=self.n_theta, axis=1)
 
     # -- transforms -----------------------------------------------------------
 
@@ -265,44 +245,38 @@ class Grid:
         v = np.asarray(values, dtype=float)
         if v.shape != self.shape:
             raise GridError(f"field shape {v.shape} does not match grid shape {self.shape}")
-        if self.n == 1:
-            C = np.fft.rfft(v)[:self.L_max + 1]
-            # One norm factor from the basis member, one from the projection.
-            return self._from_fourier((2.0 * math.pi / self.n_theta) * self._norm ** 2 * C)
         # Columns (m, c) of the longitude sums, each row weighted by its
-        # quadrature weight (Gauss weight times 2*pi/n_lon).
+        # quadrature weight (Gauss weight times 2*pi/n_lon; 2*pi/n_theta on the circle).
         Y = v @ self._lon[0].T
-        Y *= self.quad_weights[:, :1]
-        Y = Y.reshape(self.n_lat, self.L_max + 1, 2).transpose(1, 0, 2)
-        B = np.matmul(self._tab_mjl.transpose(0, 2, 1), Y)
-        return B.reshape(-1)[self._slot]
+        Y *= self.quad_weights[..., :1]
+        if self.n == 2:
+            Y = Y.reshape(self.n_lat, self.L_max + 1, 2).transpose(1, 0, 2)
+            Y = np.matmul(self._tab_mjl.transpose(0, 2, 1), Y)
+        return Y.reshape(-1)[self._slot]
 
     def synthesize(self, coeffs: np.ndarray) -> np.ndarray:
         """Evaluate a coefficient vector on the grid."""
+        B = self._container(coeffs)
         if self.n == 1:
-            return self._fourier_inverse(self._to_fourier(coeffs)[None, :])[0]
-        D = np.matmul(self._tab_mjl, self._container(coeffs))
-        return self._rows(D) @ self._lon[0]
+            return B.reshape(-1) @ self._lon[0]
+        return self._rows(np.matmul(self._tab_mjl, B)) @ self._lon[0]
 
     def synthesize_derivs(self, coeffs: np.ndarray) -> dict[str, np.ndarray]:
         """Field together with the surface derivatives the geometry needs.
 
-        Keys for n = 1: u, ut, utt.  Keys for n = 2: u, ut, up, utt, utp,
-        upp, lap.  All derivatives are taken spectrally; the second
-        theta-derivative is recovered from the Laplacian identity so no
-        second derivative table is required.  For n = 2 the Legendre sums
-        run over three coefficient sets: B and laplace_factor * B against
-        the value table, B against the derivative table.  The phi-derivatives
-        come from the longitude matrices, since differentiating in phi
-        commutes with the sum over l.
+        Keys for n = 1: u, ut, utt, straight from the three longitude
+        matrices.  Keys for n = 2: u, ut, up, utt, utp, upp, lap.  All
+        derivatives are taken spectrally; the second theta-derivative is
+        recovered from the Laplacian identity so no second derivative table
+        is required.  For n = 2 the Legendre sums run over three coefficient
+        sets: B and laplace_factor * B against the value table, B against
+        the derivative table.  The phi-derivatives come from the longitude
+        matrices, since differentiating in phi commutes with the sum over l.
         """
-        L = self.L_max
-        if self.n == 1:
-            A = self._to_fourier(coeffs)
-            m = np.arange(L + 1, dtype=float)
-            u, ut, utt = self._fourier_inverse(np.stack([A, 1j * m * A, -(m * m) * A]))
-            return {"u": u, "ut": ut, "utt": utt}
         B = self._container(coeffs)
+        if self.n == 1:
+            u, ut, utt = B.reshape(-1) @ self._lon
+            return {"u": u, "ut": ut, "utt": utt}
         D = np.matmul(self._tab_mjl, np.concatenate([B, self.laplace_factor[:, None] * B], axis=2))
         Dt = np.matmul(self._tab_dt_mjl, B)
         u, up, upp = np.matmul(self._rows(D[:, :, :2]), self._lon)

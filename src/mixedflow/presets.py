@@ -24,7 +24,7 @@ from .analysis import (
     stable_decay_rate,
 )
 from .errors import ConfigError
-from .flow import FlowRun, FlowState, run
+from .flow import FlowRun, run
 from .harmonics import SPHERE_AREA, Grid, RadialField
 from .io import (
     ParsedConfig,
@@ -76,43 +76,22 @@ def _zero_mode_init(grid: Grid, R: float) -> RadialField:
     return RadialField(grid, R, values=1e-3 * R * combo)
 
 
-_PRESET_SETTINGS: dict[str, dict] = {
-    "stationarity": dict(
-        settings="n = 2\nR = 1\nk = -1\nspeed = mean\nintegrator = imex\n"
-                 "T = 0.05\nL_max = 16\ninit = const:0.2\ncadence = 1",
-        init_builder=None,
-        init_label=None,
-    ),
-    "linear-decay": dict(
-        settings="n = 2\nR = 1\nk = -1\nspeed = mean\nintegrator = imex\n"
-                 "dt = 1e-4\nT = 1\nL_max = 8\ninit = harmonic:2,1,1e-4\ncadence = 10",
-        init_builder=None,
-        init_label=None,
-    ),
-    "zero-modes": dict(
-        settings="n = 2\nR = 1\nk = -1\nspeed = mean\nintegrator = imex\n"
-                 "dt = 1e-3\nT = 2\nL_max = 8\ncadence = 10",
-        init_builder=_zero_mode_init,
-        init_label="zero-mode combination, amplitude 1e-3",
-    ),
-    "conservation": dict(
-        settings="n = 2\nR = 1\nk = 0\nspeed = mean\nintegrator = rk4\n"
-                 "dt = 1e-4\nT = 0.5\nL_max = 24\ninit = random:0.05,6,42\ncadence = 50",
-        init_builder=None,
-        init_label=None,
-    ),
-    "nonlinear-convergence": dict(
-        settings="n = 2\nR = 1\nk = -1\nspeed = mean\nintegrator = rk4\n"
-                 "dt = 1e-3\nT = 3\nL_max = 16\ninit = random:0.05,6,42\ncadence = 10",
-        init_builder=None,
-        init_label=None,
-    ),
-    "spectrum": dict(
-        settings="n = 2\nR = 1\nk = -1\nspeed = mean\nL_max = 8",
-        init_builder=None,
-        init_label=None,
-    ),
+_PRESET_SETTINGS: dict[str, str] = {
+    "stationarity": "n = 2\nR = 1\nk = -1\nspeed = mean\nintegrator = imex\n"
+                    "T = 0.05\nL_max = 16\ninit = const:0.2\ncadence = 1",
+    "linear-decay": "n = 2\nR = 1\nk = -1\nspeed = mean\nintegrator = imex\n"
+                    "dt = 1e-4\nT = 1\nL_max = 8\ninit = harmonic:2,1,1e-4\ncadence = 10",
+    "zero-modes": "n = 2\nR = 1\nk = -1\nspeed = mean\nintegrator = imex\n"
+                  "dt = 1e-3\nT = 2\nL_max = 8\ncadence = 10",
+    "conservation": "n = 2\nR = 1\nk = 0\nspeed = mean\nintegrator = rk4\n"
+                    "dt = 1e-4\nT = 0.5\nL_max = 24\ninit = random:0.05,6,42\ncadence = 50",
+    "nonlinear-convergence": "n = 2\nR = 1\nk = -1\nspeed = mean\nintegrator = rk4\n"
+                             "dt = 1e-3\nT = 3\nL_max = 16\ninit = random:0.05,6,42\ncadence = 10",
+    "spectrum": "n = 2\nR = 1\nk = -1\nspeed = mean\nL_max = 8",
 }
+
+# Presets whose initial data is built directly: (builder, summary label).
+_INIT_OVERRIDES = {"zero-modes": (_zero_mode_init, "zero-mode combination, amplitude 1e-3")}
 
 PRESET_NAMES = tuple(_PRESET_SETTINGS)
 
@@ -129,18 +108,15 @@ def build_preset(name: str, overrides: dict[str, str] | None = None) -> Experime
     """Resolve a preset name plus overrides into a validated configuration."""
     if name not in _PRESET_SETTINGS:
         raise ConfigError(f"unknown preset {name!r}; choose from {', '.join(PRESET_NAMES)}")
-    entry = _PRESET_SETTINGS[name]
     pairs: dict[str, str] = {}
-    for line in entry["settings"].splitlines():
+    for line in _PRESET_SETTINGS[name].splitlines():
         key, _, value = line.partition("=")
         pairs[key.strip()] = value.strip()
-    init_builder = entry["init_builder"]
-    init_label = entry["init_label"]
+    init_builder, init_label = _INIT_OVERRIDES.get(name, (None, None))
     for key, value in (overrides or {}).items():
         pairs[key.strip()] = value.strip()
         if key.strip() == "init":
-            init_builder = None
-            init_label = None
+            init_builder = init_label = None
     text = "\n".join(f"{k} = {v}" for k, v in pairs.items())
     parsed = parse_config_text(text)
     return ExperimentPreset(name=name, parsed=parsed,

@@ -25,6 +25,13 @@ def grid2_band(request):
     return build_grid(2, request.param, oversample=2.0)
 
 
+@pytest.fixture(scope="session", params=((2, 8), (2, 24), (2, 64), (1, 4), (1, 16), (1, 64)),
+                ids=("8", "24", "64", "circle-4", "circle-16", "circle-64"))
+def grid_band(request):
+    """Sphere grids across the band limits, then circle grids across theirs."""
+    return build_grid(*request.param, oversample=2.0)
+
+
 @pytest.fixture()
 def rng():
     return np.random.default_rng(1234)

@@ -9,15 +9,9 @@ from mixedflow.errors import AdmissibilityError, SpeedError, StepRejectedError
 from mixedflow.flow import (
     FlowConfig,
     FlowProblem,
-    FlowState,
     cfl_timestep,
     default_timestep,
-    evaluate_G,
-    global_term,
-    linearized_at_zero,
     run,
-    step_explicit,
-    step_imex,
 )
 from mixedflow.harmonics import RadialField
 from mixedflow.io import random_band_field
@@ -58,10 +52,9 @@ def test_spheres_stationary_all_speeds():
                         <= 1e-11 * reference_speed(speed)
 
 
-def test_evaluate_G_module_level(grid2):
-    cfg = FlowConfig(n=2, R=1.0, k=-1)
-    state = FlowState(t=0.0, rho=RadialField(grid2, 1.0, coeffs=const_coeffs(grid2, 0.2)))
-    G = evaluate_G(state, cfg)
+def test_g_coeffs_vanish_on_sphere(grid2):
+    prob = FlowProblem(FlowConfig(n=2, R=1.0, k=-1), grid=grid2)
+    G = grid2.synthesize(prob.g_coeffs(const_coeffs(grid2, 0.2)))
     assert np.max(np.abs(G)) <= 1e-11 * 2.0
 
 
@@ -74,7 +67,7 @@ def test_global_term_balances_constraint(grid2, rng):
     b = curvature_bundle(rho)
     for k in (-1, 0, 1):
         cfg = FlowConfig(n=2, R=1.0, k=k)
-        h = global_term(FlowState(t=0.0, rho=rho), cfg)
+        h = FlowProblem(cfg, grid=grid2).velocity_values(rho.coeffs)[1]
         F = eval_speed(cfg.speed, b)
         weight = b.E[k + 1] * b.mu
         resid = grid2.integrate((h - F) * weight)
@@ -103,13 +96,13 @@ def test_linearization_consistency():
         assert 2.0 * 0.8 <= errs[1] / errs[2] <= 2.0 * 1.2
 
 
-def test_linearized_at_zero_wrapper(grid2):
+def test_linear_diag_scales_harmonic(grid2):
     # applying the linearization to a single harmonic scales it by xi_l
-    cfg = FlowConfig(n=2, R=1.0, k=-1, L_max=16)
+    prob = FlowProblem(FlowConfig(n=2, R=1.0, k=-1, L_max=16), grid=grid2)
     c = np.zeros(grid2.size)
     c[grid2.flat_index(3, 2)] = 1.0
     u = grid2.synthesize(c)
-    got = linearized_at_zero(u, cfg, grid=grid2)
+    got = grid2.synthesize(prob.linear_diag * grid2.analyze(u))
     assert np.max(np.abs(got + 10.0 * u)) <= 1e-9
 
 
@@ -163,20 +156,18 @@ def test_speed_failure_rejects_step():
         assert isinstance(info.value.__cause__, SpeedError)
 
 
-def test_step_wrappers():
+def test_steppers_decay_degree_two():
     cfg = FlowConfig(n=2, R=1.0, k=-1, L_max=8)
     prob = FlowProblem(cfg)
     c0 = np.zeros(prob.grid.size)
     c0[prob.grid.flat_index(2, 1)] = 1e-3
-    state = FlowState(t=0.0, rho=RadialField(prob.grid, 1.0, coeffs=c0))
-    s1 = step_explicit(state, 1e-4, cfg)
-    s2 = step_imex(state, 1e-4, cfg)
-    assert s1.t == pytest.approx(1e-4) and s2.t == pytest.approx(1e-4)
+    c1 = prob.step_rk4(c0, 1e-4)
+    c2 = prob.step_imex(c0, 1e-4)
     # both shrink the degree-2 amplitude at rate 4 up to O(amp, dt) corrections
     idx = prob.grid.flat_index(2, 1)
     target = 1e-3 * math.exp(-4e-4)
-    assert s1.rho.coeffs[idx] == pytest.approx(target, rel=1e-5)
-    assert s2.rho.coeffs[idx] == pytest.approx(target, rel=1e-5)
+    assert c1[idx] == pytest.approx(target, rel=1e-5)
+    assert c2[idx] == pytest.approx(target, rel=1e-5)
 
 
 def test_default_timesteps_frozen():

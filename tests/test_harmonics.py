@@ -252,36 +252,80 @@ def test_directions_built_once_read_only(grid1, grid2):
         assert np.max(np.abs(r2 - 1.0)) <= 1e-15
 
 
-# -- n = 2 transforms across band limits -------------------------------------------
+# -- transforms across band limits ----------------------------------------------------
 
 
 def phi_derivative(grid, c):
-    """d/dphi in coefficient space: each order-m pair (c_cos, c_sin) -> m (c_sin, -c_cos)."""
+    """d/dphi (d/dtheta on the circle) in coefficient space: each order-m pair
+    (c_cos, c_sin) -> m (c_sin, -c_cos)."""
     out = np.zeros_like(c)
-    for l in range(grid.L_max + 1):
-        for m in range(1, l + 1):
-            i_cos, i_sin = grid.flat_index(l, 2 * m), grid.flat_index(l, 2 * m + 1)
+    for l in range(1, grid.L_max + 1):
+        pairs = [(l, 1)] if grid.n == 1 else [(m, 2 * m) for m in range(1, l + 1)]
+        for m, p in pairs:
+            i_cos, i_sin = grid.flat_index(l, p), grid.flat_index(l, p + 1)
             out[i_cos], out[i_sin] = m * c[i_sin], -m * c[i_cos]
     return out
 
 
-def test_sphere_round_trip_across_band_limits(grid2_band, rng):
-    c = band_coeffs(grid2_band, rng)
-    back = grid2_band.analyze(grid2_band.synthesize(c))
+def test_sphere_round_trip_across_band_limits(grid_band, rng):
+    c = band_coeffs(grid_band, rng)
+    back = grid_band.analyze(grid_band.synthesize(c))
     assert np.max(np.abs(back - c)) < 1e-12 * max(1.0, np.max(np.abs(c)))
 
 
-def test_synthesize_derivs_across_band_limits(grid2_band, rng):
-    g = grid2_band
+def test_synthesize_derivs_across_band_limits(grid_band, rng):
+    g = grid_band
     c = band_coeffs(g, rng)
     d = g.synthesize_derivs(c)
     dc = phi_derivative(g, c)
-    expected = {"u": g.synthesize(c),
-                "lap": g.synthesize(g.laplace_factor[g.degrees] * c),
-                "up": g.synthesize(dc),
-                "upp": g.synthesize(phi_derivative(g, dc))}
+    if g.n == 1:
+        expected = {"u": g.synthesize(c),
+                    "ut": g.synthesize(dc),
+                    "utt": g.synthesize(phi_derivative(g, dc))}
+    else:
+        expected = {"u": g.synthesize(c),
+                    "lap": g.synthesize(g.laplace_factor[g.degrees] * c),
+                    "up": g.synthesize(dc),
+                    "upp": g.synthesize(phi_derivative(g, dc))}
     for key, want in expected.items():
         assert np.max(np.abs(d[key] - want)) <= 1e-12 * np.max(np.abs(want)), key
+
+
+def circle_fft_reference(grid, c):
+    """Reference circle transforms by real FFT: the field with its first and
+    second theta-derivatives, and the analysis of the field."""
+    L, N = grid.L_max, grid.n_theta
+    norm = np.full(L + 1, 1.0 / math.sqrt(math.pi))
+    norm[0] = 1.0 / math.sqrt(2.0 * math.pi)
+    A = np.zeros(L + 1, dtype=complex)
+    A[0] = c[0]
+    A.real[1:] = c[1::2]
+    A.imag[1:] = -c[2::2]
+    A *= norm
+    m = np.arange(L + 1)
+    F = np.zeros((3, N // 2 + 1), dtype=complex)
+    F[:, :L + 1] = np.stack([A, 1j * m * A, -(m * m) * A]) * (N / 2.0)
+    F[:, 0] *= 2.0
+    u, ut, utt = np.fft.irfft(F, n=N, axis=1)
+    C = (2.0 * math.pi / N) * norm * np.fft.rfft(u)[:L + 1]
+    back = np.empty(grid.size)
+    back[0] = C.real[0]
+    back[1::2] = C.real[1:]
+    back[2::2] = -C.imag[1:]
+    return {"u": u, "ut": ut, "utt": utt}, back
+
+
+@pytest.mark.parametrize("L", (4, 16, 64))
+def test_circle_transforms_match_fft_reference(L, rng):
+    g = build_grid(1, L)
+    c = band_coeffs(g, rng)
+    want, want_back = circle_fft_reference(g, c)
+    got = g.synthesize_derivs(c)
+    for key in ("u", "ut", "utt"):
+        assert np.max(np.abs(got[key] - want[key])) <= 1e-14 * np.max(np.abs(want[key])), key
+    assert np.max(np.abs(g.synthesize(c) - want["u"])) <= 1e-14 * np.max(np.abs(want["u"]))
+    back = g.analyze(want["u"])
+    assert np.max(np.abs(back - want_back)) <= 1e-14 * np.max(np.abs(want_back))
 
 
 def legendre_tables_loop(L, x):

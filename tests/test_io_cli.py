@@ -317,3 +317,15 @@ def test_cli_input_errors(tmp_path, capsys):
     assert "error:" in err and "k = 5 is outside [-1, 0] for n = 1" in err
     assert main(["preset", "stationarity", "--set", "oops"]) == 2
     assert "--set expects key=value" in capsys.readouterr().err
+
+
+def test_cli_run_rejects_initial_field_outside_domain(tmp_path, monkeypatch, capsys):
+    # beta = 0.5 needs a positive mean curvature, which this admissible
+    # graph does not have everywhere: an input error, reported before any step
+    monkeypatch.setenv("MIXEDFLOW_OUT", str(tmp_path / "out"))
+    cfg = _write_config(
+        tmp_path,
+        "n = 2\nspeed = power_mean m=1 beta=0.5\nT = 0.01\nL_max = 16\ninit = random:0.6,10,3\n")
+    assert main(["run", "--config", cfg]) == 2
+    assert "initial field" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "run.csv").exists()
