@@ -61,6 +61,7 @@ from .io import (
     parse_config_text,
     random_band_field,
     read_snapshot,
+    run_to_files,
     write_snapshot,
 )
-from .presets import ExperimentPreset, ExperimentResult, build_preset, run_experiment
+from .presets import ExperimentResult, run_experiment

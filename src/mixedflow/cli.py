@@ -7,8 +7,8 @@ Subcommands:
   fit-sphere  nearest-sphere coordinates of a snapshot
 
 MIXEDFLOW_OUT overrides the configured output directory.  Exit codes:
-0 success / all checks passed, 1 failed checks or an unfinished run,
-2 usage or input errors.
+0 success / all checks passed, 1 failed checks, a failed or an unfinished
+run, 2 usage or input errors.
 """
 
 from __future__ import annotations
@@ -20,17 +20,8 @@ import numpy as np
 
 from .analysis import fit_sphere, numerical_jacobian
 from .errors import MixedFlowError
-from .flow import FlowProblem, run
-from .io import (
-    parse_config,
-    read_snapshot,
-    resolve_out_dir,
-    run_csv_lines,
-    run_meta,
-    write_lines,
-    write_snapshot,
-)
-from .presets import PRESET_NAMES, build_preset, run_experiment
+from .io import parse_config, read_snapshot, resolve_out_dir, run_to_files, write_lines
+from .presets import PRESET_NAMES, run_experiment
 
 
 def _parse_overrides(items: list[str]) -> dict[str, str]:
@@ -45,17 +36,13 @@ def _parse_overrides(items: list[str]) -> dict[str, str]:
 
 def _cmd_run(args) -> int:
     parsed = parse_config(args.config)
-    cfg = parsed.config
-    prob = FlowProblem(cfg)
-    rho0 = parsed.init.build(prob.grid, cfg.R)
-    out = run(cfg, rho0, problem=prob)
-    target = resolve_out_dir(parsed.out_dir)
-    write_lines(f"{target}/run.csv", run_csv_lines(out.records, run_meta(parsed, prob.grid)))
-    write_snapshot(out.final, f"{target}/final_state.snapshot")
+    out, (csv_path, snap_path) = run_to_files(parsed, resolve_out_dir(parsed.out_dir))
     last = out.records[-1]
     print(f"status = {out.status}")
     print(f"t = {last.t!r}  sup_G = {last.sup_G!r}  V = {last.V!r}")
-    print(f"wrote {target}/run.csv and {target}/final_state.snapshot")
+    print(f"wrote {csv_path} and {snap_path}")
+    if out.error is not None:
+        print(f"error: {out.error}", file=sys.stderr)
     return 0 if out.status in ("reached_T", "converged") else 1
 
 
@@ -68,7 +55,8 @@ def _cmd_preset(args) -> int:
     print("wrote " + ", ".join(result.files))
     if not result.passed:
         failed = ", ".join(c.name for c in result.checks if not c.passed)
-        print(f"failed checks: {failed}", file=sys.stderr)
+        print(f"failed checks: {failed}" if failed else f"status = {result.status}",
+              file=sys.stderr)
         return 1
     return 0
 

@@ -34,6 +34,8 @@ from .harmonics import Grid, RadialField, build_grid
 from .speeds import SpeedSpec, eval_speed, make_speed, umbilic_derivative
 
 _INTEGRATORS = ("imex", "rk4")
+# Fraction of the parabolic stability limit that the explicit integrator may use.
+_C_CFL = 0.5
 # Failures of a velocity evaluation that the steppers report as a rejected step.
 _STAGE_ERRORS = (AdmissibilityError, ConstraintDegenerateError, SpeedError)
 
@@ -48,10 +50,8 @@ class FlowConfig:
     speed: SpeedSpec | None = None
     integrator: str = "imex"
     dt: float | None = None
-    c_cfl: float = 0.5
     T: float = 1.0
     L_max: int = 16
-    oversample: float = 2.0
     cadence: int = 10
     g_tol: float = 1e-10
 
@@ -99,17 +99,20 @@ class DiagnosticsRecord:
 
 @dataclass(frozen=True)
 class FlowRun:
+    """Outcome of `run`: status is reached_T, converged or failed."""
+
     status: str
     records: list[DiagnosticsRecord]
     final: FlowState
     config: FlowConfig
+    error: MixedFlowError | None = None  # what ended a failed run
 
 
 def cfl_timestep(config: FlowConfig) -> float:
     """Parabolic step bound for the explicit integrator."""
     fp = umbilic_derivative(config.speed)
     L = config.L_max
-    return config.c_cfl * config.R ** 2 / (fp * L * (L + config.n - 1))
+    return _C_CFL * config.R ** 2 / (fp * L * (L + config.n - 1))
 
 
 def default_timestep(config: FlowConfig) -> float:
@@ -126,7 +129,7 @@ class FlowProblem:
 
     def __init__(self, config: FlowConfig, grid: Grid | None = None):
         self.config = config
-        self.grid = grid if grid is not None else build_grid(config.n, config.L_max, config.oversample)
+        self.grid = grid if grid is not None else build_grid(config.n, config.L_max)
         if self.grid.n != config.n or self.grid.L_max != config.L_max:
             raise ValueError("grid does not match the configuration")
         self.fprime = umbilic_derivative(config.speed)
@@ -251,6 +254,9 @@ def run(config: FlowConfig, rho0: RadialField | None = None,
     state once and hands the velocity to the step that starts from it.
     An initial field that is not a graph, or on which the velocity cannot
     be evaluated, is rejected with AdmissibilityError before any step.
+    A rejected step, or a later state whose record cannot be evaluated,
+    ends the run with status "failed": it keeps the records so far, its
+    final state is the last recorded one and `error` holds the cause.
     """
     prob = problem if problem is not None else FlowProblem(config)
     if rho0 is None:
@@ -268,25 +274,28 @@ def run(config: FlowConfig, rho0: RadialField | None = None,
     except _STAGE_ERRORS as exc:
         raise AdmissibilityError(f"initial field is outside the flow's domain: {exc}") from exc
     records = [rec]
-    status = "reached_T"
+    status, error = "reached_T", None
     if rec.sup_G <= config.g_tol:
         status = "converged"
         n_steps = 0
     step_no = 0
-    while step_no < n_steps:
-        step_no += 1
-        if step_no < n_steps or whole:
-            coeffs = prob.step(coeffs, dt)
-            t = step_no * dt
-        else:
-            coeffs = prob.step(coeffs, config.T - (n_steps - 1) * dt)
-            t = config.T
-        if step_no % config.cadence == 0 or step_no == n_steps:
-            rec = prob.diagnostics(t, coeffs)
-            records.append(rec)
-            if rec.sup_G <= config.g_tol:
-                status = "converged"
-                break
-    final_rec = records[-1]
-    final = FlowState(t=final_rec.t, rho=prob.field(coeffs))
-    return FlowRun(status=status, records=records, final=final, config=config)
+    try:
+        while step_no < n_steps:
+            step_no += 1
+            if step_no < n_steps or whole:
+                coeffs = prob.step(coeffs, dt)
+                t = step_no * dt
+            else:
+                coeffs = prob.step(coeffs, config.T - (n_steps - 1) * dt)
+                t = config.T
+            if step_no % config.cadence == 0 or step_no == n_steps:
+                rec = prob.diagnostics(t, coeffs)
+                records.append(rec)
+                if rec.sup_G <= config.g_tol:
+                    status = "converged"
+                    break
+    except (StepRejectedError, *_STAGE_ERRORS) as exc:
+        status, error = "failed", exc
+    last = records[-1]
+    final = FlowState(t=last.t, rho=prob.field(last.coeffs))
+    return FlowRun(status=status, records=records, final=final, config=config, error=error)

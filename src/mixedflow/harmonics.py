@@ -301,11 +301,6 @@ class Grid:
         """Components of the unit position vector at the nodes (read-only)."""
         return self._directions
 
-    def basis_function(self, l: int, p: int) -> np.ndarray:
-        e = np.zeros(self.size)
-        e[self.flat_index(l, p)] = 1.0
-        return self.synthesize(e)
-
     def mode_energies(self, coeffs: np.ndarray) -> np.ndarray:
         """Sum of squared coefficients per degree, length L_max + 1."""
         c = self._pad(coeffs)

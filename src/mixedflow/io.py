@@ -5,10 +5,15 @@ starting with `#` are ignored.  Recognized keys:
 
     n, R, k, speed, integrator, dt, T, L_max, init, out_dir, cadence
 
+A key the file leaves out takes FlowConfig's default; init defaults to
+`const:0` and out_dir to the working directory.
+
 Speed values follow `mean`, `power_mean m=1 beta=2`, or `elementary l=2`.
 Initial data follows `const:c`, `harmonic:l,p,amp`, `random:amp,lmax,seed`,
 or `sphere:z0,z1,...`.  Unknown or repeated keys are rejected with the line
-number; so is any malformed value.
+number; so is any malformed value.  Header echoes print each float in its
+short `:g` form when that parses back exactly, else in full (repr), so a
+run.csv header parses back to the configuration that wrote it.
 
 Snapshots are plain text: four header lines (n, R, L_max, t) followed by
 one `l p value` line per stored coefficient, 17 significant digits, which
@@ -19,17 +24,20 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .analysis import sphere_from_coords
 from .errors import ConfigError, SnapshotError
-from .flow import FlowConfig, FlowState, default_timestep
+from .flow import FlowConfig, FlowProblem, FlowRun, FlowState, default_timestep, run
 from .harmonics import Grid, RadialField, build_grid, harmonic_multiplicity
-from .speeds import SpeedSpec, make_speed
+from .speeds import SpeedSpec, format_number, make_speed
 
-CONFIG_KEYS = ("n", "R", "k", "speed", "integrator", "dt", "T", "L_max",
-               "init", "out_dir", "cadence")
+# Config key -> cast of its text; speed and init are parsed further below.
+_CASTS = {"n": int, "R": float, "k": int, "speed": str, "integrator": str, "dt": float,
+          "T": float, "L_max": int, "init": str, "out_dir": str, "cadence": int}
+CONFIG_KEYS = tuple(_CASTS)
 
 RUN_COLUMNS = ("t", "h_k", "V", "sup_G", "sup_rho", "sphere_residual_sup",
                "mode_energy_l2", "mode_energy_l3", "mode_energy_l4",
@@ -46,15 +54,15 @@ class InitSpec:
 
     def describe(self) -> str:
         if self.kind == "const":
-            return f"const:{self.params[0]:g}"
+            return f"const:{format_number(self.params[0])}"
         if self.kind == "harmonic":
             l, p, amp = self.params
-            return f"harmonic:{l},{p},{amp:g}"
+            return f"harmonic:{l},{p},{format_number(amp)}"
         if self.kind == "random":
             amp, lmax, seed = self.params
-            return f"random:{amp:g},{lmax},{seed}"
+            return f"random:{format_number(amp)},{lmax},{seed}"
         if self.kind == "sphere":
-            return "sphere:" + ",".join(f"{z:g}" for z in self.params)
+            return "sphere:" + ",".join(format_number(z) for z in self.params)
         return self.kind
 
     def build(self, grid: Grid, R: float) -> RadialField:
@@ -160,46 +168,32 @@ def parse_config_text(text: str) -> ParsedConfig:
             raise ConfigError(f"line {lineno}: missing value for {key!r}")
         raw[key] = (value, lineno)
 
-    def take(key: str, cast, default):
+    values = {}
+    for key, cast in _CASTS.items():
         if key not in raw:
-            return default
+            continue
         value, lineno = raw[key]
         try:
-            return cast(value)
-        except ConfigError:
-            raise
+            values[key] = cast(value)
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: bad value for {key!r}: {value!r}") from exc
-
-    n = take("n", int, 2)
-    R = take("R", float, 1.0)
-    k = take("k", int, -1)
-    integrator = take("integrator", str, "imex")
-    dt = take("dt", float, None)
-    T = take("T", float, 1.0)
-    L_max = take("L_max", int, 16)
-    cadence = take("cadence", int, 10)
-    out_dir = take("out_dir", str, ".")
-    if "k" in raw and not -1 <= k <= n - 1:
+    out_dir = values.pop("out_dir", ".")
+    n, R = values.get("n", FlowConfig.n), values.get("R", FlowConfig.R)
+    if "k" in values and not -1 <= values["k"] <= n - 1:
         raise ConfigError(
-            f"line {raw['k'][1]}: k = {k} is outside [-1, {n - 1}] for n = {n}")
-    if "speed" in raw:
-        speed = _parse_speed(raw["speed"][0], n, R, raw["speed"][1])
-    else:
-        speed = make_speed("mean", n=n, R=R)
-    if "init" in raw:
-        init = _parse_init(raw["init"][0], raw["init"][1])
-    else:
-        init = InitSpec("const", (0.0,))
+            f"line {raw['k'][1]}: k = {values['k']} is outside [-1, {n - 1}] for n = {n}")
+    if "speed" in values:
+        values["speed"] = _parse_speed(values["speed"], n, R, raw["speed"][1])
+    init = (_parse_init(values.pop("init"), raw["init"][1]) if "init" in values
+            else InitSpec("const", (0.0,)))
     try:
-        config = FlowConfig(n=n, R=R, k=k, speed=speed, integrator=integrator,
-                            dt=dt, T=T, L_max=L_max, cadence=cadence)
+        config = FlowConfig(**values)
     except Exception as exc:
         keys = ", ".join(f"{key}(line {v[1]})" for key, v in raw.items())
         raise ConfigError(f"inconsistent configuration [{keys}]: {exc}") from exc
-    if init.kind == "harmonic" and init.params[0] > L_max:
+    if init.kind == "harmonic" and init.params[0] > config.L_max:
         raise ConfigError(
-            f"line {raw['init'][1]}: init degree {init.params[0]} exceeds L_max={L_max}")
+            f"line {raw['init'][1]}: init degree {init.params[0]} exceeds L_max={config.L_max}")
     if init.kind == "sphere" and len(init.params) != n + 2:
         raise ConfigError(
             f"line {raw['init'][1]}: sphere init needs {n + 2} coordinates, got {len(init.params)}")
@@ -214,20 +208,18 @@ def parse_config(path: str) -> ParsedConfig:
 def config_echo(parsed: ParsedConfig) -> list[str]:
     """Config re-serialized as key = value lines (for file headers)."""
     cfg = parsed.config
-    dt = default_timestep(cfg)
-    lines = [
+    return [
         f"n = {cfg.n}",
-        f"R = {cfg.R:g}",
+        f"R = {format_number(cfg.R)}",
         f"k = {cfg.k}",
         f"speed = {cfg.speed.describe()}",
         f"integrator = {cfg.integrator}",
-        f"dt = {dt:g}",
-        f"T = {cfg.T:g}",
+        f"dt = {format_number(default_timestep(cfg))}",
+        f"T = {format_number(cfg.T)}",
         f"L_max = {cfg.L_max}",
         f"cadence = {cfg.cadence}",
         f"init = {parsed.init.describe()}",
     ]
-    return lines
 
 
 def run_meta(parsed: ParsedConfig, grid: Grid) -> list[str]:
@@ -239,6 +231,27 @@ def run_meta(parsed: ParsedConfig, grid: Grid) -> list[str]:
     else:
         gdesc = f"{grid.shape[0]} x {grid.shape[1]} nodes (Gauss-Legendre x uniform)"
     return [f"version = {__version__}", f"grid = {gdesc}"] + config_echo(parsed)
+
+
+def run_to_files(parsed: ParsedConfig, out_dir: str,
+                 build_init: Callable[[Grid, float], RadialField] | None = None,
+                 head: tuple[str, ...] = (), tail: tuple[str, ...] = ()
+                 ) -> tuple[FlowRun, tuple[str, str]]:
+    """Run a parsed config; write run.csv and final_state.snapshot into out_dir.
+
+    The initial field comes from `build_init` when given, else from the
+    config's init.  The run.csv header is `head`, then `run_meta`, then
+    `tail`.  A failed run writes its records so far and its last recorded
+    state.  Returns the run and the two paths written.
+    """
+    cfg = parsed.config
+    prob = FlowProblem(cfg)
+    rho0 = (build_init or parsed.init.build)(prob.grid, cfg.R)
+    out = run(cfg, rho0, problem=prob)
+    csv_path, snap_path = f"{out_dir}/run.csv", f"{out_dir}/final_state.snapshot"
+    write_lines(csv_path, run_csv_lines(out.records, [*head, *run_meta(parsed, prob.grid), *tail]))
+    write_snapshot(out.final, snap_path)
+    return out, (csv_path, snap_path)
 
 
 # -- snapshots ------------------------------------------------------------------
@@ -274,7 +287,7 @@ def _header_value(lines: list[str], lineno: int, key: str) -> str:
     return v.strip()
 
 
-def read_snapshot(path: str, oversample: float = 2.0) -> FlowState:
+def read_snapshot(path: str) -> FlowState:
     """Rebuild a flow state from a snapshot file.
 
     Coefficient lines may be sparse; anything not listed is zero.
@@ -289,7 +302,7 @@ def read_snapshot(path: str, oversample: float = 2.0) -> FlowState:
     except ValueError as exc:
         raise SnapshotError(f"bad header value: {exc}") from exc
     try:
-        grid = build_grid(n, L_max, oversample)
+        grid = build_grid(n, L_max)
     except Exception as exc:
         raise SnapshotError(f"cannot build grid from header: {exc}") from exc
     coeffs = np.zeros(grid.size)

@@ -15,26 +15,17 @@ from typing import Callable
 
 import numpy as np
 
-from .analysis import (
-    analytic_spectrum,
-    fit_decay_rate,
-    fit_sphere,
-    mixed_volume,
-    numerical_jacobian,
-    stable_decay_rate,
-)
+from .analysis import fit_decay_rate, fit_sphere, numerical_jacobian, stable_decay_rate
 from .errors import ConfigError
-from .flow import FlowRun, run
+from .flow import FlowRun
 from .harmonics import SPHERE_AREA, Grid, RadialField
 from .io import (
     ParsedConfig,
     config_echo,
     parse_config_text,
     resolve_out_dir,
-    run_csv_lines,
-    run_meta,
+    run_to_files,
     write_lines,
-    write_snapshot,
 )
 from .speeds import reference_speed
 
@@ -44,13 +35,12 @@ class CheckResult:
     name: str
     value: float
     threshold: float
-    comparison: str
     passed: bool
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
         return (f"check {self.name}: value={self.value!r} "
-                f"{self.comparison} threshold={self.threshold!r} -> {status}")
+                f"<= threshold={self.threshold!r} -> {status}")
 
 
 @dataclass(frozen=True)
@@ -65,7 +55,7 @@ class ExperimentResult:
 
 def _check_le(name: str, value: float, threshold: float) -> CheckResult:
     ok = bool(np.isfinite(value)) and value <= threshold
-    return CheckResult(name, float(value), float(threshold), "<=", ok)
+    return CheckResult(name, float(value), float(threshold), ok)
 
 
 def _zero_mode_init(grid: Grid, R: float) -> RadialField:
@@ -90,50 +80,36 @@ _PRESET_SETTINGS: dict[str, str] = {
     "spectrum": "n = 2\nR = 1\nk = -1\nspeed = mean\nL_max = 8",
 }
 
-# Presets whose initial data is built directly: (builder, summary label).
+# Presets whose initial data is built directly, unless init is overridden:
+# (builder, summary label).
 _INIT_OVERRIDES = {"zero-modes": (_zero_mode_init, "zero-mode combination, amplitude 1e-3")}
 
 PRESET_NAMES = tuple(_PRESET_SETTINGS)
 
 
-@dataclass(frozen=True)
-class ExperimentPreset:
-    name: str
-    parsed: ParsedConfig
-    init_builder: Callable[[Grid, float], RadialField] | None
-    init_label: str | None
-
-
-def build_preset(name: str, overrides: dict[str, str] | None = None) -> ExperimentPreset:
-    """Resolve a preset name plus overrides into a validated configuration."""
+def _preset_config(name: str, overrides: dict[str, str]) -> ParsedConfig:
+    """A preset's settings with the overrides applied, parsed and validated."""
     if name not in _PRESET_SETTINGS:
         raise ConfigError(f"unknown preset {name!r}; choose from {', '.join(PRESET_NAMES)}")
     pairs: dict[str, str] = {}
     for line in _PRESET_SETTINGS[name].splitlines():
         key, _, value = line.partition("=")
         pairs[key.strip()] = value.strip()
-    init_builder, init_label = _INIT_OVERRIDES.get(name, (None, None))
-    for key, value in (overrides or {}).items():
-        pairs[key.strip()] = value.strip()
-        if key.strip() == "init":
-            init_builder = init_label = None
-    text = "\n".join(f"{k} = {v}" for k, v in pairs.items())
-    parsed = parse_config_text(text)
-    return ExperimentPreset(name=name, parsed=parsed,
-                            init_builder=init_builder, init_label=init_label)
+    pairs.update(overrides)
+    return parse_config_text("\n".join(f"{k} = {v}" for k, v in pairs.items()))
 
 
 # -- expectations ---------------------------------------------------------------
 
 
-def _checks_stationarity(preset: ExperimentPreset, out: FlowRun) -> list[CheckResult]:
+def _checks_stationarity(parsed: ParsedConfig, out: FlowRun) -> list[CheckResult]:
     tol = 1e-10 * reference_speed(out.config.speed)
     sup = max(r.sup_G for r in out.records)
     return [_check_le("sup_G_on_sphere", sup, tol)]
 
 
-def _checks_linear_decay(preset: ExperimentPreset, out: FlowRun) -> list[CheckResult]:
-    l = preset.parsed.init.params[0] if preset.parsed.init.kind == "harmonic" else 2
+def _checks_linear_decay(parsed: ParsedConfig, out: FlowRun) -> list[CheckResult]:
+    l = parsed.init.params[0] if parsed.init.kind == "harmonic" else 2
     target = stable_decay_rate(out.config.speed, l)
     ts = [r.t for r in out.records]
     amps = [math.sqrt(r.mode_energy[l]) for r in out.records]
@@ -141,7 +117,7 @@ def _checks_linear_decay(preset: ExperimentPreset, out: FlowRun) -> list[CheckRe
     return [_check_le("decay_rate_relative_error", abs(rate - target) / target, 1e-2)]
 
 
-def _checks_zero_modes(preset: ExperimentPreset, out: FlowRun) -> list[CheckResult]:
+def _checks_zero_modes(parsed: ParsedConfig, out: FlowRun) -> list[CheckResult]:
     cfg = out.config
     ts = [r.t for r in out.records]
     amps = [r.center_norm for r in out.records]
@@ -152,13 +128,13 @@ def _checks_zero_modes(preset: ExperimentPreset, out: FlowRun) -> list[CheckResu
             _check_le("final_sphere_residual", final_res, 1e-8)]
 
 
-def _checks_conservation(preset: ExperimentPreset, out: FlowRun) -> list[CheckResult]:
+def _checks_conservation(parsed: ParsedConfig, out: FlowRun) -> list[CheckResult]:
     V0 = out.records[0].V
     drift = max(abs(r.V - V0) for r in out.records) / abs(V0)
     return [_check_le("relative_V_drift", drift, 1e-6)]
 
 
-def _checks_nonlinear(preset: ExperimentPreset, out: FlowRun) -> list[CheckResult]:
+def _checks_nonlinear(parsed: ParsedConfig, out: FlowRun) -> list[CheckResult]:
     cfg = out.config
     res = np.array([r.sphere_residual_sup for r in out.records])
     ts = np.array([r.t for r in out.records])
@@ -181,8 +157,8 @@ def _checks_nonlinear(preset: ExperimentPreset, out: FlowRun) -> list[CheckResul
     ]
 
 
-def _spectrum_files(preset: ExperimentPreset, out_dir: str) -> tuple[list[CheckResult], tuple[str, ...], list[str]]:
-    cfg = preset.parsed.config
+def _spectrum_files(parsed: ParsedConfig, out_dir: str) -> tuple[list[CheckResult], tuple[str, ...], list[str]]:
+    cfg = parsed.config
     J, report = numerical_jacobian(cfg, l_max=cfg.L_max)
     lam = report.lambda_max_abs
     diag_err = 0.0
@@ -206,7 +182,7 @@ def _spectrum_files(preset: ExperimentPreset, out_dir: str) -> tuple[list[CheckR
     return checks, (path,), lines
 
 
-_CHECKS: dict[str, Callable[[ExperimentPreset, FlowRun], list[CheckResult]]] = {
+_CHECKS: dict[str, Callable[[ParsedConfig, FlowRun], list[CheckResult]]] = {
     "stationarity": _checks_stationarity,
     "linear-decay": _checks_linear_decay,
     "zero-modes": _checks_zero_modes,
@@ -215,55 +191,39 @@ _CHECKS: dict[str, Callable[[ExperimentPreset, FlowRun], list[CheckResult]]] = {
 }
 
 
-def run_experiment(preset: ExperimentPreset | str,
-                   overrides: dict[str, str] | None = None,
+def run_experiment(name: str, overrides: dict[str, str] | None = None,
                    out_dir: str | None = None) -> ExperimentResult:
     """Run a preset, write its artifacts, and evaluate its checks.
 
     Writes run.csv (or spectrum.csv for the spectrum preset), a final-state
     snapshot for flow presets, and summary.txt.  Output is deterministic:
-    rerunning a preset reproduces every file byte for byte.
+    rerunning a preset reproduces every file byte for byte.  A flow preset
+    whose run failed writes its files, skips its checks and does not pass.
     """
-    if isinstance(preset, str):
-        preset = build_preset(preset, overrides)
-    target_dir = resolve_out_dir(out_dir if out_dir is not None else preset.parsed.out_dir)
-    files: list[str] = []
+    overrides = {k.strip(): v.strip() for k, v in (overrides or {}).items()}
+    parsed = _preset_config(name, overrides)
+    build_init, init_label = _INIT_OVERRIDES.get(name, (None, None))
+    if "init" in overrides:
+        build_init = init_label = None
+    label_lines = () if init_label is None else (f"init_override = {init_label}",)
+    target_dir = resolve_out_dir(out_dir if out_dir is not None else parsed.out_dir)
     extra_lines: list[str] = []
-    if preset.name == "spectrum":
-        checks, spec_files, extra_lines = _spectrum_files(preset, target_dir)
-        files.extend(spec_files)
+    if name == "spectrum":
+        checks, files, extra_lines = _spectrum_files(parsed, target_dir)
         status = "spectrum"
     else:
-        cfg = preset.parsed.config
-        from .flow import FlowProblem
-
-        prob = FlowProblem(cfg)
-        if preset.init_builder is not None:
-            rho0 = preset.init_builder(prob.grid, cfg.R)
-        else:
-            rho0 = preset.parsed.init.build(prob.grid, cfg.R)
-        meta = [f"preset = {preset.name}"] + run_meta(preset.parsed, prob.grid)
-        if preset.init_label is not None:
-            meta.append(f"init_override = {preset.init_label}")
-        out = run(cfg, rho0, problem=prob)
+        out, files = run_to_files(parsed, target_dir, build_init,
+                                  head=(f"preset = {name}",), tail=label_lines)
         status = out.status
-        csv_path = f"{target_dir}/run.csv"
-        write_lines(csv_path, run_csv_lines(out.records, meta))
-        snap_path = f"{target_dir}/final_state.snapshot"
-        write_snapshot(out.final, snap_path)
-        files.extend([csv_path, snap_path])
-        checks = _CHECKS[preset.name](preset, out)
-    passed = all(c.passed for c in checks)
-    summary = [f"preset = {preset.name}"]
-    summary.extend(config_echo(preset.parsed))
-    if preset.init_label is not None:
-        summary.append(f"init_override = {preset.init_label}")
-    summary.append(f"status = {status}")
-    summary.extend(extra_lines)
-    summary.extend(c.line() for c in checks)
-    summary.append(f"overall = {'PASS' if passed else 'FAIL'}")
+        if out.error is None:
+            checks = _CHECKS[name](parsed, out)
+        else:
+            checks, extra_lines = [], [f"error = {out.error}"]
+    passed = status != "failed" and all(c.passed for c in checks)
+    summary = [f"preset = {name}", *config_echo(parsed), *label_lines,
+               f"status = {status}", *extra_lines, *(c.line() for c in checks),
+               f"overall = {'PASS' if passed else 'FAIL'}"]
     summary_path = f"{target_dir}/summary.txt"
     write_lines(summary_path, summary)
-    files.append(summary_path)
-    return ExperimentResult(name=preset.name, passed=passed, checks=checks,
-                            out_dir=target_dir, files=tuple(files), status=status)
+    return ExperimentResult(name=name, passed=passed, checks=checks, out_dir=target_dir,
+                            files=(*files, summary_path), status=status)

@@ -29,6 +29,12 @@ from .geometry import CurvatureBundle, elementary_symmetric
 _KINDS = ("mean", "power_mean", "elementary", "custom")
 
 
+def format_number(x: float) -> str:
+    """Short `:g` text of x when it parses back to x exactly, else repr."""
+    text = f"{x:g}"
+    return text if float(text) == x else repr(float(x))
+
+
 @dataclass(frozen=True)
 class SpeedSpec:
     """Speed function bound to a dimension n and reference radius R."""
@@ -57,7 +63,7 @@ class SpeedSpec:
 
     def describe(self) -> str:
         if self.kind == "power_mean":
-            return f"power_mean m={self.m} beta={self.beta:g}"
+            return f"power_mean m={self.m} beta={format_number(self.beta)}"
         if self.kind == "elementary":
             return f"elementary l={self.l}"
         return self.kind
@@ -74,20 +80,18 @@ def make_speed(kind: str, n: int, R: float = 1.0, **params) -> SpeedSpec:
 
 
 def _powers_from_E(spec: SpeedSpec, E: tuple) -> np.ndarray:
-    n = spec.n
-    means = [E[m] / math.comb(n, m) for m in range(1, n + 1)]
     if spec.kind == "mean":
         return np.asarray(E[1], dtype=float)
     if spec.kind == "elementary":
         return np.asarray(E[spec.l], dtype=float)
     if spec.kind == "power_mean":
-        base = np.asarray(means[spec.m - 1], dtype=float)
+        base = np.asarray(E[spec.m] / math.comb(spec.n, spec.m), dtype=float)
         if spec.beta != round(spec.beta) and np.any(base <= 0.0):
             raise SpeedError(
                 f"power_mean base must stay positive for beta={spec.beta:g}")
         return base ** spec.beta
-    out = np.asarray(spec.phi(*means), dtype=float)
-    return out
+    means = [E[m] / math.comb(spec.n, m) for m in range(1, spec.n + 1)]
+    return np.asarray(spec.phi(*means), dtype=float)
 
 
 def eval_speed(spec: SpeedSpec, bundle: CurvatureBundle) -> np.ndarray:

@@ -7,7 +7,6 @@ them is a behavior change, not a test fix.
 """
 
 import numpy as np
-import pytest
 
 from mixedflow.analysis import (
     fit_decay_rate,

@@ -294,6 +294,28 @@ def test_run_ends_at_T():
     assert out.records[-1].t == 0.01
 
 
+def _failing_run(integrator):
+    # E_2 at amplitude 0.2 drives the graph out of the admissible cone
+    speed = make_speed("elementary", n=2, R=1.0, l=2)
+    cfg = FlowConfig(n=2, R=1.0, speed=speed, integrator=integrator, T=0.2, L_max=12,
+                     cadence=1)
+    prob = FlowProblem(cfg)
+    return run(cfg, random_band_field(prob.grid, 1.0, 0.2, 2, 8, 3), problem=prob)
+
+
+@pytest.mark.parametrize("integrator,error", [("rk4", StepRejectedError),
+                                              ("imex", AdmissibilityError)])
+def test_failed_run_keeps_records(integrator, error):
+    # rk4 rejects a step whose stage leaves the cone; imex takes the step
+    # and the record of the state it reaches cannot be evaluated
+    out = _failing_run(integrator)
+    assert out.status == "failed"
+    assert isinstance(out.error, error)
+    assert len(out.records) > 1 and out.records[-1].t < 0.2
+    assert out.final.t == out.records[-1].t
+    assert np.array_equal(out.final.rho.coeffs, out.records[-1].coeffs)
+
+
 # -- one evaluation per state ------------------------------------------------------
 
 

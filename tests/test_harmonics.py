@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 from mixedflow.errors import DegreeOverflowError, GridError
 from mixedflow.harmonics import (
-    Grid,
     RadialField,
     _legendre_tables,
     build_grid,

@@ -1,0 +1,38 @@
+"""No module-level import goes unused in the package, the tests or the scripts."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+# The package's __init__ imports are its public API, read by its users.
+FILES = sorted(p for p in (*(ROOT / "src" / "mixedflow").glob("*.py"),
+                           *(ROOT / "tests").glob("*.py"), *(ROOT / "scripts").glob("*.py"))
+               if p.name != "__init__.py")
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names bound by module-level imports that the module never reads."""
+    tree = ast.parse(source)
+    bound = {}
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.partition(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return [f"line {line}: {name}" for name, line in bound.items() if name not in read]
+
+
+def test_checker_flags_an_unused_import():
+    assert unused_imports("import os\nimport sys as system\nfrom a import b, c\nc()\n") == \
+        ["line 1: os", "line 2: system", "line 3: b"]
+    assert unused_imports("from __future__ import annotations\nimport a.b\na.b.f()\n") == []
+
+
+@pytest.mark.parametrize("path", FILES, ids=[str(p.relative_to(ROOT)) for p in FILES])
+def test_no_unused_module_imports(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []

@@ -1,5 +1,7 @@
 """Config parsing, snapshots, run.csv emission, and the command-line front end."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -8,7 +10,7 @@ from hypothesis import strategies as st
 from mixedflow.analysis import sphere_from_coords
 from mixedflow.cli import main
 from mixedflow.errors import ConfigError, SnapshotError
-from mixedflow.flow import FlowProblem, FlowState, run
+from mixedflow.flow import FlowProblem, FlowState, default_timestep, run
 from mixedflow.harmonics import RadialField, build_grid
 from mixedflow.io import (
     RUN_COLUMNS,
@@ -22,6 +24,7 @@ from mixedflow.io import (
     run_meta,
     write_snapshot,
 )
+from mixedflow.presets import PRESET_NAMES, _preset_config
 
 FULL_CONFIG = """\
 # demo configuration
@@ -101,6 +104,30 @@ def test_run_meta_describes_grid(grid2):
     meta = run_meta(parsed, grid2)
     assert meta[0].startswith("version = ")
     assert meta[1] == "grid = 34 x 66 nodes (Gauss-Legendre x uniform)"
+
+
+def _echo_round_trips(parsed):
+    back = parse_config_text("\n".join(config_echo(parsed)))
+    assert back.config == replace(parsed.config, dt=default_timestep(parsed.config))
+    assert back.init == parsed.init
+
+
+@pytest.mark.parametrize("name,overrides", [
+    *((name, {}) for name in PRESET_NAMES), ("zero-modes", {"n": "1", "L_max": "16"})])
+def test_preset_echo_round_trips(name, overrides):
+    _echo_round_trips(_preset_config(name, overrides))
+
+
+def test_echo_keeps_full_precision():
+    # values that :g shortens to a different float are echoed in repr form
+    parsed = parse_config_text(
+        "R = 1.23456789\nspeed = power_mean m=1 beta=1.23456789\nintegrator = rk4\n"
+        "dt = 1.2345678e-4\nT = 0.123456789\ninit = random:0.0512345678,6,42\n")
+    echo = config_echo(parsed)
+    assert "R = 1.23456789" in echo and "dt = 0.00012345678" in echo
+    _echo_round_trips(parsed)
+    # the default rk4 step, 0.5 / (16 * 17), has no exact 6-digit form
+    _echo_round_trips(parse_config_text("integrator = rk4\ninit = sphere:0.123456789,0,0,0\n"))
 
 
 # -- initial data -----------------------------------------------------------------
@@ -317,6 +344,35 @@ def test_cli_input_errors(tmp_path, capsys):
     assert "error:" in err and "k = 5 is outside [-1, 0] for n = 1" in err
     assert main(["preset", "stationarity", "--set", "oops"]) == 2
     assert "--set expects key=value" in capsys.readouterr().err
+
+
+def test_cli_run_failure_writes_records(tmp_path, monkeypatch, capsys):
+    # the imex step leaves the cone at t ~ 0.018: exit 1 with the records so far
+    monkeypatch.setenv("MIXEDFLOW_OUT", str(tmp_path / "out"))
+    cfg = _write_config(
+        tmp_path, "n = 2\nspeed = elementary l=2\nintegrator = imex\nT = 0.2\n"
+        "L_max = 12\ninit = random:0.2,8,3\ncadence = 1\n")
+    assert main(["run", "--config", cfg]) == 1
+    captured = capsys.readouterr()
+    assert "status = failed" in captured.out
+    assert "error: graph leaves the admissible cone" in captured.err
+    rows = [ln for ln in (tmp_path / "out" / "run.csv").read_text().splitlines()
+            if not ln.startswith("#")][1:]
+    state = read_snapshot(str(tmp_path / "out" / "final_state.snapshot"))
+    assert len(rows) > 1 and state.t == float(rows[-1].split(",")[0]) < 0.2
+
+
+def test_cli_preset_failed_run(tmp_path, monkeypatch, capsys):
+    # a failed run writes its files, skips the checks and fails the preset
+    monkeypatch.setenv("MIXEDFLOW_OUT", str(tmp_path))
+    argv = ["preset", "stationarity", "--set", "speed=elementary l=2", "--set", "T=0.2",
+            "--set", "L_max=12", "--set", "init=random:0.2,8,3"]
+    assert main(argv) == 1
+    summary = (tmp_path / "summary.txt").read_text().splitlines()
+    assert "status = failed" in summary and summary[-1] == "overall = FAIL"
+    assert not any(ln.startswith("check ") for ln in summary)
+    assert (tmp_path / "run.csv").exists() and (tmp_path / "final_state.snapshot").exists()
+    assert "status = failed" in capsys.readouterr().err
 
 
 def test_cli_run_rejects_initial_field_outside_domain(tmp_path, monkeypatch, capsys):
