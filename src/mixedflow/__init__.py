@@ -11,6 +11,7 @@ from .errors import (
     GridError,
     MixedFlowError,
     SnapshotError,
+    SpectrumRangeError,
     SpeedError,
     StepRejectedError,
 )
@@ -18,15 +19,12 @@ from .harmonics import (
     Grid,
     RadialField,
     build_grid,
-    gradient_sq,
     harmonic_multiplicity,
-    laplace_beltrami,
-    project_center,
     total_coefficients,
 )
 from .geometry import (
     CurvatureBundle,
-    curvature_bundle,
+    bundle_from_coeffs,
     elementary_symmetric,
     enclosed_volume,
     surface_measure,

@@ -16,9 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AdmissibilityError, FitConvergenceError
+from .errors import AdmissibilityError, FitConvergenceError, SpectrumRangeError
 from .flow import FlowConfig, FlowProblem
-from .geometry import CurvatureBundle, curvature_bundle, enclosed_volume
+from .geometry import CurvatureBundle, bundle_from_coeffs, enclosed_volume
 from .harmonics import (
     SPHERE_AREA,
     Grid,
@@ -28,6 +28,10 @@ from .harmonics import (
 )
 from .speeds import SpeedSpec, umbilic_derivative
 
+_JACOBIAN_STEP = 1e-5  # relative to R
+_JACOBIAN_MAX_DIM = 400
+_FIT_MAX_ITER = 50
+_FIT_STEP_TOL = 1e-12  # relative to R
 
 # -- conserved quantities -----------------------------------------------------
 
@@ -47,7 +51,7 @@ def mixed_volume(rho: RadialField, k: int, bundle: CurvatureBundle | None = None
     if k == -1:
         return enclosed_volume(rho)
     if bundle is None:
-        bundle = curvature_bundle(rho)
+        bundle = bundle_from_coeffs(rho.grid, rho.R, rho.coeffs)
     total = rho.R ** n * rho.grid.integrate(bundle.E[k] * bundle.mu)
     return total / ((n + 1) * math.comb(n, k))
 
@@ -99,22 +103,24 @@ def analytic_spectrum(config: FlowConfig, l_max: int) -> SpectrumReport:
     return SpectrumReport(rows=rows, center_dimension=config.n + 2, lambda_max_abs=lam_max)
 
 
-def numerical_jacobian(config: FlowConfig, l_max: int,
-                       eps: float | None = None) -> tuple[np.ndarray, SpectrumReport]:
+def numerical_jacobian(config: FlowConfig, l_max: int) -> tuple[np.ndarray, SpectrumReport]:
     """Central-difference Jacobian of the velocity map at the round sphere.
 
-    Columns are one-coefficient perturbations of size eps (default 1e-5 R);
-    the matrix is restricted to degrees <= l_max, which occupy the leading
-    block of the flat layout.  The report compares its diagonal means, worst
-    off-diagonal entries, and near-null dimension against the analytic rows.
+    Columns are one-coefficient perturbations of size 1e-5 R; the matrix is
+    restricted to degrees <= l_max (1 <= l_max <= L_max, at most 400 columns),
+    which occupy the leading block of the flat layout.  The report compares its
+    diagonal means, worst off-diagonal entries, and near-null dimension
+    against the analytic rows.
     """
-    if l_max > config.L_max:
-        raise ValueError(f"l_max={l_max} exceeds the configured band limit {config.L_max}")
+    if not 1 <= l_max <= config.L_max:
+        raise SpectrumRangeError(
+            f"l_max={l_max} is outside [1, {config.L_max}], the configured band limit")
     D = total_coefficients(l_max, config.n)
-    if D > 400:
-        raise ValueError(f"Jacobian dimension {D} is above the supported range")
+    if D > _JACOBIAN_MAX_DIM:
+        raise SpectrumRangeError(
+            f"Jacobian dimension {D} at l_max={l_max} is above the supported {_JACOBIAN_MAX_DIM}")
     prob = FlowProblem(config)
-    h = eps if eps is not None else 1e-5 * config.R
+    h = _JACOBIAN_STEP * config.R
     J = np.empty((D, D))
     e = np.zeros(prob.grid.size)
     for j in range(D):
@@ -212,12 +218,12 @@ def project_center_coords(rho: RadialField) -> np.ndarray:
     return z
 
 
-def fit_sphere(rho: RadialField, max_iter: int = 50,
-               step_tol: float = 1e-12) -> tuple[SphereCoords, np.ndarray]:
+def fit_sphere(rho: RadialField) -> tuple[SphereCoords, np.ndarray]:
     """Nearest sphere in the weighted least-squares sense, and the residual field.
 
     Gauss-Newton on the n+2 sphere coordinates, seeded from the lowest-mode
-    projection; stops when the update norm drops below step_tol * R.
+    projection; stops when the update norm drops below 1e-12 R, and gives
+    up after 50 iterations.
     """
     grid, R = rho.grid, rho.R
     if rho.sup_abs() > 0.3 * R:
@@ -225,7 +231,7 @@ def fit_sphere(rho: RadialField, max_iter: int = 50,
     w = grid.quad_weights.ravel()
     vals = rho.values.ravel()
     z = project_center_coords(rho)
-    for _ in range(max_iter):
+    for _ in range(_FIT_MAX_ITER):
         heights, s, q, omega = _sphere_height(z, grid, R)
         res = vals - heights.ravel()
         cols = [((R + z[0]) / q).ravel()]
@@ -236,10 +242,10 @@ def fit_sphere(rho: RadialField, max_iter: int = 50,
         b = J.T @ (w * res)
         delta = np.linalg.solve(A, b)
         z = z + delta
-        if float(np.linalg.norm(delta)) < step_tol * R:
+        if float(np.linalg.norm(delta)) < _FIT_STEP_TOL * R:
             heights, _, _, _ = _sphere_height(z, grid, R)
             return SphereCoords.from_vector(z), rho.values - heights
-    raise FitConvergenceError(f"sphere fit did not converge in {max_iter} iterations")
+    raise FitConvergenceError(f"sphere fit did not converge in {_FIT_MAX_ITER} iterations")
 
 
 # -- decay rates ----------------------------------------------------------------

@@ -37,6 +37,10 @@ class FitConvergenceError(MixedFlowError):
     """Gauss-Newton sphere fit did not converge within the iteration cap."""
 
 
+class SpectrumRangeError(MixedFlowError):
+    """Requested Jacobian block lies outside the band limit or the supported size."""
+
+
 class ConfigError(MixedFlowError):
     """Malformed experiment configuration; message carries the offending line number."""
 

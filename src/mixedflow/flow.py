@@ -36,6 +36,8 @@ from .speeds import SpeedSpec, eval_speed, make_speed, umbilic_derivative
 _INTEGRATORS = ("imex", "rk4")
 # Fraction of the parabolic stability limit that the explicit integrator may use.
 _C_CFL = 0.5
+_CFL_SLACK = 1e-12  # relative slack of every check of an rk4 dt against that limit
+_SUP_G_CONVERGED = 1e-10  # a record with sup |G| at most this ends the run as converged
 # Failures of a velocity evaluation that the steppers report as a rejected step.
 _STAGE_ERRORS = (AdmissibilityError, ConstraintDegenerateError, SpeedError)
 
@@ -53,7 +55,6 @@ class FlowConfig:
     T: float = 1.0
     L_max: int = 16
     cadence: int = 10
-    g_tol: float = 1e-10
 
     def __post_init__(self):
         if self.n not in (1, 2):
@@ -72,6 +73,10 @@ class FlowConfig:
             object.__setattr__(self, "speed", make_speed("mean", n=self.n, R=self.R))
         if self.speed.n != self.n or self.speed.R != self.R:
             raise ValueError("speed was built for a different dimension or radius")
+        if self.integrator == "rk4" and self.dt is not None:
+            bound = cfl_timestep(self)
+            if self.dt > bound * (1.0 + _CFL_SLACK):
+                raise ValueError(f"rk4 dt={self.dt:.3e} exceeds the parabolic bound {bound:.3e}")
 
 
 @dataclass(frozen=True)
@@ -157,7 +162,7 @@ class FlowProblem:
         return self._velocity(bundle_from_coeffs(self.grid, self.config.R, coeffs))
 
     def _velocity(self, bundle: CurvatureBundle) -> tuple[np.ndarray, float]:
-        F = eval_speed(self.config.speed, bundle)
+        F = eval_speed(self.config.speed, bundle.E)
         weight = bundle.E[self.config.k + 1] * bundle.mu
         den = self.grid.integrate(weight)
         if not den > 0.0:
@@ -178,7 +183,7 @@ class FlowProblem:
 
     def step_rk4(self, coeffs: np.ndarray, dt: float) -> np.ndarray:
         bound = cfl_timestep(self.config)
-        if dt > bound * (1.0 + 1e-12):
+        if dt > bound * (1.0 + _CFL_SLACK):
             raise StepRejectedError(
                 f"dt={dt:.3e} exceeds the parabolic bound {bound:.3e}", suggested_dt=bound)
         try:
@@ -245,7 +250,7 @@ class FlowProblem:
 
 def run(config: FlowConfig, rho0: RadialField | None = None,
         problem: FlowProblem | None = None) -> FlowRun:
-    """Evolve from rho0 until time T or until the velocity drops below g_tol.
+    """Evolve from rho0 until time T or until sup |G| of a record drops to 1e-10.
 
     The run takes ceil(T/dt) steps; when T is not a whole number of steps
     (to a relative 1e-9 of a step), the last one is shortened to end at T.
@@ -275,7 +280,7 @@ def run(config: FlowConfig, rho0: RadialField | None = None,
         raise AdmissibilityError(f"initial field is outside the flow's domain: {exc}") from exc
     records = [rec]
     status, error = "reached_T", None
-    if rec.sup_G <= config.g_tol:
+    if rec.sup_G <= _SUP_G_CONVERGED:
         status = "converged"
         n_steps = 0
     step_no = 0
@@ -291,7 +296,7 @@ def run(config: FlowConfig, rho0: RadialField | None = None,
             if step_no % config.cadence == 0 or step_no == n_steps:
                 rec = prob.diagnostics(t, coeffs)
                 records.append(rec)
-                if rec.sup_G <= config.g_tol:
+                if rec.sup_G <= _SUP_G_CONVERGED:
                     status = "converged"
                     break
     except (StepRejectedError, *_STAGE_ERRORS) as exc:

@@ -90,13 +90,8 @@ def _check_radius(r: np.ndarray) -> None:
         raise AdmissibilityError(f"graph leaves the admissible cone: min radius {np.min(r):.3e}")
 
 
-def curvature_bundle(rho: RadialField) -> CurvatureBundle:
-    """Curvature and measure data of the graph r = R + rho."""
-    return bundle_from_coeffs(rho.grid, rho.R, rho.coeffs)
-
-
 def bundle_from_coeffs(grid, R: float, coeffs: np.ndarray) -> CurvatureBundle:
-    """Same as curvature_bundle, entered at the coefficient level."""
+    """Curvature and measure data of the graph r = R + rho, rho given by its coefficients."""
     d = grid.synthesize_derivs(coeffs)
     r = R + d["u"]
     _check_radius(r)
@@ -156,5 +151,5 @@ def enclosed_volume(rho: RadialField) -> float:
 
 def surface_measure(rho: RadialField) -> float:
     """Total surface measure of the graph."""
-    bundle = curvature_bundle(rho)
+    bundle = bundle_from_coeffs(rho.grid, rho.R, rho.coeffs)
     return rho.R ** rho.grid.n * rho.grid.integrate(bundle.mu)

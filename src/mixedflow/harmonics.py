@@ -15,9 +15,9 @@ whole transform.  n = 2 adds a Legendre stage over the degree l for all
 orders m at once, against a value table and a theta-derivative table (see
 Grid).
 
-The reference radius R never enters the tables.  Downstream operators apply
-it through explicit factors: Laplace-Beltrami scales by R^-2, the measure by
-R^n, squared gradients by R^-2.
+The reference radius R never enters the tables: derivatives are angular and
+quadrature is against the unit-sphere measure.  On the radius-R sphere the
+measure scales by R^n, the Laplacian and the squared gradient by R^-2.
 """
 
 from __future__ import annotations
@@ -80,11 +80,6 @@ def _legendre_tables(L: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.ascontiguousarray(P.transpose(1, 2, 0)), np.ascontiguousarray(dP.transpose(1, 2, 0))
 
 
-def _gauss_legendre(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    x, w = np.polynomial.legendre.leggauss(n_nodes)
-    return x, w
-
-
 def _freeze(*arrays: np.ndarray) -> None:
     for a in arrays:
         a.flags.writeable = False
@@ -115,7 +110,7 @@ class Grid:
       transpose of the first matrix.
     """
 
-    def __init__(self, n: int, L_max: int, oversample: float = 2.0):
+    def __init__(self, n: int, L_max: int, oversample: float):
         if n not in (1, 2):
             raise GridError(f"only circle (n=1) and sphere (n=2) grids are supported, got n={n}")
         if L_max < 4 or L_max > 64:
@@ -124,7 +119,6 @@ class Grid:
             raise GridError(f"oversample must be >= 1, got {oversample}")
         self.n = n
         self.L_max = L_max
-        self.oversample = float(oversample)
         L = L_max
         if n == 1:
             n_theta = max(math.ceil(2.0 * oversample * L), 2 * L + 2)
@@ -146,7 +140,7 @@ class Grid:
             self.n_lat = n_lat
             self.n_lon = n_lon
             self.shape = (n_lat, n_lon)
-            x, w = _gauss_legendre(n_lat)
+            x, w = np.polynomial.legendre.leggauss(n_lat)
             self.x = x
             self.glw = w
             self.theta = np.arccos(x)
@@ -294,9 +288,6 @@ class Grid:
         """Integral against the unit-sphere measure."""
         return float(np.sum(self.quad_weights * values))
 
-    def mean(self, values: np.ndarray) -> float:
-        return self.integrate(values) / SPHERE_AREA[self.n]
-
     def directions(self) -> tuple[np.ndarray, ...]:
         """Components of the unit position vector at the nodes (read-only)."""
         return self._directions
@@ -313,37 +304,6 @@ class Grid:
 
 def build_grid(n: int, L_max: int, oversample: float = 2.0) -> Grid:
     return Grid(n, L_max, oversample)
-
-
-def laplace_beltrami(values: np.ndarray, grid: Grid, R: float = 1.0) -> np.ndarray:
-    c = grid.analyze(values)
-    return grid.synthesize(c * grid.laplace_factor[grid.degrees] / (R * R))
-
-
-def gradient_sq(values: np.ndarray, grid: Grid, R: float = 1.0) -> np.ndarray:
-    """Squared norm of the surface gradient on the radius-R sphere."""
-    d = grid.synthesize_derivs(grid.analyze(values))
-    if grid.n == 1:
-        return d["ut"] ** 2 / (R * R)
-    st = grid.sin_theta[:, None]
-    return (d["ut"] ** 2 + (d["up"] / st) ** 2) / (R * R)
-
-
-def project_center(values: np.ndarray, grid: Grid, R: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
-    """Split a field into its lowest modes and the rest.
-
-    Returns the n+2 coefficients of the constant and degree-1 part in the
-    basis orthonormal on the radius-R sphere (so they scale like R^(n/2)
-    relative to the unit-sphere coefficients), together with the remainder
-    field.  The split is exact: synthesizing the low part and adding the
-    remainder reproduces the input.
-    """
-    c = grid.analyze(values)
-    nlow = grid.n + 2
-    low = np.zeros(grid.size)
-    low[:nlow] = c[:nlow]
-    residual = values - grid.synthesize(low)
-    return R ** (grid.n / 2.0) * c[:nlow], residual
 
 
 class RadialField:

@@ -22,6 +22,7 @@ round-trips float64 exactly.  Coefficients not listed are zero.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 from typing import Callable
@@ -290,7 +291,8 @@ def _header_value(lines: list[str], lineno: int, key: str) -> str:
 def read_snapshot(path: str) -> FlowState:
     """Rebuild a flow state from a snapshot file.
 
-    Coefficient lines may be sparse; anything not listed is zero.
+    Coefficient lines may be sparse; anything not listed is zero.  R must be
+    positive and every value finite.
     """
     with open(path, "r", encoding="utf-8") as fh:
         lines = [ln.rstrip("\n") for ln in fh]
@@ -301,6 +303,10 @@ def read_snapshot(path: str) -> FlowState:
         t = float(_header_value(lines, 4, "t"))
     except ValueError as exc:
         raise SnapshotError(f"bad header value: {exc}") from exc
+    if not (math.isfinite(R) and R > 0.0):
+        raise SnapshotError(f"line 2: R must be positive and finite, got {R!r}")
+    if not math.isfinite(t):
+        raise SnapshotError(f"line 4: t must be finite, got {t!r}")
     try:
         grid = build_grid(n, L_max)
     except Exception as exc:
@@ -317,6 +323,8 @@ def read_snapshot(path: str) -> FlowState:
             l, p, value = int(parts[0]), int(parts[1]), float(parts[2])
         except ValueError as exc:
             raise SnapshotError(f"line {lineno}: {exc}") from exc
+        if not math.isfinite(value):
+            raise SnapshotError(f"line {lineno}: coefficient ({l}, {p}) is not finite: {value!r}")
         try:
             flat = grid.flat_index(l, p)
         except IndexError as exc:
@@ -331,10 +339,6 @@ def read_snapshot(path: str) -> FlowState:
 # -- CSV ----------------------------------------------------------------------
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
 def run_csv_lines(records, meta: list[str]) -> list[str]:
     """run.csv content for a list of diagnostics records."""
     lines = [f"# {m}" for m in meta]
@@ -343,7 +347,7 @@ def run_csv_lines(records, meta: list[str]) -> list[str]:
         energies = [r.mode_energy[l] if l < len(r.mode_energy) else 0.0
                     for l in range(2, 9)]
         row = [r.t, r.h_k, r.V, r.sup_G, r.sup_rho, r.sphere_residual_sup, *energies]
-        lines.append(",".join(_fmt(v) for v in row))
+        lines.append(",".join(repr(float(v)) for v in row))
     return lines
 
 

@@ -24,7 +24,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import SpeedError
-from .geometry import CurvatureBundle, elementary_symmetric
+from .geometry import elementary_symmetric
 
 _KINDS = ("mean", "power_mean", "elementary", "custom")
 
@@ -79,7 +79,8 @@ def make_speed(kind: str, n: int, R: float = 1.0, **params) -> SpeedSpec:
     return spec
 
 
-def _powers_from_E(spec: SpeedSpec, E: tuple) -> np.ndarray:
+def eval_speed(spec: SpeedSpec, E: tuple) -> np.ndarray:
+    """Speed field from the elementary symmetric functions E = (E_0, ..., E_n)."""
     if spec.kind == "mean":
         return np.asarray(E[1], dtype=float)
     if spec.kind == "elementary":
@@ -94,18 +95,13 @@ def _powers_from_E(spec: SpeedSpec, E: tuple) -> np.ndarray:
     return np.asarray(spec.phi(*means), dtype=float)
 
 
-def eval_speed(spec: SpeedSpec, bundle: CurvatureBundle) -> np.ndarray:
-    """Speed field on the grid from a curvature bundle."""
-    return _powers_from_E(spec, bundle.E)
-
-
 def eval_speed_kappa(spec: SpeedSpec, kappa) -> float:
     """Speed at one curvature tuple; used by difference checks and tests."""
     kappa = [float(k) for k in kappa]
     if len(kappa) != spec.n:
         raise SpeedError(f"expected {spec.n} curvatures, got {len(kappa)}")
     e = [1.0] + [elementary_symmetric(kappa, k) for k in range(1, spec.n + 1)]
-    return float(_powers_from_E(spec, tuple(e)))
+    return float(eval_speed(spec, tuple(e)))
 
 
 def reference_speed(spec: SpeedSpec) -> float:

@@ -16,7 +16,7 @@ from mixedflow.analysis import (
     stable_decay_rate,
 )
 from mixedflow.flow import FlowConfig, FlowProblem, run
-from mixedflow.geometry import curvature_bundle, surface_measure
+from mixedflow.geometry import bundle_from_coeffs, surface_measure
 from mixedflow.harmonics import RadialField, build_grid
 from mixedflow.io import random_band_field
 from mixedflow.presets import run_experiment
@@ -66,7 +66,7 @@ def test_02_curvature_against_mesh_oracle():
     TH = grid.theta[:, None] * np.ones((1, grid.shape[1]))
     PH = np.ones((grid.shape[0], 1)) * grid.phi[None, :]
     rho = RadialField(grid, 1.0, values=r_fn(TH, PH) - 1.0)
-    b = curvature_bundle(rho)
+    b = bundle_from_coeffs(grid, 1.0, rho.coeffs)
     k_lo = np.minimum(b.kappa[0], b.kappa[1])
     k_hi = np.maximum(b.kappa[0], b.kappa[1])
     o_lo, o_hi = mesh_principal_curvatures(r_fn, TH, PH)

@@ -14,7 +14,7 @@ from mixedflow.analysis import (
     sphere_from_coords,
     stable_decay_rate,
 )
-from mixedflow.errors import AdmissibilityError
+from mixedflow.errors import AdmissibilityError, SpectrumRangeError
 from mixedflow.flow import FlowConfig
 from mixedflow.harmonics import SPHERE_AREA, RadialField
 from mixedflow.speeds import make_speed
@@ -113,6 +113,16 @@ def test_jacobian_spectrum_nonpositive_and_center():
     null = V[:, np.abs(w) <= 1e-6 * lam]
     assert null.shape[1] == 4
     assert np.linalg.norm(null[4:, :]) <= 1e-8
+
+
+def test_numerical_jacobian_block_range():
+    # l_max must lie in [1, L_max], and the block may hold at most 400 coefficients
+    cfg = FlowConfig(n=2, R=1.0, k=-1, L_max=24)
+    for l_max in (0, 25):
+        with pytest.raises(SpectrumRangeError, match=f"l_max={l_max} is outside"):
+            numerical_jacobian(cfg, l_max=l_max)
+    with pytest.raises(SpectrumRangeError, match="Jacobian dimension 441"):
+        numerical_jacobian(cfg, l_max=20)
 
 
 def test_sphere_round_trip(grid1, grid2):

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from mixedflow.errors import AdmissibilityError
 from mixedflow.geometry import (
-    curvature_bundle,
+    bundle_from_coeffs,
     elementary_symmetric,
     enclosed_volume,
     surface_measure,
@@ -49,7 +49,7 @@ def test_umbilic_identity_spheres(grid1, grid2):
     for grid in (grid1, grid2):
         for R in (1.0, 2.0):
             for c in (-0.3 * R, 0.0, 0.5 * R):
-                b = curvature_bundle(const_field(grid, R, c))
+                b = bundle_from_coeffs(grid, R, const_field(grid, R, c).coeffs)
                 for kap in b.kappa:
                     assert np.max(np.abs(kap - 1.0 / (R + c))) <= 1e-11
 
@@ -60,14 +60,14 @@ def test_offset_sphere_umbilic(grid2):
 
     z = np.array([0.1, 0.05, -0.03, 0.08])
     rho = sphere_from_coords(z, grid2, 1.0)
-    b = curvature_bundle(rho)
+    b = bundle_from_coeffs(rho.grid, rho.R, rho.coeffs)
     for kap in b.kappa:
         assert np.max(np.abs(kap - 1.0 / 1.1)) <= 1e-11
 
 
 def test_el_consistency(grid2, rng):
     rho = RadialField(grid2, 1.0, coeffs=band_coeffs(grid2, rng, l_lo=0, l_hi=8, scale=0.02))
-    b = curvature_bundle(rho)
+    b = bundle_from_coeffs(rho.grid, rho.R, rho.coeffs)
     k1, k2 = b.kappa
     assert np.max(np.abs(b.E[1] - (k1 + k2))) <= 1e-12 * np.max(np.abs(b.E[1]))
     e2 = ((k1 + k2) ** 2 - (k1 ** 2 + k2 ** 2)) / 2.0
@@ -79,7 +79,7 @@ def test_curvature_functions_match_kappa_across_band_limits(grid2_band, rng):
     # E comes from closed forms, kappa from the shape operator formed on access
     for _ in range(3):
         c = band_coeffs(grid2_band, rng, l_lo=0, l_hi=12, scale=0.02)
-        b = curvature_bundle(RadialField(grid2_band, 1.0, coeffs=c))
+        b = bundle_from_coeffs(grid2_band, 1.0, c)
         k1, k2 = b.kappa
         assert np.max(np.abs(b.E[1] - (k1 + k2))) <= 1e-12 * np.max(np.abs(b.E[1]))
         assert np.max(np.abs(b.E[2] - k1 * k2)) <= 1e-12 * np.max(np.abs(b.E[2]))
@@ -89,10 +89,10 @@ def test_scaling_covariance(grid2, grid1, rng):
     for grid in (grid2, grid1):
         n = grid.n
         c = band_coeffs(grid, rng, l_hi=6, scale=0.02)
-        base = curvature_bundle(RadialField(grid, 1.0, coeffs=c))
+        base = bundle_from_coeffs(grid, 1.0, c)
         V_base = enclosed_volume(RadialField(grid, 1.0, coeffs=c))
         for s in (0.5, 2.0):
-            scaled = curvature_bundle(RadialField(grid, s, coeffs=s * c))
+            scaled = bundle_from_coeffs(grid, s, s * c)
             for kap_s, kap in zip(scaled.kappa, base.kappa):
                 assert np.max(np.abs(kap_s * s - kap)) <= 1e-9 * np.max(np.abs(kap))
             for l in range(n + 1):
@@ -107,8 +107,8 @@ def test_rotation_equivariance(grid2, rng):
     # shifting the data by one longitude node is an exact symmetry of the grid
     c = band_coeffs(grid2, rng, l_hi=10, scale=0.02)
     vals = RadialField(grid2, 1.0, coeffs=c).values
-    b = curvature_bundle(RadialField(grid2, 1.0, values=vals))
-    b_shift = curvature_bundle(RadialField(grid2, 1.0, values=np.roll(vals, 1, axis=1)))
+    b = bundle_from_coeffs(grid2, 1.0, grid2.analyze(vals))
+    b_shift = bundle_from_coeffs(grid2, 1.0, grid2.analyze(np.roll(vals, 1, axis=1)))
     for kap, kap_s in zip(b.kappa, b_shift.kappa):
         assert np.max(np.abs(np.roll(kap, 1, axis=1) - kap_s)) <= 1e-10
 
@@ -119,7 +119,7 @@ def test_rotation_equivariance(grid2, rng):
 def test_circle_curvature_oracle(grid1):
     r_fn = lambda t: 1.0 + 0.15 * np.cos(2.0 * t) + 0.05 * np.sin(3.0 * t)
     rho = RadialField(grid1, 1.0, values=r_fn(grid1.theta) - 1.0)
-    b = curvature_bundle(rho)
+    b = bundle_from_coeffs(rho.grid, rho.R, rho.coeffs)
     oracle = circle_curvature(r_fn, grid1.theta)
     assert np.max(np.abs(b.kappa[0] - oracle)) < 1e-7
 
@@ -131,7 +131,7 @@ def test_surface_curvature_oracle():
     PH = np.ones((grid.shape[0], 1)) * grid.phi[None, :]
     # sin^3 cos cos(3p) is a degree-4 harmonic combination, representable at L=8
     rho = RadialField(grid, 1.0, values=r_fn_np(TH, PH) - 1.0)
-    b = curvature_bundle(rho)
+    b = bundle_from_coeffs(rho.grid, rho.R, rho.coeffs)
     k_lo = np.minimum(b.kappa[0], b.kappa[1])
     k_hi = np.maximum(b.kappa[0], b.kappa[1])
     o_lo, o_hi = mesh_principal_curvatures(r_fn_np, TH, PH, h=1e-2)
@@ -184,18 +184,18 @@ def test_sphere_volumes_exact(grid1, grid2):
 def test_mu_on_spheres(grid2, grid1):
     # mu = (r/R)^n for concentric spheres
     for grid in (grid2, grid1):
-        b = curvature_bundle(const_field(grid, 2.0, 0.5))
+        b = bundle_from_coeffs(grid, 2.0, const_field(grid, 2.0, 0.5).coeffs)
         assert np.max(np.abs(b.mu - (2.5 / 2.0) ** grid.n)) < 1e-13
 
 
 def test_graph_factor_on_spheres(grid2):
-    b = curvature_bundle(const_field(grid2, 1.0, 0.25))
+    b = bundle_from_coeffs(grid2, 1.0, const_field(grid2, 1.0, 0.25).coeffs)
     assert np.max(np.abs(b.graph_factor - 1.0)) < 1e-13
 
 
 def test_inadmissible_radius(grid2):
     with pytest.raises(AdmissibilityError):
-        curvature_bundle(const_field(grid2, 1.0, -1.5))
+        bundle_from_coeffs(grid2, 1.0, const_field(grid2, 1.0, -1.5).coeffs)
     bad = np.full(grid2.shape, np.nan)
     with pytest.raises(AdmissibilityError):
-        curvature_bundle(RadialField(grid2, 1.0, values=bad))
+        bundle_from_coeffs(grid2, 1.0, grid2.analyze(bad))

@@ -8,13 +8,11 @@ from hypothesis import given, settings, strategies as st
 
 from mixedflow.errors import DegreeOverflowError, GridError
 from mixedflow.harmonics import (
+    SPHERE_AREA,
     RadialField,
     _legendre_tables,
     build_grid,
-    gradient_sq,
     harmonic_multiplicity,
-    laplace_beltrami,
-    project_center,
     total_coefficients,
 )
 from conftest import band_coeffs
@@ -117,10 +115,18 @@ def test_quadrature_radius_scaling(grid2_small, rng):
 
 def test_mean_value(grid2_small):
     u = 3.0 + grid2_small.synthesize(band_coeffs(grid2_small, np.random.default_rng(7), l_lo=1))
-    assert abs(grid2_small.mean(u) - 3.0) < 1e-12
+    assert abs(grid2_small.integrate(u) / SPHERE_AREA[2] - 3.0) < 1e-12
 
 
 # -- calculus --------------------------------------------------------------------
+# On the unit sphere the Laplace-Beltrami operator is synthesize_derivs' "lap"
+# ("utt" on the circle) and the surface gradient is (ut, up / sin(theta)); on the
+# radius-R sphere the Laplacian and the squared gradient scale by R^-2.
+
+
+def grad_sq(grid, coeffs, R):
+    d = grid.synthesize_derivs(coeffs)
+    return (d["ut"] ** 2 + (d["up"] / grid.sin_theta[:, None]) ** 2) / R ** 2
 
 
 def test_laplacian_eigenvalue(grid2, grid1):
@@ -130,7 +136,7 @@ def test_laplacian_eigenvalue(grid2, grid1):
             c[grid.flat_index(l, 1)] = 1.0
             u = grid.synthesize(c)
             for R in (1.0, 2.0):
-                lap = laplace_beltrami(u, grid, R=R)
+                lap = grid.synthesize_derivs(c)["lap" if n == 2 else "utt"] / R ** 2
                 expect = -l * (l + n - 1) / R ** 2 * u
                 assert np.max(np.abs(lap - expect)) < 1e-10 * l * (l + n - 1)
 
@@ -139,10 +145,10 @@ def test_laplacian_eigenvalue(grid2, grid1):
 @given(st.integers(0, 2 ** 32 - 1))
 def test_laplacian_self_adjoint(grid2_small, seed):
     rng = np.random.default_rng(seed)
-    u = grid2_small.synthesize(band_coeffs(grid2_small, rng))
-    v = grid2_small.synthesize(band_coeffs(grid2_small, rng))
-    a = grid2_small.integrate(laplace_beltrami(u, grid2_small, 1.0) * v)
-    b = grid2_small.integrate(u * laplace_beltrami(v, grid2_small, 1.0))
+    cu, cv = band_coeffs(grid2_small, rng), band_coeffs(grid2_small, rng)
+    u, v = grid2_small.synthesize(cu), grid2_small.synthesize(cv)
+    a = grid2_small.integrate(grid2_small.synthesize_derivs(cu)["lap"] * v)
+    b = grid2_small.integrate(u * grid2_small.synthesize_derivs(cv)["lap"])
     scale = max(1.0, abs(a))
     assert abs(a - b) <= 1e-10 * scale
 
@@ -151,10 +157,12 @@ def test_laplacian_self_adjoint(grid2_small, seed):
 @given(st.integers(0, 2 ** 32 - 1))
 def test_integration_by_parts(grid2_small, seed):
     rng = np.random.default_rng(seed)
-    u = grid2_small.synthesize(band_coeffs(grid2_small, rng))
+    c = band_coeffs(grid2_small, rng)
+    u = grid2_small.synthesize(c)
+    lap = grid2_small.synthesize_derivs(c)["lap"]
     for R in (1.0, 1.7):
-        lhs = R ** 2 * grid2_small.integrate(gradient_sq(u, grid2_small, R))
-        rhs = -R ** 2 * grid2_small.integrate(u * laplace_beltrami(u, grid2_small, R))
+        lhs = R ** 2 * grid2_small.integrate(grad_sq(grid2_small, c, R))
+        rhs = -R ** 2 * grid2_small.integrate(u * lap / R ** 2)
         assert abs(lhs - rhs) <= 1e-8 * max(1.0, abs(rhs))
 
 
@@ -164,14 +172,13 @@ def test_gradient_sq_linear_field(grid2):
     omega = grid2.directions()
     u = sum(z[i] * omega[i] for i in range(3))
     for R in (1.0, 2.0):
-        got = gradient_sq(u, grid2, R)
+        got = grad_sq(grid2, grid2.analyze(u), R)
         expect = (float(z @ z) - u * u) / R ** 2
         assert np.max(np.abs(got - expect)) < 1e-10
 
 
 def test_gradient_sq_nonnegative(grid2_small, rng):
-    u = grid2_small.synthesize(band_coeffs(grid2_small, rng))
-    assert np.min(gradient_sq(u, grid2_small, 1.0)) > -1e-12
+    assert np.min(grad_sq(grid2_small, band_coeffs(grid2_small, rng), 1.0)) > -1e-12
 
 
 # -- center projection -----------------------------------------------------------
@@ -180,8 +187,11 @@ def test_gradient_sq_nonnegative(grid2_small, rng):
 def test_project_center_constant(grid2):
     R = 2.0
     vals = np.full(grid2.shape, 0.25)
-    c, resid = project_center(vals, grid2, R)
+    low = np.zeros(grid2.size)
+    low[:4] = grid2.analyze(vals)[:4]
+    resid = vals - grid2.synthesize(low)
     # S_R-orthonormal constant member is 1/(R sqrt(4 pi)); coefficient R sqrt(4 pi) c
+    c = R * low[:4]
     assert abs(c[0] - 0.25 * R * math.sqrt(4.0 * math.pi)) < 1e-12
     assert np.max(np.abs(c[1:])) < 1e-12
     assert np.max(np.abs(resid)) < 1e-12
@@ -193,9 +203,8 @@ def test_project_center_idempotent_orthogonal(grid2, rng):
     v = grid2.synthesize(band_coeffs(grid2, rng))
 
     def P(vals):
-        c, _ = project_center(vals, grid2, R)
         coeffs = np.zeros(grid2.size)
-        coeffs[:4] = c / R  # back to unit-sphere-orthonormal coefficients
+        coeffs[:4] = grid2.analyze(vals)[:4]
         return grid2.synthesize(coeffs)
 
     pu = P(u)

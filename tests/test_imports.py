@@ -1,6 +1,8 @@
-"""No module-level import goes unused in the package, the tests or the scripts."""
+"""No module-level import goes unused in the package, the tests or the scripts,
+and every entry point the benchmark's tracer wraps still exists."""
 
 import ast
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -36,3 +38,15 @@ def test_checker_flags_an_unused_import():
 @pytest.mark.parametrize("path", FILES, ids=[str(p.relative_to(ROOT)) for p in FILES])
 def test_no_unused_module_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_benchmark_entry_points_resolve():
+    # perfbench/tracing.py wraps these names where their callers look them up;
+    # a rename or deletion in the package would make the benchmark fail to start
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracing", ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for owner, attr, _ in tracing.ENTRY_POINTS:
+        assert attr in vars(owner), f"{owner.__name__}.{attr}"
+        assert callable(vars(owner)[attr]), f"{owner.__name__}.{attr}"

@@ -214,6 +214,13 @@ def test_snapshot_sparse_matches_harmonic_init(tmp_path):
     ("n = 2\nR = 1\nL_max = 8\nt = 0\n9 1 0.1\n", "line 5:"),
     ("n = 2\nR = 1\nL_max = 8\nt = 0\n2 9 0.1\n", "line 5:"),
     ("n = 2\nR = 1\nL_max = 8\n", "line 4: missing header line 't'"),
+    ("n = 2\nR = 0\nL_max = 8\nt = 0\n", "line 2: R must be positive and finite"),
+    ("n = 2\nR = -1\nL_max = 8\nt = 0\n", "line 2: R must be positive and finite"),
+    ("n = 2\nR = inf\nL_max = 8\nt = 0\n", "line 2: R must be positive and finite"),
+    ("n = 2\nR = 1\nL_max = 8\nt = nan\n", "line 4: t must be finite"),
+    ("n = 2\nR = 1\nL_max = 8\nt = 0\n2 1 0.1\n2 2 nan\n",
+     "line 6: coefficient (2, 2) is not finite"),
+    ("n = 2\nR = 1\nL_max = 8\nt = 0\n3 1 -inf\n", "line 5: coefficient (3, 1) is not finite"),
 ])
 def test_snapshot_errors(tmp_path, text, fragment):
     path = tmp_path / "bad.snapshot"
@@ -385,3 +392,32 @@ def test_cli_run_rejects_initial_field_outside_domain(tmp_path, monkeypatch, cap
     assert main(["run", "--config", cfg]) == 2
     assert "initial field" in capsys.readouterr().err
     assert not (tmp_path / "out" / "run.csv").exists()
+
+
+def test_cli_rk4_dt_above_bound_is_input_error(tmp_path, monkeypatch, capsys):
+    # the parabolic bound at L_max = 16 is 0.5/272 ~ 1.84e-3: known from the config alone
+    monkeypatch.setenv("MIXEDFLOW_OUT", str(tmp_path / "out"))
+    cfg = _write_config(tmp_path, "n = 2\nintegrator = rk4\ndt = 1e-2\nT = 0.1\nL_max = 16\n")
+    assert main(["run", "--config", cfg]) == 2
+    assert "rk4 dt=1.000e-02 exceeds the parabolic bound 1.838e-03" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "run.csv").exists()
+    # the bound itself is allowed, as is any dt under imex
+    assert parse_config_text("integrator = rk4\ndt = 0.0018382352941176471\n").config.dt \
+        == 0.5 / 272.0
+    assert parse_config_text("dt = 1e-2\n").config.dt == 1e-2
+
+
+@pytest.mark.parametrize("lmax", ["0", "-1", "9"])
+def test_cli_spectrum_lmax_out_of_range(tmp_path, monkeypatch, capsys, lmax):
+    monkeypatch.setenv("MIXEDFLOW_OUT", str(tmp_path))
+    cfg = _write_config(tmp_path, "n = 2\nL_max = 8\n")
+    assert main(["spectrum", "--config", cfg, "--lmax", lmax]) == 2
+    assert f"error: l_max={lmax} is outside [1, 8]" in capsys.readouterr().err
+    assert not (tmp_path / "spectrum.csv").exists()
+
+
+def test_cli_fit_sphere_rejects_non_finite_snapshot(tmp_path, capsys):
+    path = tmp_path / "nan.snapshot"
+    path.write_text("n = 2\nR = 1\nL_max = 8\nt = 0\n2 1 nan\n")
+    assert main(["fit-sphere", "--snapshot", str(path)]) == 2
+    assert "error: line 5: coefficient (2, 1) is not finite" in capsys.readouterr().err

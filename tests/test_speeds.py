@@ -7,8 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mixedflow.errors import SpeedError
-from mixedflow.geometry import curvature_bundle
-from mixedflow.harmonics import RadialField
+from mixedflow.geometry import bundle_from_coeffs
 from mixedflow.speeds import (
     eval_speed,
     eval_speed_kappa,
@@ -64,9 +63,9 @@ def test_reference_speed_frozen():
 def test_constant_on_spheres(grid2):
     coeffs = np.zeros(grid2.size)
     coeffs[0] = 0.3 * math.sqrt(4.0 * math.pi)
-    bundle = curvature_bundle(RadialField(grid2, 1.0, coeffs=coeffs))
+    bundle = bundle_from_coeffs(grid2, 1.0, coeffs)
     for spec in all_speeds(2):
-        F = eval_speed(spec, bundle)
+        F = eval_speed(spec, bundle.E)
         mean = float(np.mean(F))
         assert np.max(np.abs(F - mean)) <= 1e-12 * abs(mean)
 
