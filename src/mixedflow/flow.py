@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import (AdmissibilityError, ConstraintDegenerateError, MixedFlowError, SpeedError,
                      StepRejectedError)
-from .geometry import CurvatureBundle, bundle_from_coeffs
+from .geometry import BundleWorkspace, CurvatureBundle, bundle_from_coeffs
 from .harmonics import Grid, RadialField, build_grid
 from .speeds import SpeedSpec, eval_speed, make_speed, umbilic_derivative
 
@@ -57,6 +57,10 @@ class FlowConfig:
     cadence: int = 10
 
     def __post_init__(self):
+        for name in ("R", "T", "dt"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.n not in (1, 2):
             raise ValueError(f"n must be 1 or 2, got {self.n}")
         if not -1 <= self.k <= self.n - 1:
@@ -115,9 +119,12 @@ class FlowRun:
 
 def cfl_timestep(config: FlowConfig) -> float:
     """Parabolic step bound for the explicit integrator."""
-    fp = umbilic_derivative(config.speed)
+    return _parabolic_bound(config, umbilic_derivative(config.speed))
+
+
+def _parabolic_bound(config: FlowConfig, fprime: float) -> float:
     L = config.L_max
-    return _C_CFL * config.R ** 2 / (fp * L * (L + config.n - 1))
+    return _C_CFL * config.R ** 2 / (fprime * L * (L + config.n - 1))
 
 
 def default_timestep(config: FlowConfig) -> float:
@@ -130,7 +137,13 @@ def default_timestep(config: FlowConfig) -> float:
 
 
 class FlowProblem:
-    """Precomputed engine for one configuration: grid, tables, linear rates."""
+    """Precomputed engine for one configuration: grid, tables, linear rates.
+
+    Every curvature bundle the problem evaluates is computed into one
+    workspace built here, so a bundle's arrays hold only until the next
+    evaluation on the same problem.  The G that velocity_values returns is
+    a fresh array and keeps its values.
+    """
 
     def __init__(self, config: FlowConfig, grid: Grid | None = None):
         self.config = config
@@ -138,6 +151,7 @@ class FlowProblem:
         if self.grid.n != config.n or self.grid.L_max != config.L_max:
             raise ValueError("grid does not match the configuration")
         self.fprime = umbilic_derivative(config.speed)
+        self._rk4_bound = _parabolic_bound(config, self.fprime)
         ell = self.grid.degrees.astype(float)
         diag = -self.fprime * (ell - 1.0) * (ell + config.n) / config.R ** 2
         diag[ell == 0] = 0.0
@@ -147,6 +161,7 @@ class FlowProblem:
         # next velocity evaluation takes it once if its coefficients match.
         # Only G and h are kept: holding the whole bundle costs more than it saves.
         self._handoff = None
+        self._work = BundleWorkspace(self.grid)
 
     # -- velocity -----------------------------------------------------------
 
@@ -159,7 +174,7 @@ class FlowProblem:
         # Keyed on the bytes, not the array: callers may change a vector in place.
         if handoff is not None and handoff[0] == np.asarray(coeffs).tobytes():
             return handoff[1], handoff[2]
-        return self._velocity(bundle_from_coeffs(self.grid, self.config.R, coeffs))
+        return self._velocity(bundle_from_coeffs(self.grid, self.config.R, coeffs, self._work))
 
     def _velocity(self, bundle: CurvatureBundle) -> tuple[np.ndarray, float]:
         F = eval_speed(self.config.speed, bundle.E)
@@ -182,7 +197,7 @@ class FlowProblem:
     # -- steppers -------------------------------------------------------------
 
     def step_rk4(self, coeffs: np.ndarray, dt: float) -> np.ndarray:
-        bound = cfl_timestep(self.config)
+        bound = self._rk4_bound
         if dt > bound * (1.0 + _CFL_SLACK):
             raise StepRejectedError(
                 f"dt={dt:.3e} exceeds the parabolic bound {bound:.3e}", suggested_dt=bound)
@@ -221,7 +236,7 @@ class FlowProblem:
         from .analysis import fit_sphere, mixed_volume
 
         rho = self.field(coeffs)
-        bundle = bundle_from_coeffs(self.grid, self.config.R, coeffs)
+        bundle = bundle_from_coeffs(self.grid, self.config.R, coeffs, self._work)
         G, h = self._velocity(bundle)
         self._handoff = (coeffs.tobytes(), G, h)
         V = mixed_volume(rho, self.config.k, bundle=bundle)

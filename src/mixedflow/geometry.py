@@ -16,6 +16,15 @@ read only E, so the principal curvatures are formed on demand, on first
 access to CurvatureBundle.kappa: the shape-operator entries from the stored
 g, H and den * det g, then the quadratic formula, with the discriminant
 clamped at zero against roundoff at umbilic points.
+
+A bundle is computed with out= ufunc calls into a BundleWorkspace, in the
+operation order of the formulas above, so that a caller evaluating many
+bundles on one grid (a FlowProblem) allocates nothing grid-sized per
+evaluation.  Lifetime rule: the arrays of a bundle computed into a
+workspace hold until the next bundle is computed into the same workspace,
+so copy what must outlive that, and read kappa before it (kappa's own
+arrays are fresh).  Without a workspace each bundle gets a fresh one and
+owns its arrays.
 """
 
 from __future__ import annotations
@@ -90,51 +99,128 @@ def _check_radius(r: np.ndarray) -> None:
         raise AdmissibilityError(f"graph leaves the admissible cone: min radius {np.min(r):.3e}")
 
 
-def bundle_from_coeffs(grid, R: float, coeffs: np.ndarray) -> CurvatureBundle:
-    """Curvature and measure data of the graph r = R + rho, rho given by its coefficients."""
-    d = grid.synthesize_derivs(coeffs)
-    r = R + d["u"]
+class BundleWorkspace:
+    """Every grid-sized array one curvature bundle is computed into.
+
+    Built once per grid by a caller that evaluates many bundles (one per
+    FlowProblem): the derivative buffers of Grid.synthesize_derivs, own
+    arrays for the bundle fields that do not fit in those, a read-only
+    ones array for E_0 and, for n = 2, the grid-constant columns sin(theta),
+    cot(theta), sin(theta) cos(theta) and sin(theta)^2, shaped (n_lat, 1).
+    """
+
+    def __init__(self, grid):
+        self.grid = grid
+        self.derivs = grid.derivs_buffers()
+        self.ones = np.ones(grid.shape)
+        self.ones.flags.writeable = False
+        self.own = tuple(np.empty(grid.shape) for _ in range(3 if grid.n == 1 else 7))
+        if grid.n == 2:
+            self.sin = grid.sin_theta[:, None]
+            self.cot = self.derivs["cot"]
+            self.sin_cos = self.sin * grid.x[:, None]
+            self.sin2 = self.derivs["sin2"]
+
+
+def bundle_from_coeffs(grid, R: float, coeffs: np.ndarray,
+                       work: BundleWorkspace | None = None) -> CurvatureBundle:
+    """Curvature and measure data of the graph r = R + rho, rho given by its coefficients.
+
+    With `work` every field is written into that workspace and holds only
+    until the next bundle computed into it, and kappa must be read before
+    then.  Without `work` a fresh workspace is built, and the arrays
+    belong to this bundle alone.  Both give the same bits.
+    """
+    if work is None:
+        work = BundleWorkspace(grid)
+    elif work.grid is not grid:
+        raise ValueError("workspace was built for a different grid")
+    d = grid.synthesize_derivs(coeffs, out=work.derivs)
+    s = work.derivs["tmp"]
+    r = d["u"]
+    np.add(R, r, out=r)
     _check_radius(r)
+    mul, add, sub, div = np.multiply, np.add, np.subtract, np.divide
     if grid.n == 1:
         rt, rtt = d["ut"], d["utt"]
-        w2 = r * r + rt * rt
-        den = np.sqrt(w2)
-        kappa1 = (r * r + 2.0 * rt * rt - r * rtt) / (w2 * den)
-        ones = np.ones_like(r)
-        return CurvatureBundle(
-            E=(ones, kappa1),
-            mu=den / R,
-            graph_factor=den / r,
-            radius=r,
-            shape_operator=(kappa1,),
-        )
-    st = grid.sin_theta[:, None]
-    ct = grid.x[:, None]
+        w2, den, mu = work.own
+        mul(r, r, out=w2)
+        mul(rt, rt, out=s)
+        add(w2, s, out=w2)
+        np.sqrt(w2, out=den)
+        # kappa1 = (r r + 2 rt rt - r rtt) / (w2 den), formed over rt after its last use
+        mul(r, rtt, out=rtt)
+        mul(2.0, rt, out=s)
+        mul(s, rt, out=s)
+        mul(r, r, out=rt)
+        add(rt, s, out=rt)
+        sub(rt, rtt, out=rt)
+        mul(w2, den, out=w2)
+        kappa1 = div(rt, w2, out=rt)
+        div(den, R, out=mu)
+        graph_factor = div(den, r, out=den)
+        return CurvatureBundle(E=(work.ones, kappa1), mu=mu, graph_factor=graph_factor,
+                               radius=r, shape_operator=(kappa1,))
     rt, rp = d["ut"], d["up"]
     rtt, rtp, rpp = d["utt"], d["utp"], d["upp"]
-    r2 = r * r
-    rs2 = r2 * (st * st)
-    g11 = r2 + rt * rt
-    g12 = rt * rp
-    g22 = rs2 + rp * rp
-    w2 = g11 + (rp / st) ** 2
-    den = np.sqrt(w2)
-    # Covariant Hessian of r on the round sphere, (theta, phi) components.
-    hess12 = rtp - (ct / st) * rp
-    hess22 = rpp + st * ct * rt
-    # H = den * h: the second fundamental form without its 1/den factor.
-    H11 = 2.0 * rt * rt + r2 - r * rtt
-    H12 = 2.0 * rt * rp - r * hess12
-    H22 = 2.0 * rp * rp + rs2 - r * hess22
-    detg = rs2 * w2
-    den_detg = den * detg
-    trW = (g22 * H11 - 2.0 * g12 * H12 + g11 * H22) / den_detg
-    detW = (H11 * H22 - H12 * H12) / (w2 * detg)
-    ones = np.ones_like(r)
+    # Seven own arrays; a name in brackets is what an array holds later.
+    r2, rs2, g11, g12, g22, w2, den = work.own
+    mul(r, r, out=r2)
+    mul(r2, work.sin2, out=rs2)
+    mul(rt, rt, out=s)
+    add(r2, s, out=g11)
+    mul(rt, rp, out=g12)
+    mul(rp, rp, out=s)
+    add(rs2, s, out=g22)
+    div(rp, work.sin, out=s)
+    np.square(s, out=s)
+    add(g11, s, out=w2)
+    np.sqrt(w2, out=den)
+    # Covariant Hessian of r: hess12 over rtp, hess22 over rpp.
+    mul(work.cot, rp, out=s)
+    sub(rtp, s, out=rtp)
+    mul(work.sin_cos, rt, out=s)
+    add(rpp, s, out=rpp)
+    # H = den * h, each entry over the second derivative it last reads.
+    mul(r, rtt, out=rtt)
+    mul(2.0, rt, out=s)
+    mul(s, rt, out=s)
+    add(s, r2, out=s)
+    H11 = sub(s, rtt, out=rtt)
+    mul(r, rtp, out=rtp)
+    mul(2.0, rt, out=s)
+    mul(s, rp, out=s)
+    H12 = sub(s, rtp, out=rtp)
+    mul(r, rpp, out=rpp)
+    mul(2.0, rp, out=s)
+    mul(s, rp, out=s)
+    add(s, rs2, out=s)
+    H22 = sub(s, rpp, out=rpp)
+    # rs2 [detg, then den * detg]; w2 [w2 * detg, then E_2]
+    detg = mul(rs2, w2, out=rs2)
+    mul(w2, detg, out=w2)
+    den_detg = mul(den, detg, out=detg)
+    # r2 [E_1]
+    mul(g22, H11, out=r2)
+    mul(2.0, g12, out=s)
+    mul(s, H12, out=s)
+    sub(r2, s, out=r2)
+    mul(g11, H22, out=s)
+    add(r2, s, out=r2)
+    trW = div(r2, den_detg, out=r2)
+    # rt is free: it holds H12^2.
+    mul(H11, H22, out=s)
+    mul(H12, H12, out=rt)
+    sub(s, rt, out=s)
+    detW = div(s, w2, out=w2)
+    # rp [mu]; den [graph_factor]
+    mul(r, den, out=rp)
+    mu = div(rp, R * R, out=rp)
+    graph_factor = div(den, r, out=den)
     return CurvatureBundle(
-        E=(ones, trW, detW),
-        mu=r * den / (R * R),
-        graph_factor=den / r,
+        E=(work.ones, trW, detW),
+        mu=mu,
+        graph_factor=graph_factor,
         radius=r,
         shape_operator=(g11, g12, g22, H11, H12, H22, den_detg),
     )

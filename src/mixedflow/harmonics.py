@@ -221,16 +221,21 @@ class Grid:
 
     # -- spectral containers --------------------------------------------------
 
-    def _container(self, coeffs: np.ndarray) -> np.ndarray:
+    def _container(self, coeffs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Flat real coefficients to the real container: B[m, l, c] for n = 2,
-        B[m, c] for n = 1 (c = 0 cosine, c = 1 sine)."""
-        B = np.zeros((self.L_max + 1,) * self.n + (2,))
+        B[m, c] for n = 1 (c = 0 cosine, c = 1 sine).  An `out` container
+        must be zero off the coefficient slots, as derivs_buffers makes it."""
+        B = np.zeros((self.L_max + 1,) * self.n + (2,)) if out is None else out
         B.reshape(-1)[self._slot] = self._pad(coeffs)
         return B
 
-    def _rows(self, D: np.ndarray) -> np.ndarray:
+    def _rows(self, D: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Legendre output D[m, node, c] as latitude rows [node, (m, c)]."""
-        return D.transpose(1, 0, 2).reshape(self.n_lat, -1)
+        rows = D.transpose(1, 0, 2)
+        if out is None:
+            return rows.reshape(self.n_lat, -1)
+        np.copyto(out.reshape(rows.shape), rows)
+        return out
 
     # -- transforms -----------------------------------------------------------
 
@@ -255,7 +260,34 @@ class Grid:
             return B.reshape(-1) @ self._lon[0]
         return self._rows(np.matmul(self._tab_mjl, B)) @ self._lon[0]
 
-    def synthesize_derivs(self, coeffs: np.ndarray) -> dict[str, np.ndarray]:
+    def derivs_buffers(self) -> dict[str, np.ndarray]:
+        """Arrays that synthesize_derivs(coeffs, out=...) writes into.
+
+        B is the spectral container, zero off the coefficient slots.  The
+        fields are views of the stacked outputs of the longitude matmuls:
+        u_ut_utt on the circle; u_up_upp, ut_utp and lap on the sphere.  tmp
+        is one grid-shaped scratch array.  n = 2 adds B4 (B beside
+        laplace_factor * B), the Legendre outputs D and Dt, one buffer of
+        latitude rows, and the columns cot = cot(theta) and
+        sin2 = sin(theta)^2, shaped (n_lat, 1).
+        """
+        L1 = self.L_max + 1
+        buf = {"B": np.zeros((L1,) * self.n + (2,)), "tmp": np.empty(self.shape)}
+        if self.n == 1:
+            buf["u_ut_utt"] = np.empty((3,) + self.shape)
+            buf.update(zip(("u", "ut", "utt"), buf["u_ut_utt"]))
+            return buf
+        st = self.sin_theta[:, None]
+        buf.update(B4=np.empty((L1, L1, 4)), D=np.empty((L1, self.n_lat, 4)),
+                   Dt=np.empty((L1, self.n_lat, 2)), rows=np.empty((self.n_lat, 2 * L1)),
+                   u_up_upp=np.empty((3,) + self.shape), ut_utp=np.empty((2,) + self.shape),
+                   lap=np.empty(self.shape), cot=self.x[:, None] / st, sin2=st * st)
+        buf.update(zip(("u", "up", "upp"), buf["u_up_upp"]))
+        buf.update(zip(("ut", "utp"), buf["ut_utp"]))
+        return buf
+
+    def synthesize_derivs(self, coeffs: np.ndarray,
+                          out: dict[str, np.ndarray] | None = None) -> dict[str, np.ndarray]:
         """Field together with the surface derivatives the geometry needs.
 
         Keys for n = 1: u, ut, utt, straight from the three longitude
@@ -266,21 +298,37 @@ class Grid:
         sets: B and laplace_factor * B against the value table, B against
         the derivative table.  The phi-derivatives come from the longitude
         matrices, since differentiating in phi commutes with the sum over l.
+
+        Without `out` every array is fresh.  With `out`, buffers from
+        derivs_buffers, every array is written into them and nothing
+        grid-sized is allocated; utt then overwrites lap, so the result has
+        no lap key, and its arrays hold until `out` is written again.
         """
-        B = self._container(coeffs)
+        buf = self.derivs_buffers() if out is None else out
+        B = self._container(coeffs, buf["B"])
         if self.n == 1:
-            u, ut, utt = B.reshape(-1) @ self._lon
-            return {"u": u, "ut": ut, "utt": utt}
-        D = np.matmul(self._tab_mjl, np.concatenate([B, self.laplace_factor[:, None] * B], axis=2))
-        Dt = np.matmul(self._tab_dt_mjl, B)
-        u, up, upp = np.matmul(self._rows(D[:, :, :2]), self._lon)
-        lap_u = self._rows(D[:, :, 2:]) @ self._lon[0]
-        ut, utp = np.matmul(self._rows(Dt), self._lon[:2])
-        st = self.sin_theta[:, None]
-        ct = self.x[:, None]
-        utt = lap_u - (ct / st) * ut - upp / (st * st)
-        return {"u": u, "ut": ut, "up": up, "utt": utt, "utp": utp,
-                "upp": upp, "lap": lap_u}
+            np.matmul(B.reshape(-1), self._lon, out=buf["u_ut_utt"])
+            return {key: buf[key] for key in ("u", "ut", "utt")}
+        B4, D, Dt, rows, lap = buf["B4"], buf["D"], buf["Dt"], buf["rows"], buf["lap"]
+        B4[:, :, :2] = B
+        np.multiply(self.laplace_factor[:, None], B, out=B4[:, :, 2:])
+        np.matmul(self._tab_mjl, B4, out=D)
+        np.matmul(self._tab_dt_mjl, B, out=Dt)
+        np.matmul(self._rows(D[:, :, :2], rows), self._lon, out=buf["u_up_upp"])
+        np.matmul(self._rows(D[:, :, 2:], rows), self._lon[0], out=lap)
+        np.matmul(self._rows(Dt, rows), self._lon[:2], out=buf["ut_utp"])
+        # utt = lap - cot(theta) ut - upp / sin(theta)^2
+        utt = np.empty(self.shape) if out is None else lap
+        tmp = buf["tmp"]
+        np.multiply(buf["cot"], buf["ut"], out=tmp)
+        np.subtract(lap, tmp, out=utt)
+        np.divide(buf["upp"], buf["sin2"], out=tmp)
+        np.subtract(utt, tmp, out=utt)
+        fields = {key: buf[key] for key in ("u", "ut", "up", "utp", "upp")}
+        fields["utt"] = utt
+        if out is None:
+            fields["lap"] = lap
+        return fields
 
     # -- quadrature and geometry helpers ---------------------------------------
 

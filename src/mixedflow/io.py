@@ -192,9 +192,16 @@ def parse_config_text(text: str) -> ParsedConfig:
     except Exception as exc:
         keys = ", ".join(f"{key}(line {v[1]})" for key, v in raw.items())
         raise ConfigError(f"inconsistent configuration [{keys}]: {exc}") from exc
-    if init.kind == "harmonic" and init.params[0] > config.L_max:
-        raise ConfigError(
-            f"line {raw['init'][1]}: init degree {init.params[0]} exceeds L_max={config.L_max}")
+    if init.kind == "harmonic":
+        l, p, _ = init.params
+        if l > config.L_max:
+            raise ConfigError(f"line {raw['init'][1]}: init degree {l} exceeds L_max={config.L_max}")
+        if l < 0:
+            raise ConfigError(f"line {raw['init'][1]}: init degree {l} is negative")
+        mult = harmonic_multiplicity(l, n)
+        if not 1 <= p <= mult:
+            raise ConfigError(
+                f"line {raw['init'][1]}: init order {p} is outside [1, {mult}] for degree {l}")
     if init.kind == "sphere" and len(init.params) != n + 2:
         raise ConfigError(
             f"line {raw['init'][1]}: sphere init needs {n + 2} coordinates, got {len(init.params)}")

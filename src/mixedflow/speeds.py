@@ -54,6 +54,8 @@ class SpeedSpec:
             raise SpeedError(f"speeds are defined for n in {{1, 2}}, got {self.n}")
         if self.R <= 0:
             raise SpeedError(f"reference radius must be positive, got {self.R}")
+        if not math.isfinite(self.R):
+            raise SpeedError(f"reference radius must be finite, got {self.R}")
         if self.kind == "power_mean" and not 1 <= self.m <= self.n:
             raise SpeedError(f"power_mean needs 1 <= m <= n, got m={self.m}")
         if self.kind == "elementary" and not 1 <= self.l <= self.n:

@@ -109,3 +109,51 @@ def star_volume(radius_fn, n_gl=200, n_phi=400):
     phi = (2.0 * math.pi / n_phi) * np.arange(n_phi)[None, :]
     r = radius_fn(theta, phi)
     return float(np.sum(w[:, None] * r ** 3 / 3.0) * (2.0 * math.pi / n_phi))
+
+
+def bundle_reference(d, R, sin_theta=None, x=None):
+    """Pointwise curvature fields of the graph r = R + u from its derivative dict.
+
+    The allocating formula body of the package's curvature bundle, kept as a
+    plain-numpy reference with every operation in the same order, so the
+    package must match it bit for bit.  n = 1 when d has no "up" key; n = 2
+    also needs sin(theta) and x = cos(theta) at the latitude nodes.
+    Returns a dict with E, mu, graph_factor, radius, shape_operator, kappa.
+    """
+    r = R + d["u"]
+    if "up" not in d:
+        rt, rtt = d["ut"], d["utt"]
+        w2 = r * r + rt * rt
+        den = np.sqrt(w2)
+        kappa1 = (r * r + 2.0 * rt * rt - r * rtt) / (w2 * den)
+        return {"E": (np.ones_like(r), kappa1), "mu": den / R, "graph_factor": den / r,
+                "radius": r, "shape_operator": (kappa1,), "kappa": (kappa1,)}
+    st = sin_theta[:, None]
+    ct = x[:, None]
+    rt, rp = d["ut"], d["up"]
+    rtt, rtp, rpp = d["utt"], d["utp"], d["upp"]
+    r2 = r * r
+    rs2 = r2 * (st * st)
+    g11 = r2 + rt * rt
+    g12 = rt * rp
+    g22 = rs2 + rp * rp
+    w2 = g11 + (rp / st) ** 2
+    den = np.sqrt(w2)
+    hess12 = rtp - (ct / st) * rp
+    hess22 = rpp + st * ct * rt
+    H11 = 2.0 * rt * rt + r2 - r * rtt
+    H12 = 2.0 * rt * rp - r * hess12
+    H22 = 2.0 * rp * rp + rs2 - r * hess22
+    detg = rs2 * w2
+    den_detg = den * detg
+    trW = (g22 * H11 - 2.0 * g12 * H12 + g11 * H22) / den_detg
+    detW = (H11 * H22 - H12 * H12) / (w2 * detg)
+    w11 = (g22 * H11 - g12 * H12) / den_detg
+    w12 = (g22 * H12 - g12 * H22) / den_detg
+    w21 = (g11 * H12 - g12 * H11) / den_detg
+    w22 = (g11 * H22 - g12 * H12) / den_detg
+    sq = np.sqrt(np.maximum((w11 - w22) ** 2 + 4.0 * w12 * w21, 0.0))
+    return {"E": (np.ones_like(r), trW, detW), "mu": r * den / (R * R),
+            "graph_factor": den / r, "radius": r,
+            "shape_operator": (g11, g12, g22, H11, H12, H22, den_detg),
+            "kappa": (0.5 * (trW + sq), 0.5 * (trW - sq))}

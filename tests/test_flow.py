@@ -1,6 +1,7 @@
 """Flow engine tests: stationarity, linearization, stepping, conservation."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -142,6 +143,25 @@ def test_cfl_rejection():
     prob.step_rk4(c0, info.value.suggested_dt)
 
 
+def test_rk4_bound_is_computed_once(monkeypatch):
+    # a custom speed's umbilic derivative is a four-call difference: not per step
+    from mixedflow import flow
+
+    speed = make_speed("custom", n=2, R=1.0, phi=lambda h1, h2: h1 + 0.5 * h2)
+    cfg = FlowConfig(n=2, R=1.0, speed=speed, integrator="rk4", L_max=8)
+    prob = FlowProblem(cfg)
+    bound = cfl_timestep(cfg)
+    calls = []
+    monkeypatch.setattr(flow, "umbilic_derivative", lambda *a: calls.append(a) or 1.0)
+    c0 = const_coeffs(prob.grid, 0.1)
+    for _ in range(3):
+        c0 = prob.step_rk4(c0, bound)
+    with pytest.raises(StepRejectedError, match="exceeds the parabolic bound") as info:
+        prob.step_rk4(c0, 2.0 * bound)
+    assert info.value.suggested_dt == bound
+    assert calls == []
+
+
 def test_speed_failure_rejects_step():
     # beta = 0.5 needs a positive mean curvature; this admissible field's
     # turns negative, so the speed is undefined there and the step is rejected
@@ -267,6 +287,13 @@ def test_flow_config_validation():
         FlowConfig(dt=-1e-3)
     with pytest.raises(ValueError):
         FlowConfig(n=1, speed=make_speed("mean", n=2, R=1.0))
+
+
+@pytest.mark.parametrize("field,value", [("T", math.nan), ("T", math.inf), ("dt", math.nan),
+                                         ("dt", math.inf), ("R", math.nan), ("R", math.inf)])
+def test_flow_config_rejects_non_finite(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be finite, got {value}$"):
+        FlowConfig(**{field: value})
 
 
 def test_run_determinism():
@@ -396,3 +423,50 @@ def test_handoff_needs_equal_coefficients(monkeypatch):
     G, h = prob.velocity_values(c)
     assert len(calls) == 2
     assert np.array_equal(G, G_new) and h == h_new == rec.h_k
+
+
+# -- workspace: allocations and lifetimes --------------------------------------------
+
+
+@pytest.mark.parametrize("n,L", ((1, 64), (2, 8), (2, 24), (2, 64)))
+def test_velocity_evaluation_allocation_budget(n, L):
+    # once warm, an evaluation computes into the problem's workspace: its peak
+    # allocation is the fresh G and the speed and constraint temporaries.
+    # The circle is checked at L = 64 only: at L = 8 one of its grid arrays
+    # is 256 bytes, less than the ~1.5 KB of array headers and reduction
+    # scratch that any evaluation allocates.
+    prob = FlowProblem(FlowConfig(n=n, L_max=L))
+    c = random_band_field(prob.grid, 1.0, 0.05, 2, 6, 3).coeffs.copy()
+    prob.g_coeffs(c)
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        prob.g_coeffs(c)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak <= 4 * np.empty(prob.grid.shape).nbytes
+
+
+@pytest.mark.parametrize("n", (1, 2))
+def test_returned_velocity_survives_later_evaluations(n):
+    cfg = FlowConfig(n=n, R=1.0, k=0, L_max=12)
+    prob = FlowProblem(cfg)
+    c1, c2, c3 = (random_band_field(prob.grid, 1.0, 0.05, 2, 6, seed).coeffs.copy()
+                  for seed in (1, 2, 3))
+    G, _ = prob.velocity_values(c1)
+    kept = G.copy()
+    prob.velocity_values(c2)
+    prob.g_coeffs(c3)
+    prob.diagnostics(0.0, c2)
+    assert G.tobytes() == kept.tobytes()
+    # the record's G, handed to the next evaluation of its coefficients, too
+    G, _ = prob.velocity_values(c2)
+    kept = G.copy()
+    prob.velocity_values(c3)
+    prob.diagnostics(0.0, c1)
+    assert G.tobytes() == kept.tobytes()

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from mixedflow.errors import AdmissibilityError
 from mixedflow.geometry import (
+    BundleWorkspace,
     bundle_from_coeffs,
     elementary_symmetric,
     enclosed_volume,
@@ -17,6 +18,7 @@ from mixedflow.geometry import (
 from mixedflow.harmonics import RadialField, build_grid
 from conftest import band_coeffs
 from oracles import (
+    bundle_reference,
     circle_curvature,
     graph_area,
     mesh_principal_curvatures,
@@ -199,3 +201,42 @@ def test_inadmissible_radius(grid2):
     bad = np.full(grid2.shape, np.nan)
     with pytest.raises(AdmissibilityError):
         bundle_from_coeffs(grid2, 1.0, grid2.analyze(bad))
+
+
+# -- workspace against the allocating reference -------------------------------------
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("n", (1, 2))
+@pytest.mark.parametrize("L", (8, 24, 64))
+def test_bundle_matches_allocating_reference(n, L):
+    # a reused workspace gives the same bits as fresh arrays and as the reference
+    grid = build_grid(n, L)
+    rng = np.random.default_rng(10 * L + n)
+    work = BundleWorkspace(grid)
+    sin_theta, x = (grid.sin_theta, grid.x) if n == 2 else (None, None)
+    for R, scale in ((1.0, 0.02), (1.7, 0.05), (0.6, 0.01)):
+        c = band_coeffs(grid, rng, l_hi=12, scale=scale)
+        ref = bundle_reference(grid.synthesize_derivs(c), R, sin_theta, x)
+        for b in (bundle_from_coeffs(grid, R, c), bundle_from_coeffs(grid, R, c, work)):
+            for name in ("E", "shape_operator", "kappa"):
+                assert len(getattr(b, name)) == len(ref[name])
+                for got, want in zip(getattr(b, name), ref[name]):
+                    assert _same_bits(got, want), name
+            for name in ("mu", "graph_factor", "radius"):
+                assert _same_bits(getattr(b, name), ref[name]), name
+
+
+def test_bundles_without_workspace_are_independent(grid2, rng):
+    c1 = band_coeffs(grid2, rng, l_hi=8, scale=0.02)
+    c2 = band_coeffs(grid2, rng, l_hi=8, scale=0.02)
+    b1 = bundle_from_coeffs(grid2, 1.0, c1)
+    kept = [a.copy() for a in (*b1.E, b1.mu, b1.graph_factor, b1.radius, *b1.shape_operator)]
+    bundle_from_coeffs(grid2, 1.0, c2)
+    now = (*b1.E, b1.mu, b1.graph_factor, b1.radius, *b1.shape_operator)
+    assert all(_same_bits(a, b) for a, b in zip(now, kept))
+    with pytest.raises(ValueError):
+        bundle_from_coeffs(grid2, 1.0, c1, BundleWorkspace(build_grid(2, 16)))

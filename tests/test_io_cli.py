@@ -421,3 +421,33 @@ def test_cli_fit_sphere_rejects_non_finite_snapshot(tmp_path, capsys):
     path.write_text("n = 2\nR = 1\nL_max = 8\nt = 0\n2 1 nan\n")
     assert main(["fit-sphere", "--snapshot", str(path)]) == 2
     assert "error: line 5: coefficient (2, 1) is not finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line,fragment", [
+    ("T = nan", "T must be finite, got nan"),
+    ("T = inf", "T must be finite, got inf"),
+    ("dt = nan", "dt must be finite, got nan"),
+    ("dt = inf", "dt must be finite, got inf"),
+    ("R = nan", "R must be finite, got nan"),
+    ("R = nan\nspeed = power_mean m=1 beta=2", "reference radius must be finite, got nan"),
+])
+def test_cli_non_finite_config_is_input_error(tmp_path, monkeypatch, capsys, line, fragment):
+    monkeypatch.setenv("MIXEDFLOW_OUT", str(tmp_path / "out"))
+    cfg = _write_config(tmp_path, f"n = 2\nL_max = 8\n{line}\n")
+    assert main(["run", "--config", cfg]) == 2
+    assert fragment in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("n,init,fragment", [
+    (2, "harmonic:2,9,0.1", "line 3: init order 9 is outside [1, 5] for degree 2"),
+    (1, "harmonic:1,3,0.1", "line 3: init order 3 is outside [1, 2] for degree 1"),
+    (2, "harmonic:-1,1,0.1", "line 3: init degree -1 is negative"),
+])
+def test_cli_harmonic_init_out_of_range_is_input_error(tmp_path, monkeypatch, capsys,
+                                                       n, init, fragment):
+    monkeypatch.setenv("MIXEDFLOW_OUT", str(tmp_path / "out"))
+    cfg = _write_config(tmp_path, f"n = {n}\nL_max = 8\ninit = {init}\n")
+    assert main(["run", "--config", cfg]) == 2
+    assert fragment in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
