@@ -206,15 +206,12 @@ def project_center_coords(rho: RadialField) -> np.ndarray:
     c = rho.coeffs
     area = SPHERE_AREA[n]
     z = np.empty(n + 2)
-    z[0] = c[0] / math.sqrt(area)
+    z[0] = c[grid.flat_index(0, 1)] / math.sqrt(area)
     scale = math.sqrt(area / (n + 1.0))
-    if n == 1:
-        z[1] = c[1] / scale
-        z[2] = c[2] / scale
-    else:
-        z[1] = c[2] / scale  # omega_1 carries the (1, cos) harmonic
-        z[2] = c[3] / scale  # omega_2 carries the (1, sin) harmonic
-        z[3] = c[1] / scale  # omega_3 carries the zonal harmonic
+    # omega_1, omega_2 carry the (1, cos) and (1, sin) harmonics; omega_3 the zonal one.
+    orders = (1, 2) if n == 1 else (2, 3, 1)
+    for i, p in enumerate(orders, start=1):
+        z[i] = c[grid.flat_index(1, p)] / scale
     return z
 
 

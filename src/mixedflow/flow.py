@@ -12,12 +12,13 @@ diagonal in the harmonic basis with per-degree rate
 
     -F'(kappa_0) (l - 1)(l + n) / R^2   (degree l >= 1; degree 0 is neutral).
 
-Two steppers are provided: classical fourth-order Runge-Kutta, subject to a
-parabolic step restriction, and a first-order scheme that treats that
-diagonal implicitly and the remainder explicitly, which is what makes the
-stiff high modes harmless at desk-scale resolutions.  Every velocity
-evaluation re-truncates to the band limit, so quadratic interactions that
-the oversampled grid resolves are projected back exactly.
+`FlowProblem.step` takes one step with the configured integrator: classical
+fourth-order Runge-Kutta, subject to a parabolic step restriction, or a
+first-order scheme that treats that diagonal implicitly and the remainder
+explicitly, which is what makes the stiff high modes harmless at desk-scale
+resolutions.  Every velocity evaluation re-truncates to the band limit, so
+quadratic interactions that the oversampled grid resolves are projected
+back exactly.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import numpy as np
 from .errors import (AdmissibilityError, ConstraintDegenerateError, MixedFlowError, SpeedError,
                      StepRejectedError)
 from .geometry import BundleWorkspace, CurvatureBundle, bundle_from_coeffs
-from .harmonics import Grid, RadialField, build_grid
+from .harmonics import RadialField, build_grid
 from .speeds import SpeedSpec, eval_speed, make_speed, umbilic_derivative
 
 _INTEGRATORS = ("imex", "rk4")
@@ -38,7 +39,7 @@ _INTEGRATORS = ("imex", "rk4")
 _C_CFL = 0.5
 _CFL_SLACK = 1e-12  # relative slack of every check of an rk4 dt against that limit
 _SUP_G_CONVERGED = 1e-10  # a record with sup |G| at most this ends the run as converged
-# Failures of a velocity evaluation that the steppers report as a rejected step.
+# Failures of a velocity evaluation that `step` reports as a rejected step.
 _STAGE_ERRORS = (AdmissibilityError, ConstraintDegenerateError, SpeedError)
 
 
@@ -81,6 +82,9 @@ class FlowConfig:
             bound = cfl_timestep(self)
             if self.dt > bound * (1.0 + _CFL_SLACK):
                 raise ValueError(f"rk4 dt={self.dt:.3e} exceeds the parabolic bound {bound:.3e}")
+        dt = default_timestep(self)
+        if not math.isfinite(self.T / dt):
+            raise ValueError(f"T={self.T!r} over dt={dt!r} is not a finite number of steps")
 
 
 @dataclass(frozen=True)
@@ -119,12 +123,8 @@ class FlowRun:
 
 def cfl_timestep(config: FlowConfig) -> float:
     """Parabolic step bound for the explicit integrator."""
-    return _parabolic_bound(config, umbilic_derivative(config.speed))
-
-
-def _parabolic_bound(config: FlowConfig, fprime: float) -> float:
     L = config.L_max
-    return _C_CFL * config.R ** 2 / (fprime * L * (L + config.n - 1))
+    return _C_CFL * config.R ** 2 / (umbilic_derivative(config.speed) * L * (L + config.n - 1))
 
 
 def default_timestep(config: FlowConfig) -> float:
@@ -139,21 +139,20 @@ def default_timestep(config: FlowConfig) -> float:
 class FlowProblem:
     """Precomputed engine for one configuration: grid, tables, linear rates.
 
-    Every curvature bundle the problem evaluates is computed into one
-    workspace built here, so a bundle's arrays hold only until the next
-    evaluation on the same problem.  The G that velocity_values returns is
-    a fresh array and keeps its values.
+    `step` advances coefficients with the configured integrator, and `run`
+    drives it.  Every curvature bundle the problem evaluates is computed
+    into one workspace built here, so a bundle's arrays hold only until the
+    next evaluation on the same problem.  The G that velocity_values returns
+    is a fresh array and keeps its values.
     """
 
-    def __init__(self, config: FlowConfig, grid: Grid | None = None):
+    def __init__(self, config: FlowConfig):
         self.config = config
-        self.grid = grid if grid is not None else build_grid(config.n, config.L_max)
-        if self.grid.n != config.n or self.grid.L_max != config.L_max:
-            raise ValueError("grid does not match the configuration")
-        self.fprime = umbilic_derivative(config.speed)
-        self._rk4_bound = _parabolic_bound(config, self.fprime)
+        self.grid = build_grid(config.n, config.L_max)
+        self._rk4_bound = cfl_timestep(config)
+        fprime = umbilic_derivative(config.speed)
         ell = self.grid.degrees.astype(float)
-        diag = -self.fprime * (ell - 1.0) * (ell + config.n) / config.R ** 2
+        diag = -fprime * (ell - 1.0) * (ell + config.n) / config.R ** 2
         diag[ell == 0] = 0.0
         diag.flags.writeable = False
         self.linear_diag = diag
@@ -164,9 +163,6 @@ class FlowProblem:
         self._work = BundleWorkspace(self.grid)
 
     # -- velocity -----------------------------------------------------------
-
-    def field(self, coeffs: np.ndarray) -> RadialField:
-        return RadialField(self.grid, self.config.R, coeffs=coeffs)
 
     def velocity_values(self, coeffs: np.ndarray) -> tuple[np.ndarray, float]:
         """Grid values of G together with the constraint constant h."""
@@ -194,40 +190,36 @@ class FlowProblem:
         G, _ = self.velocity_values(coeffs)
         return self.grid.analyze(G)
 
-    # -- steppers -------------------------------------------------------------
+    # -- stepping -------------------------------------------------------------
 
-    def step_rk4(self, coeffs: np.ndarray, dt: float) -> np.ndarray:
+    def step(self, coeffs: np.ndarray, dt: float) -> np.ndarray:
+        """Coefficients one step of length dt later, under the configured integrator.
+
+        rk4 first checks dt against the parabolic bound.  A dt above it, a
+        failed velocity evaluation or a non-finite result raises
+        StepRejectedError with a suggested smaller dt.
+        """
+        rk4 = self.config.integrator == "rk4"
         bound = self._rk4_bound
-        if dt > bound * (1.0 + _CFL_SLACK):
+        if rk4 and dt > bound * (1.0 + _CFL_SLACK):
             raise StepRejectedError(
                 f"dt={dt:.3e} exceeds the parabolic bound {bound:.3e}", suggested_dt=bound)
         try:
-            k1 = self.g_coeffs(coeffs)
-            k2 = self.g_coeffs(coeffs + 0.5 * dt * k1)
-            k3 = self.g_coeffs(coeffs + 0.5 * dt * k2)
-            k4 = self.g_coeffs(coeffs + dt * k3)
+            if rk4:
+                k1 = self.g_coeffs(coeffs)
+                k2 = self.g_coeffs(coeffs + 0.5 * dt * k1)
+                k3 = self.g_coeffs(coeffs + 0.5 * dt * k2)
+                k4 = self.g_coeffs(coeffs + dt * k3)
+                out = coeffs + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            else:
+                g = self.g_coeffs(coeffs)
+                d = self.linear_diag
+                out = (coeffs + dt * (g - d * coeffs)) / (1.0 - dt * d)
         except _STAGE_ERRORS as exc:
             raise StepRejectedError(f"stage failed: {exc}", suggested_dt=0.5 * dt) from exc
-        out = coeffs + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if not np.all(np.isfinite(out)):
             raise StepRejectedError("step produced non-finite coefficients", suggested_dt=0.5 * dt)
         return out
-
-    def step_imex(self, coeffs: np.ndarray, dt: float) -> np.ndarray:
-        try:
-            g = self.g_coeffs(coeffs)
-        except _STAGE_ERRORS as exc:
-            raise StepRejectedError(f"velocity failed: {exc}", suggested_dt=0.5 * dt) from exc
-        d = self.linear_diag
-        out = (coeffs + dt * (g - d * coeffs)) / (1.0 - dt * d)
-        if not np.all(np.isfinite(out)):
-            raise StepRejectedError("step produced non-finite coefficients", suggested_dt=0.5 * dt)
-        return out
-
-    def step(self, coeffs: np.ndarray, dt: float) -> np.ndarray:
-        if self.config.integrator == "rk4":
-            return self.step_rk4(coeffs, dt)
-        return self.step_imex(coeffs, dt)
 
     # -- diagnostics ------------------------------------------------------------
 
@@ -235,7 +227,7 @@ class FlowProblem:
         # Imported here: analysis depends on this module at import time.
         from .analysis import fit_sphere, mixed_volume
 
-        rho = self.field(coeffs)
+        rho = RadialField(self.grid, self.config.R, coeffs=coeffs)
         bundle = bundle_from_coeffs(self.grid, self.config.R, coeffs, self._work)
         G, h = self._velocity(bundle)
         self._handoff = (coeffs.tobytes(), G, h)
@@ -256,19 +248,20 @@ class FlowProblem:
             sup_rho=rho.sup_abs(),
             sphere_residual_sup=res_sup,
             mode_energy=energies,
-            center_norm=float(np.sqrt(np.sum(coeffs[:self.grid.n + 2] ** 2))),
+            center_norm=float(np.sqrt(np.sum(coeffs[self.grid.degrees <= 1] ** 2))),
             kappa_min=kmin,
             kappa_max=kmax,
             coeffs=coeffs.copy(),
         )
 
 
-def run(config: FlowConfig, rho0: RadialField | None = None,
-        problem: FlowProblem | None = None) -> FlowRun:
-    """Evolve from rho0 until time T or until sup |G| of a record drops to 1e-10.
+def run(config: FlowConfig, rho0: RadialField, problem: FlowProblem) -> FlowRun:
+    """Evolve rho0 under `problem` until time T or until sup |G| of a record drops to 1e-10.
 
-    The run takes ceil(T/dt) steps; when T is not a whole number of steps
-    (to a relative 1e-9 of a step), the last one is shortened to end at T.
+    `problem` must be built from `config` and rho0 must live on its grid;
+    anything else is a ValueError.  The run takes ceil(T/dt) steps; when T
+    is not a whole number of steps (to a relative 1e-9 of a step), the last
+    one is shortened to end at T.
     Diagnostics are recorded at t = 0, every `cadence` steps, and at the
     final state.  Each record evaluates the curvature and velocity of its
     state once and hands the velocity to the step that starts from it.
@@ -278,10 +271,9 @@ def run(config: FlowConfig, rho0: RadialField | None = None,
     ends the run with status "failed": it keeps the records so far, its
     final state is the last recorded one and `error` holds the cause.
     """
-    prob = problem if problem is not None else FlowProblem(config)
-    if rho0 is None:
-        rho0 = RadialField(prob.grid, config.R, values=np.zeros(prob.grid.shape))
-    if rho0.grid is not prob.grid:
+    if problem.config != config:
+        raise ValueError("problem was built for a different configuration")
+    if rho0.grid is not problem.grid:
         raise ValueError("initial field lives on a different grid")
     if not rho0.admissible():
         raise AdmissibilityError("initial field is not an admissible graph")
@@ -290,7 +282,7 @@ def run(config: FlowConfig, rho0: RadialField | None = None,
     whole = n_steps - config.T / dt <= 1e-9
     coeffs = rho0.coeffs.copy()
     try:
-        rec = prob.diagnostics(0.0, coeffs)
+        rec = problem.diagnostics(0.0, coeffs)
     except _STAGE_ERRORS as exc:
         raise AdmissibilityError(f"initial field is outside the flow's domain: {exc}") from exc
     records = [rec]
@@ -303,13 +295,13 @@ def run(config: FlowConfig, rho0: RadialField | None = None,
         while step_no < n_steps:
             step_no += 1
             if step_no < n_steps or whole:
-                coeffs = prob.step(coeffs, dt)
+                coeffs = problem.step(coeffs, dt)
                 t = step_no * dt
             else:
-                coeffs = prob.step(coeffs, config.T - (n_steps - 1) * dt)
+                coeffs = problem.step(coeffs, config.T - (n_steps - 1) * dt)
                 t = config.T
             if step_no % config.cadence == 0 or step_no == n_steps:
-                rec = prob.diagnostics(t, coeffs)
+                rec = problem.diagnostics(t, coeffs)
                 records.append(rec)
                 if rec.sup_G <= _SUP_G_CONVERGED:
                     status = "converged"
@@ -317,5 +309,5 @@ def run(config: FlowConfig, rho0: RadialField | None = None,
     except (StepRejectedError, *_STAGE_ERRORS) as exc:
         status, error = "failed", exc
     last = records[-1]
-    final = FlowState(t=last.t, rho=prob.field(last.coeffs))
+    final = FlowState(t=last.t, rho=RadialField(problem.grid, config.R, coeffs=last.coeffs))
     return FlowRun(status=status, records=records, final=final, config=config, error=error)

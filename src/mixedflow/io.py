@@ -276,11 +276,9 @@ def write_snapshot(state: FlowState, path: str) -> None:
         f"t = {state.t:.17g}",
     ]
     coeffs = rho.coeffs
-    idx = 0
     for l in range(grid.L_max + 1):
         for p in range(1, harmonic_multiplicity(l, grid.n) + 1):
-            lines.append(f"{l} {p} {coeffs[idx]:.17g}")
-            idx += 1
+            lines.append(f"{l} {p} {coeffs[grid.flat_index(l, p)]:.17g}")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -54,7 +55,7 @@ def test_spheres_stationary_all_speeds():
 
 
 def test_g_coeffs_vanish_on_sphere(grid2):
-    prob = FlowProblem(FlowConfig(n=2, R=1.0, k=-1), grid=grid2)
+    prob = FlowProblem(FlowConfig(n=2, R=1.0, k=-1))
     G = grid2.synthesize(prob.g_coeffs(const_coeffs(grid2, 0.2)))
     assert np.max(np.abs(G)) <= 1e-11 * 2.0
 
@@ -68,7 +69,7 @@ def test_global_term_balances_constraint(grid2, rng):
     b = bundle_from_coeffs(grid2, 1.0, rho.coeffs)
     for k in (-1, 0, 1):
         cfg = FlowConfig(n=2, R=1.0, k=k)
-        h = FlowProblem(cfg, grid=grid2).velocity_values(rho.coeffs)[1]
+        h = FlowProblem(cfg).velocity_values(rho.coeffs)[1]
         F = eval_speed(cfg.speed, b.E)
         weight = b.E[k + 1] * b.mu
         resid = grid2.integrate((h - F) * weight)
@@ -99,7 +100,7 @@ def test_linearization_consistency():
 
 def test_linear_diag_scales_harmonic(grid2):
     # applying the linearization to a single harmonic scales it by xi_l
-    prob = FlowProblem(FlowConfig(n=2, R=1.0, k=-1, L_max=16), grid=grid2)
+    prob = FlowProblem(FlowConfig(n=2, R=1.0, k=-1, L_max=16))
     c = np.zeros(grid2.size)
     c[grid2.flat_index(3, 2)] = 1.0
     u = grid2.synthesize(c)
@@ -137,10 +138,10 @@ def test_cfl_rejection():
     prob = FlowProblem(cfg)
     c0 = const_coeffs(prob.grid, 0.1)
     with pytest.raises(StepRejectedError) as info:
-        prob.step_rk4(c0, 1e-2)
+        prob.step(c0, 1e-2)
     assert info.value.suggested_dt is not None
     assert info.value.suggested_dt <= cfl_timestep(cfg)
-    prob.step_rk4(c0, info.value.suggested_dt)
+    prob.step(c0, info.value.suggested_dt)
 
 
 def test_rk4_bound_is_computed_once(monkeypatch):
@@ -155,9 +156,9 @@ def test_rk4_bound_is_computed_once(monkeypatch):
     monkeypatch.setattr(flow, "umbilic_derivative", lambda *a: calls.append(a) or 1.0)
     c0 = const_coeffs(prob.grid, 0.1)
     for _ in range(3):
-        c0 = prob.step_rk4(c0, bound)
+        c0 = prob.step(c0, bound)
     with pytest.raises(StepRejectedError, match="exceeds the parabolic bound") as info:
-        prob.step_rk4(c0, 2.0 * bound)
+        prob.step(c0, 2.0 * bound)
     assert info.value.suggested_dt == bound
     assert calls == []
 
@@ -169,7 +170,8 @@ def test_speed_failure_rejects_step():
     cfg = FlowConfig(n=2, R=1.0, speed=speed, L_max=16)
     prob = FlowProblem(cfg)
     c0 = random_band_field(prob.grid, 1.0, 0.6, 6, 10, 3).coeffs
-    for step, dt in ((prob.step_imex, default_timestep(cfg)), (prob.step_rk4, cfl_timestep(cfg))):
+    for step, dt in ((prob.step, default_timestep(cfg)),
+                     (FlowProblem(replace(cfg, integrator="rk4")).step, cfl_timestep(cfg))):
         with pytest.raises(StepRejectedError) as info:
             step(c0, dt)
         assert info.value.suggested_dt == 0.5 * dt
@@ -181,8 +183,8 @@ def test_steppers_decay_degree_two():
     prob = FlowProblem(cfg)
     c0 = np.zeros(prob.grid.size)
     c0[prob.grid.flat_index(2, 1)] = 1e-3
-    c1 = prob.step_rk4(c0, 1e-4)
-    c2 = prob.step_imex(c0, 1e-4)
+    c1 = FlowProblem(replace(cfg, integrator="rk4")).step(c0, 1e-4)
+    c2 = prob.step(c0, 1e-4)
     # both shrink the degree-2 amplitude at rate 4 up to O(amp, dt) corrections
     idx = prob.grid.flat_index(2, 1)
     target = 1e-3 * math.exp(-4e-4)
@@ -199,7 +201,7 @@ def test_default_timesteps_frozen():
 
 def test_step_admissibility_guard(grid2):
     cfg = FlowConfig(n=2, R=1.0, k=-1, L_max=16)
-    prob = FlowProblem(cfg, grid=grid2)
+    prob = FlowProblem(cfg)
     with pytest.raises(AdmissibilityError):
         prob.velocity_values(const_coeffs(grid2, -1.2))
 
@@ -296,6 +298,16 @@ def test_flow_config_rejects_non_finite(field, value):
         FlowConfig(**{field: value})
 
 
+def test_run_rejects_problem_of_another_config():
+    # a k = -1 IMEX problem under a k = 0 rk4 config would keep the wrong
+    # volume with the wrong stepper while the run reports the k = 0 config
+    cfg = FlowConfig(n=2, R=1.0, k=0, integrator="rk4", T=0.01, L_max=8)
+    prob = FlowProblem(replace(cfg, k=-1, integrator="imex"))
+    rho0 = random_band_field(prob.grid, 1.0, 0.05, 2, 6, 42)
+    with pytest.raises(ValueError, match="problem was built for a different configuration"):
+        run(cfg, rho0, problem=prob)
+
+
 def test_run_determinism():
     cfg = FlowConfig(n=2, R=1.0, k=0, integrator="rk4", dt=1e-3, T=0.05,
                      L_max=8, cadence=10)
@@ -365,7 +377,7 @@ def test_records_match_fresh_evaluation():
                 out = run(cfg, rho0, problem=prob)
                 assert len(out.records) == 7
                 for rec in out.records:
-                    fresh = FlowProblem(cfg, grid=prob.grid)
+                    fresh = FlowProblem(cfg)
                     G, h = fresh.velocity_values(rec.coeffs)
                     rho = RadialField(prob.grid, 1.0, coeffs=rec.coeffs)
                     kappa = bundle_from_coeffs(prob.grid, 1.0, rec.coeffs).kappa
@@ -413,7 +425,7 @@ def test_handoff_needs_equal_coefficients(monkeypatch):
     # changed in place after the record: a fresh evaluation, not the record's
     c[prob.grid.flat_index(3, 2)] += 1e-3
     G, h = prob.velocity_values(c)
-    G_new, h_new = FlowProblem(cfg, grid=prob.grid).velocity_values(c)
+    G_new, h_new = FlowProblem(cfg).velocity_values(c)
     assert np.array_equal(G, G_new) and h == h_new
     # equal coefficients take the record's velocity once, then evaluate again
     calls = _count_bundles(monkeypatch)

@@ -430,6 +430,8 @@ def test_cli_fit_sphere_rejects_non_finite_snapshot(tmp_path, capsys):
     ("dt = inf", "dt must be finite, got inf"),
     ("R = nan", "R must be finite, got nan"),
     ("R = nan\nspeed = power_mean m=1 beta=2", "reference radius must be finite, got nan"),
+    ("T = 1e308", "T=1e+308 over dt=0.0015625 is not a finite number of steps"),
+    ("dt = 5e-324", "T=1.0 over dt=5e-324 is not a finite number of steps"),
 ])
 def test_cli_non_finite_config_is_input_error(tmp_path, monkeypatch, capsys, line, fragment):
     monkeypatch.setenv("MIXEDFLOW_OUT", str(tmp_path / "out"))
