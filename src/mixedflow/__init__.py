@@ -26,8 +26,6 @@ from .geometry import (
     CurvatureBundle,
     bundle_from_coeffs,
     elementary_symmetric,
-    enclosed_volume,
-    surface_measure,
 )
 from .speeds import SpeedSpec, eval_speed, make_speed, reference_speed, umbilic_derivative
 from .flow import (
@@ -39,9 +37,9 @@ from .flow import (
     cfl_timestep,
     default_timestep,
     run,
+    stable_decay_rate,
 )
 from .analysis import (
-    SphereCoords,
     SpectrumReport,
     analytic_spectrum,
     fit_decay_rate,
@@ -50,7 +48,6 @@ from .analysis import (
     numerical_jacobian,
     project_center_coords,
     sphere_from_coords,
-    stable_decay_rate,
 )
 from .io import (
     InitSpec,

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AdmissibilityError, FitConvergenceError, SpectrumRangeError
-from .flow import FlowConfig, FlowProblem
-from .geometry import CurvatureBundle, bundle_from_coeffs, enclosed_volume
+from .flow import FlowConfig, FlowProblem, stable_decay_rate
+from .geometry import CurvatureBundle, bundle_from_coeffs, check_radius
 from .harmonics import (
     SPHERE_AREA,
     Grid,
@@ -26,12 +26,12 @@ from .harmonics import (
     harmonic_multiplicity,
     total_coefficients,
 )
-from .speeds import SpeedSpec, umbilic_derivative
 
 _JACOBIAN_STEP = 1e-5  # relative to R
 _JACOBIAN_MAX_DIM = 400
 _FIT_MAX_ITER = 50
 _FIT_STEP_TOL = 1e-12  # relative to R
+_DECAY_FIT_WINDOW = 0.5  # trailing fraction of the time interval fit_decay_rate uses
 
 # -- conserved quantities -----------------------------------------------------
 
@@ -40,25 +40,23 @@ def mixed_volume(rho: RadialField, k: int, bundle: CurvatureBundle | None = None
     """The quantity the k-constrained flow holds fixed.
 
     k = -1 is the enclosed volume; 0 <= k <= n-1 is the E_k-weighted surface
-    integral with the conventional binomial normalization.  On a sphere of
-    radius r these reduce to |S^n| r^{n-k} / (n+1).  A caller that already
-    holds the curvature bundle of rho passes it as bundle, and it is used in
-    place of a new one; k = -1 reads only rho.values.
+    integral with the conventional binomial normalization, so the surface
+    measure is (n + 1) * mixed_volume(rho, 0).  On a sphere of radius r these
+    reduce to |S^n| r^{n-k} / (n+1).  A caller that already holds the
+    curvature bundle of rho passes it as bundle, and it is used in place of a
+    new one; k = -1 reads only rho.values.
     """
     n = rho.grid.n
     if not -1 <= k <= n - 1:
         raise ValueError(f"k must lie in [-1, {n - 1}], got {k}")
     if k == -1:
-        return enclosed_volume(rho)
+        r = rho.R + rho.values
+        check_radius(r)
+        return rho.grid.integrate(r ** (n + 1)) / (n + 1)
     if bundle is None:
         bundle = bundle_from_coeffs(rho.grid, rho.R, rho.coeffs)
     total = rho.R ** n * rho.grid.integrate(bundle.E[k] * bundle.mu)
     return total / ((n + 1) * math.comb(n, k))
-
-
-def stable_decay_rate(speed: SpeedSpec, l: int) -> float:
-    """Linear-theory decay rate of a degree-l perturbation (positive for l >= 2)."""
-    return umbilic_derivative(speed) * (l - 1.0) * (l + speed.n) / speed.R ** 2
 
 
 # -- spectrum -----------------------------------------------------------------
@@ -157,22 +155,6 @@ def numerical_jacobian(config: FlowConfig, l_max: int) -> tuple[np.ndarray, Spec
 # -- sphere fitting -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SphereCoords:
-    """Radius offset and center of a sphere near the reference sphere."""
-
-    z0: float
-    center: tuple[float, ...]
-
-    def vector(self) -> np.ndarray:
-        return np.array([self.z0, *self.center])
-
-    @staticmethod
-    def from_vector(z: np.ndarray) -> "SphereCoords":
-        z = np.asarray(z, dtype=float)
-        return SphereCoords(z0=float(z[0]), center=tuple(float(v) for v in z[1:]))
-
-
 def _sphere_height(z: np.ndarray, grid: Grid, R: float):
     """Height of the sphere with coordinates z over the reference sphere."""
     omega = grid.directions()
@@ -188,8 +170,6 @@ def _sphere_height(z: np.ndarray, grid: Grid, R: float):
 
 def sphere_from_coords(z, grid: Grid, R: float) -> RadialField:
     """Exact sphere of radius R + z0 centered at sum z_p omega_p, as a height field."""
-    if isinstance(z, SphereCoords):
-        z = z.vector()
     z = np.asarray(z, dtype=float)
     values, _, _, _ = _sphere_height(z, grid, R)
     return RadialField(grid, R, values=values)
@@ -215,9 +195,10 @@ def project_center_coords(rho: RadialField) -> np.ndarray:
     return z
 
 
-def fit_sphere(rho: RadialField) -> tuple[SphereCoords, np.ndarray]:
-    """Nearest sphere in the weighted least-squares sense, and the residual field.
+def fit_sphere(rho: RadialField) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest sphere in the weighted least-squares sense: (z, residual field).
 
+    z is the (n + 2)-vector of sphere coordinates (z0, z1, ..., z_{n+1}).
     Gauss-Newton on the n+2 sphere coordinates, seeded from the lowest-mode
     projection; stops when the update norm drops below 1e-12 R, and gives
     up after 50 iterations.
@@ -241,26 +222,24 @@ def fit_sphere(rho: RadialField) -> tuple[SphereCoords, np.ndarray]:
         z = z + delta
         if float(np.linalg.norm(delta)) < _FIT_STEP_TOL * R:
             heights, _, _, _ = _sphere_height(z, grid, R)
-            return SphereCoords.from_vector(z), rho.values - heights
+            return z, rho.values - heights
     raise FitConvergenceError(f"sphere fit did not converge in {_FIT_MAX_ITER} iterations")
 
 
 # -- decay rates ----------------------------------------------------------------
 
 
-def fit_decay_rate(times, values, window: float = 0.5) -> float:
-    """Least-squares slope of log(values) over the trailing time window.
+def fit_decay_rate(times, values) -> float:
+    """Least-squares slope of log(values) over the trailing half of the time interval.
 
-    window is the trailing fraction of the time interval used for the fit;
-    at least 10 samples must fall inside it and the values must be positive.
+    At least 10 samples must fall inside that window and the values must be
+    positive there.
     """
     t = np.asarray(times, dtype=float)
     v = np.asarray(values, dtype=float)
     if t.shape != v.shape or t.ndim != 1:
         raise ValueError("times and values must be matching one-dimensional arrays")
-    if not 0.0 < window <= 1.0:
-        raise ValueError(f"window must lie in (0, 1], got {window}")
-    cut = t[-1] - window * (t[-1] - t[0])
+    cut = t[-1] - _DECAY_FIT_WINDOW * (t[-1] - t[0])
     mask = t >= cut
     if int(np.sum(mask)) < 10:
         raise ValueError(f"only {int(np.sum(mask))} samples in the fit window; need at least 10")

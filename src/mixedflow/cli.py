@@ -82,11 +82,10 @@ def _cmd_spectrum(args) -> int:
 
 def _cmd_fit_sphere(args) -> int:
     state = read_snapshot(args.snapshot)
-    coords, residual = fit_sphere(state.rho)
+    z, residual = fit_sphere(state.rho)
     print(f"t = {state.t!r}")
-    print(f"z0 = {coords.z0!r}")
-    for i, c in enumerate(coords.center, start=1):
-        print(f"z{i} = {c!r}")
+    for i, zi in enumerate(z):
+        print(f"z{i} = {float(zi)!r}")
     print(f"residual_sup = {float(np.max(np.abs(residual)))!r}")
     return 0
 

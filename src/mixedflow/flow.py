@@ -31,7 +31,7 @@ import numpy as np
 from .errors import (AdmissibilityError, ConstraintDegenerateError, MixedFlowError, SpeedError,
                      StepRejectedError)
 from .geometry import BundleWorkspace, CurvatureBundle, bundle_from_coeffs
-from .harmonics import RadialField, build_grid
+from .harmonics import L_MAX_MAX, L_MAX_MIN, RadialField, build_grid
 from .speeds import SpeedSpec, eval_speed, make_speed, umbilic_derivative
 
 _INTEGRATORS = ("imex", "rk4")
@@ -64,6 +64,8 @@ class FlowConfig:
                 raise ValueError(f"{name} must be finite, got {value}")
         if self.n not in (1, 2):
             raise ValueError(f"n must be 1 or 2, got {self.n}")
+        if not L_MAX_MIN <= self.L_max <= L_MAX_MAX:
+            raise ValueError(f"L_max must lie in [{L_MAX_MIN}, {L_MAX_MAX}], got {self.L_max}")
         if not -1 <= self.k <= self.n - 1:
             raise ValueError(f"k must lie in [-1, {self.n - 1}], got {self.k}")
         if self.integrator not in _INTEGRATORS:
@@ -121,6 +123,14 @@ class FlowRun:
     error: MixedFlowError | None = None  # what ended a failed run
 
 
+def stable_decay_rate(speed: SpeedSpec, l: int | np.ndarray) -> float | np.ndarray:
+    """Linear-theory decay rate of a degree-l perturbation (positive for l >= 2).
+
+    For an array of degrees the rate is taken elementwise.
+    """
+    return umbilic_derivative(speed) * (l - 1.0) * (l + speed.n) / speed.R ** 2
+
+
 def cfl_timestep(config: FlowConfig) -> float:
     """Parabolic step bound for the explicit integrator."""
     L = config.L_max
@@ -150,9 +160,8 @@ class FlowProblem:
         self.config = config
         self.grid = build_grid(config.n, config.L_max)
         self._rk4_bound = cfl_timestep(config)
-        fprime = umbilic_derivative(config.speed)
         ell = self.grid.degrees.astype(float)
-        diag = -fprime * (ell - 1.0) * (ell + config.n) / config.R ** 2
+        diag = -stable_decay_rate(config.speed, ell)
         diag[ell == 0] = 0.0
         diag.flags.writeable = False
         self.linear_diag = diag
@@ -265,8 +274,9 @@ def run(config: FlowConfig, rho0: RadialField, problem: FlowProblem) -> FlowRun:
     Diagnostics are recorded at t = 0, every `cadence` steps, and at the
     final state.  Each record evaluates the curvature and velocity of its
     state once and hands the velocity to the step that starts from it.
-    An initial field that is not a graph, or on which the velocity cannot
-    be evaluated, is rejected with AdmissibilityError before any step.
+    An initial field whose band-limited state is not a graph, or on which
+    the velocity cannot be evaluated, is rejected with AdmissibilityError
+    by its t = 0 record, before any step.
     A rejected step, or a later state whose record cannot be evaluated,
     ends the run with status "failed": it keeps the records so far, its
     final state is the last recorded one and `error` holds the cause.
@@ -275,8 +285,6 @@ def run(config: FlowConfig, rho0: RadialField, problem: FlowProblem) -> FlowRun:
         raise ValueError("problem was built for a different configuration")
     if rho0.grid is not problem.grid:
         raise ValueError("initial field lives on a different grid")
-    if not rho0.admissible():
-        raise AdmissibilityError("initial field is not an admissible graph")
     dt = default_timestep(config)
     n_steps = max(1, math.ceil(config.T / dt - 1e-9))
     whole = n_steps - config.T / dt <= 1e-9
@@ -296,10 +304,10 @@ def run(config: FlowConfig, rho0: RadialField, problem: FlowProblem) -> FlowRun:
             step_no += 1
             if step_no < n_steps or whole:
                 coeffs = problem.step(coeffs, dt)
-                t = step_no * dt
             else:
                 coeffs = problem.step(coeffs, config.T - (n_steps - 1) * dt)
-                t = config.T
+            # The last step ends at T, also when n_steps * dt is T only to 1e-9.
+            t = config.T if step_no == n_steps else step_no * dt
             if step_no % config.cadence == 0 or step_no == n_steps:
                 rec = problem.diagnostics(t, coeffs)
                 records.append(rec)

@@ -1,4 +1,4 @@
-"""Geometry of radial graphs: curvatures, area element, enclosed volume.
+"""Geometry of radial graphs: curvatures and the area element.
 
 A surface is described by r = R + rho over the reference sphere.  All
 derivatives of rho are taken spectrally, so the curvature fields inherit the
@@ -35,7 +35,6 @@ from functools import cached_property
 import numpy as np
 
 from .errors import AdmissibilityError
-from .harmonics import RadialField
 
 
 @dataclass(frozen=True)
@@ -92,7 +91,8 @@ def elementary_symmetric(kappa, l: int) -> float:
     return float(e[l])
 
 
-def _check_radius(r: np.ndarray) -> None:
+def check_radius(r: np.ndarray) -> None:
+    """Raise AdmissibilityError unless every radius is finite and positive."""
     if not np.all(np.isfinite(r)):
         raise AdmissibilityError("radius field contains non-finite values")
     if np.min(r) <= 0.0:
@@ -139,7 +139,7 @@ def bundle_from_coeffs(grid, R: float, coeffs: np.ndarray,
     s = work.derivs["tmp"]
     r = d["u"]
     np.add(R, r, out=r)
-    _check_radius(r)
+    check_radius(r)
     mul, add, sub, div = np.multiply, np.add, np.subtract, np.divide
     if grid.n == 1:
         rt, rtt = d["ut"], d["utt"]
@@ -224,18 +224,3 @@ def bundle_from_coeffs(grid, R: float, coeffs: np.ndarray,
         radius=r,
         shape_operator=(g11, g12, g22, H11, H12, H22, den_detg),
     )
-
-
-def enclosed_volume(rho: RadialField) -> float:
-    """Volume of the region the graph bounds around the origin."""
-    grid = rho.grid
-    r = rho.R + rho.values
-    _check_radius(r)
-    n = grid.n
-    return grid.integrate(r ** (n + 1)) / (n + 1)
-
-
-def surface_measure(rho: RadialField) -> float:
-    """Total surface measure of the graph."""
-    bundle = bundle_from_coeffs(rho.grid, rho.R, rho.coeffs)
-    return rho.R ** rho.grid.n * rho.grid.integrate(bundle.mu)

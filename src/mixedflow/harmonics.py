@@ -29,6 +29,8 @@ import numpy as np
 from .errors import DegreeOverflowError, GridError
 
 SPHERE_AREA = {1: 2.0 * math.pi, 2: 4.0 * math.pi}
+# Band limits a Grid can be built for; FlowConfig rejects an L_max outside them.
+L_MAX_MIN, L_MAX_MAX = 4, 64
 
 
 def harmonic_multiplicity(l: int, n: int) -> int:
@@ -113,8 +115,8 @@ class Grid:
     def __init__(self, n: int, L_max: int, oversample: float):
         if n not in (1, 2):
             raise GridError(f"only circle (n=1) and sphere (n=2) grids are supported, got n={n}")
-        if L_max < 4 or L_max > 64:
-            raise GridError(f"band limit must lie in [4, 64], got {L_max}")
+        if not L_MAX_MIN <= L_max <= L_MAX_MAX:
+            raise GridError(f"band limit must lie in [{L_MAX_MIN}, {L_MAX_MAX}], got {L_max}")
         if oversample < 1.0:
             raise GridError(f"oversample must be >= 1, got {oversample}")
         self.n = n
@@ -390,9 +392,6 @@ class RadialField:
 
     def min_radius(self) -> float:
         return self.R + float(np.min(self.values))
-
-    def admissible(self) -> bool:
-        return bool(np.all(np.isfinite(self.values))) and self.min_radius() > 0.0
 
     def sup_abs(self) -> float:
         return float(np.max(np.abs(self.values)))

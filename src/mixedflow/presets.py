@@ -144,10 +144,10 @@ def _checks_nonlinear(parsed: ParsedConfig, out: FlowRun) -> list[CheckResult]:
     floor = 1e-12 * cfg.R
     bumps = np.diff(tail) - 1e-6 * tail[:-1] - floor
     monotone = float(np.max(bumps)) if bumps.size else 0.0
-    rate = -fit_decay_rate(ts, res, window=0.5)
+    rate = -fit_decay_rate(ts, res)
     target = stable_decay_rate(cfg.speed, 2)
     zfit, _ = fit_sphere(out.final.rho)
-    r_fit = cfg.R + zfit.z0
+    r_fit = cfg.R + float(zfit[0])
     V_fit = SPHERE_AREA[cfg.n] * r_fit ** (cfg.n - cfg.k) / (cfg.n + 1)
     V0 = out.records[0].V
     return [

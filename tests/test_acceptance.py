@@ -11,12 +11,13 @@ import numpy as np
 from mixedflow.analysis import (
     fit_decay_rate,
     fit_sphere,
+    mixed_volume,
     numerical_jacobian,
     sphere_from_coords,
     stable_decay_rate,
 )
 from mixedflow.flow import FlowConfig, FlowProblem, run
-from mixedflow.geometry import bundle_from_coeffs, surface_measure
+from mixedflow.geometry import bundle_from_coeffs
 from mixedflow.harmonics import RadialField, build_grid
 from mixedflow.io import random_band_field
 from mixedflow.presets import run_experiment
@@ -74,7 +75,7 @@ def test_02_curvature_against_mesh_oracle():
                float(np.max(np.abs(k_hi - o_hi))))
     grad_fn = lambda t, p: tuple(amp * g for g in y21_grad(t, p))
     area_oracle = graph_area(r_fn, grad_fn)
-    aerr = abs(surface_measure(rho) - area_oracle) / area_oracle
+    aerr = abs(3 * mixed_volume(rho, 0) - area_oracle) / area_oracle
     passed = kerr <= 1e-6 and aerr <= 1e-8
     _report(2, passed,
             f"kappa sup-error {kerr:.2e} (tol 1e-6), area rel-error {aerr:.2e} "
@@ -232,7 +233,7 @@ def test_09_sphere_chart_round_trip():
         z *= 0.2 * R * rng.uniform() / np.linalg.norm(z)
         sph = sphere_from_coords(z, grid, R)
         coords, _ = fit_sphere(sph)
-        worst_z = max(worst_z, float(np.max(np.abs(coords.vector() - z))))
+        worst_z = max(worst_z, float(np.max(np.abs(coords - z))))
         r = R + sph.values
         dist = np.sqrt(sum((r * omega[i] - z[1 + i]) ** 2 for i in range(3)))
         worst_d = max(worst_d, float(np.max(np.abs(dist - (R + z[0])))))

@@ -333,6 +333,17 @@ def test_run_ends_at_T():
     assert out.records[-1].t == 0.01
 
 
+def test_run_ends_at_T_when_steps_are_whole_to_tolerance():
+    # 0.3 / 0.1 is 3 only to within the 1e-9 tolerance, so three full steps
+    # are taken; 3 * 0.1 is 0.30000000000000004, but the run ends at T
+    cfg = FlowConfig(n=2, R=1.0, k=-1, integrator="imex", dt=0.1, T=0.3, L_max=8, cadence=1)
+    prob = FlowProblem(cfg)
+    out = run(cfg, random_band_field(prob.grid, 1.0, 0.02, 2, 4, 7), problem=prob)
+    assert out.status == "reached_T"
+    assert [r.t for r in out.records] == [0.0, 0.1, 0.2, 0.3]
+    assert out.final.t == 0.3
+
+
 def _failing_run(integrator):
     # E_2 at amplitude 0.2 drives the graph out of the admissible cone
     speed = make_speed("elementary", n=2, R=1.0, l=2)

@@ -7,14 +7,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mixedflow.analysis import mixed_volume
 from mixedflow.errors import AdmissibilityError
-from mixedflow.geometry import (
-    BundleWorkspace,
-    bundle_from_coeffs,
-    elementary_symmetric,
-    enclosed_volume,
-    surface_measure,
-)
+from mixedflow.geometry import BundleWorkspace, bundle_from_coeffs, elementary_symmetric
 from mixedflow.harmonics import RadialField, build_grid
 from conftest import band_coeffs
 from oracles import (
@@ -92,7 +87,7 @@ def test_scaling_covariance(grid2, grid1, rng):
         n = grid.n
         c = band_coeffs(grid, rng, l_hi=6, scale=0.02)
         base = bundle_from_coeffs(grid, 1.0, c)
-        V_base = enclosed_volume(RadialField(grid, 1.0, coeffs=c))
+        V_base = mixed_volume(RadialField(grid, 1.0, coeffs=c), -1)
         for s in (0.5, 2.0):
             scaled = bundle_from_coeffs(grid, s, s * c)
             for kap_s, kap in zip(scaled.kappa, base.kappa):
@@ -101,7 +96,7 @@ def test_scaling_covariance(grid2, grid1, rng):
                 assert np.max(np.abs(scaled.E[l] * s ** l - base.E[l])) \
                     <= 1e-9 * max(1.0, np.max(np.abs(base.E[l])))
             assert np.max(np.abs(scaled.mu - base.mu)) <= 1e-9 * np.max(np.abs(base.mu))
-            V_s = enclosed_volume(RadialField(grid, s, coeffs=s * c))
+            V_s = mixed_volume(RadialField(grid, s, coeffs=s * c), -1)
             assert abs(V_s - s ** (n + 1) * V_base) <= 1e-9 * abs(V_base) * s ** (n + 1)
 
 
@@ -157,7 +152,7 @@ def test_area_against_metric_oracle():
     TH = grid.theta[:, None] * np.ones((1, grid.shape[1]))
     PH = np.ones((grid.shape[0], 1)) * grid.phi[None, :]
     rho = RadialField(grid, 1.0, values=r_fn(TH, PH) - 1.0)
-    area_spec = surface_measure(rho)
+    area_spec = 3 * mixed_volume(rho, 0)
     area_oracle = graph_area(r_fn, grad_fn)
     assert abs(area_spec - area_oracle) <= 1e-10 * area_oracle
 
@@ -170,14 +165,14 @@ def test_volume_against_star_oracle():
     PH = np.ones((grid.shape[0], 1)) * grid.phi[None, :]
     rho = RadialField(grid, 1.0, values=r_fn(TH, PH) - 1.0)
     # oracle quadrature lives on its own, much finer node set
-    assert abs(enclosed_volume(rho) - star_volume(r_fn)) <= 1e-12 * star_volume(r_fn)
+    assert abs(mixed_volume(rho, -1) - star_volume(r_fn)) <= 1e-12 * star_volume(r_fn)
 
 
 def test_sphere_volumes_exact(grid1, grid2):
     for grid, n in ((grid1, 1), (grid2, 2)):
         for R in (1.0, 2.0):
             for c in (-0.2, 0.0, 0.4):
-                V = enclosed_volume(const_field(grid, R, c * R))
+                V = mixed_volume(const_field(grid, R, c * R), -1)
                 area = 2.0 * math.pi if n == 1 else 4.0 * math.pi
                 expect = area * (R + c * R) ** (n + 1) / (n + 1)
                 assert abs(V - expect) <= 1e-12 * expect

@@ -1,5 +1,6 @@
-"""No module-level import goes unused in the package, the tests or the scripts,
-and every entry point the benchmark's tracer wraps still exists."""
+"""No import goes unused in the package, the tests or the scripts, at module
+level or inside a function, and every entry point the benchmark's tracer
+wraps still exists."""
 
 import ast
 import importlib.util
@@ -12,27 +13,54 @@ ROOT = Path(__file__).resolve().parent.parent
 FILES = sorted(p for p in (*(ROOT / "src" / "mixedflow").glob("*.py"),
                            *(ROOT / "tests").glob("*.py"), *(ROOT / "scripts").glob("*.py"))
                if p.name != "__init__.py")
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def _scope_imports(scope: ast.AST) -> list[ast.stmt]:
+    """Import statements binding names in a scope: a module's top-level ones, or
+    those anywhere in a function's body outside the functions nested in it."""
+    if isinstance(scope, ast.Module):
+        return [n for n in scope.body if isinstance(n, (ast.Import, ast.ImportFrom))]
+    found, stack = [], list(scope.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            found.append(node)
+        elif not isinstance(node, (*_FUNCTIONS, ast.ClassDef, ast.Lambda)):
+            stack.extend(ast.iter_child_nodes(node))
+    return found
 
 
 def unused_imports(source: str) -> list[str]:
-    """Names bound by module-level imports that the module never reads."""
+    """Names bound by imports, at module level or in a function, that their scope never reads."""
     tree = ast.parse(source)
-    bound = {}
-    for node in tree.body:
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                bound[alias.asname or alias.name.partition(".")[0]] = node.lineno
-        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
-            for alias in node.names:
-                bound[alias.asname or alias.name] = node.lineno
-    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
-    return [f"line {line}: {name}" for name, line in bound.items() if name not in read]
+    unused = []
+    for scope in (tree, *(n for n in ast.walk(tree) if isinstance(n, _FUNCTIONS))):
+        bound = {}
+        for node in _scope_imports(scope):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    bound[alias.asname or alias.name.partition(".")[0]] = node.lineno
+            elif node.module != "__future__":
+                for alias in node.names:
+                    bound[alias.asname or alias.name] = node.lineno
+        read = {n.id for n in ast.walk(scope) if isinstance(n, ast.Name)}
+        unused += [(line, name) for name, line in bound.items() if name not in read]
+    return [f"line {line}: {name}" for line, name in sorted(unused, key=lambda u: u[0])]
 
 
 def test_checker_flags_an_unused_import():
     assert unused_imports("import os\nimport sys as system\nfrom a import b, c\nc()\n") == \
         ["line 1: os", "line 2: system", "line 3: b"]
     assert unused_imports("from __future__ import annotations\nimport a.b\na.b.f()\n") == []
+
+
+def test_checker_flags_an_unused_import_in_a_function():
+    # a function's import counts only if that function reads it
+    source = ("def f():\n    if x:\n        from a import b, c\n    return c\n"
+              "def g():\n    import os\n    b()\n")
+    assert unused_imports(source) == ["line 3: b", "line 6: os"]
+    assert unused_imports("def f():\n    from a import b\n    def g():\n        b()\n") == []
 
 
 @pytest.mark.parametrize("path", FILES, ids=[str(p.relative_to(ROOT)) for p in FILES])

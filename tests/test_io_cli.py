@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from mixedflow.analysis import sphere_from_coords
+from mixedflow.analysis import fit_sphere, sphere_from_coords
 from mixedflow.cli import main
 from mixedflow.errors import ConfigError, SnapshotError
 from mixedflow.flow import FlowProblem, FlowState, default_timestep, run
@@ -310,9 +310,14 @@ def test_cli_fit_sphere_round_trip(tmp_path, monkeypatch, capsys):
         tmp_path, "n = 2\nT = 0.05\nL_max = 8\ninit = sphere:0.05,0.01,-0.02,0.03\n")
     assert main(["run", "--config", cfg]) == 0
     capsys.readouterr()
-    assert main(["fit-sphere", "--snapshot", str(tmp_path / "final_state.snapshot")]) == 0
+    snap = str(tmp_path / "final_state.snapshot")
+    assert main(["fit-sphere", "--snapshot", snap]) == 0
     out = capsys.readouterr().out
     assert "z0 = " in out and "z3 = " in out and "residual_sup = " in out
+    # each coordinate prints as a plain float that reads back to the fitted value
+    z, _ = fit_sphere(read_snapshot(snap).rho)
+    printed = dict(line.split(" = ") for line in out.splitlines())
+    assert [float(printed[f"z{i}"]) for i in range(4)] == z.tolist()
 
 
 def test_cli_preset(tmp_path, monkeypatch, capsys):
@@ -438,6 +443,16 @@ def test_cli_non_finite_config_is_input_error(tmp_path, monkeypatch, capsys, lin
     cfg = _write_config(tmp_path, f"n = 2\nL_max = 8\n{line}\n")
     assert main(["run", "--config", cfg]) == 2
     assert fragment in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("L_max", [0, 3, 65])
+def test_cli_L_max_out_of_range_is_input_error(tmp_path, monkeypatch, capsys, L_max):
+    # rejected with the config, before the output directory is made
+    monkeypatch.setenv("MIXEDFLOW_OUT", str(tmp_path / "out"))
+    cfg = _write_config(tmp_path, f"n = 2\nL_max = {L_max}\n")
+    assert main(["run", "--config", cfg]) == 2
+    assert f"L_max must lie in [4, 64], got {L_max}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
