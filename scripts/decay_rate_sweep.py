@@ -15,7 +15,7 @@ import numpy as np
 from mixedflow.analysis import fit_decay_rate, stable_decay_rate
 from mixedflow.flow import FlowConfig, FlowProblem, run
 from mixedflow.harmonics import RadialField
-from mixedflow.speeds import make_speed
+from mixedflow.speeds import SpeedSpec
 
 
 def fitted_rate(cfg: FlowConfig, l: int) -> float:
@@ -43,7 +43,7 @@ def main() -> int:
     worst = 0.0
     for n, kind, params, k, modes in cases:
         for l in modes:
-            speed = make_speed(kind, n=n, R=1.0, **params)
+            speed = SpeedSpec(kind, n=n, R=1.0, **params)
             cfg = FlowConfig(n=n, R=1.0, k=k, speed=speed, integrator="imex",
                              dt=1e-4, T=1.0, L_max=8 if n == 2 else 16,
                              cadence=10)

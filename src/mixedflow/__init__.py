@@ -27,7 +27,7 @@ from .geometry import (
     bundle_from_coeffs,
     elementary_symmetric,
 )
-from .speeds import SpeedSpec, eval_speed, make_speed, reference_speed, umbilic_derivative
+from .speeds import SpeedSpec, eval_speed, reference_speed, umbilic_derivative
 from .flow import (
     DiagnosticsRecord,
     FlowConfig,
@@ -41,7 +41,6 @@ from .flow import (
 )
 from .analysis import (
     SpectrumReport,
-    analytic_spectrum,
     fit_decay_rate,
     fit_sphere,
     mixed_volume,

@@ -67,8 +67,8 @@ class SpectrumRow:
     l: int
     lambda_analytic: float
     multiplicity: int
-    lambda_numeric: float | None = None
-    offdiag_max: float | None = None
+    lambda_numeric: float
+    offdiag_max: float
 
 
 @dataclass(frozen=True)
@@ -76,29 +76,16 @@ class SpectrumReport:
     rows: list[SpectrumRow]
     center_dimension: int
     lambda_max_abs: float
-    zero_multiplicity_numeric: int | None = None
-    symmetry_defect: float | None = None
-    max_offdiagonal: float | None = None
+    zero_multiplicity_numeric: int
+    symmetry_defect: float
+    max_offdiagonal: float
 
     def csv_lines(self) -> list[str]:
         lines = ["l,lambda_analytic,lambda_numeric,multiplicity,offdiag_max"]
         for row in self.rows:
-            num = "" if row.lambda_numeric is None else repr(row.lambda_numeric)
-            off = "" if row.offdiag_max is None else repr(row.offdiag_max)
-            lines.append(f"{row.l},{row.lambda_analytic!r},{num},{row.multiplicity},{off}")
+            lines.append(f"{row.l},{row.lambda_analytic!r},{row.lambda_numeric!r},"
+                         f"{row.multiplicity},{row.offdiag_max!r}")
         return lines
-
-
-def analytic_spectrum(config: FlowConfig, l_max: int) -> SpectrumReport:
-    """Per-degree eigenvalues of the linearized flow at the round sphere."""
-    rows = []
-    lam_max = 0.0
-    for l in range(l_max + 1):
-        lam = 0.0 if l <= 1 else -stable_decay_rate(config.speed, l)
-        lam_max = max(lam_max, abs(lam))
-        rows.append(SpectrumRow(l=l, lambda_analytic=lam,
-                                multiplicity=harmonic_multiplicity(l, config.n)))
-    return SpectrumReport(rows=rows, center_dimension=config.n + 2, lambda_max_abs=lam_max)
 
 
 def numerical_jacobian(config: FlowConfig, l_max: int) -> tuple[np.ndarray, SpectrumReport]:
@@ -106,9 +93,9 @@ def numerical_jacobian(config: FlowConfig, l_max: int) -> tuple[np.ndarray, Spec
 
     Columns are one-coefficient perturbations of size 1e-5 R; the matrix is
     restricted to degrees <= l_max (1 <= l_max <= L_max, at most 400 columns),
-    which occupy the leading block of the flat layout.  The report compares its
-    diagonal means, worst off-diagonal entries, and near-null dimension
-    against the analytic rows.
+    which occupy the leading block of the flat layout.  Each report row puts a
+    degree's analytic eigenvalue beside the mean of its diagonal entries and
+    its worst off-diagonal entry; the report adds the near-null dimension.
     """
     if not 1 <= l_max <= config.L_max:
         raise SpectrumRangeError(
@@ -129,18 +116,17 @@ def numerical_jacobian(config: FlowConfig, l_max: int) -> tuple[np.ndarray, Spec
         e[j] = 0.0
         J[:, j] = (gp[:D] - gm[:D]) / (2.0 * h)
 
-    analytic = analytic_spectrum(config, l_max)
-    lam_max = analytic.lambda_max_abs
     degrees = prob.grid.degrees[:D]
     offmask = ~np.eye(D, dtype=bool)
     rows = []
-    for row in analytic.rows:
-        sel = degrees == row.l
-        lam_num = float(np.mean(np.diag(J)[sel]))
-        off = float(np.max(np.abs(J[:, sel][offmask[:, sel]])))
-        rows.append(SpectrumRow(l=row.l, lambda_analytic=row.lambda_analytic,
-                                multiplicity=row.multiplicity,
-                                lambda_numeric=lam_num, offdiag_max=off))
+    for l in range(l_max + 1):
+        sel = degrees == l
+        rows.append(SpectrumRow(
+            l=l, lambda_analytic=0.0 if l <= 1 else -stable_decay_rate(config.speed, l),
+            multiplicity=harmonic_multiplicity(l, config.n),
+            lambda_numeric=float(np.mean(np.diag(J)[sel])),
+            offdiag_max=float(np.max(np.abs(J[:, sel][offmask[:, sel]])))))
+    lam_max = max(abs(row.lambda_analytic) for row in rows)
     sym = float(np.max(np.abs(J - J.T)))
     eigs = np.linalg.eigvalsh(0.5 * (J + J.T))
     zero_mult = int(np.sum(np.abs(eigs) <= 1e-6 * max(lam_max, 1.0)))

@@ -36,7 +36,7 @@ def _parse_overrides(items: list[str]) -> dict[str, str]:
 
 def _cmd_run(args) -> int:
     parsed = parse_config(args.config)
-    out, (csv_path, snap_path) = run_to_files(parsed, resolve_out_dir(parsed.out_dir))
+    out, (csv_path, snap_path) = run_to_files(parsed, parsed.out_dir)
     last = out.records[-1]
     print(f"status = {out.status}")
     print(f"t = {last.t!r}  sup_G = {last.sup_G!r}  V = {last.V!r}")

@@ -32,7 +32,7 @@ from .errors import (AdmissibilityError, ConstraintDegenerateError, MixedFlowErr
                      StepRejectedError)
 from .geometry import BundleWorkspace, CurvatureBundle, bundle_from_coeffs
 from .harmonics import L_MAX_MAX, L_MAX_MIN, RadialField, build_grid
-from .speeds import SpeedSpec, eval_speed, make_speed, umbilic_derivative
+from .speeds import SpeedSpec, eval_speed, umbilic_derivative
 
 _INTEGRATORS = ("imex", "rk4")
 # Fraction of the parabolic stability limit that the explicit integrator may use.
@@ -77,7 +77,7 @@ class FlowConfig:
         if self.cadence < 1:
             raise ValueError("cadence must be a positive step count")
         if self.speed is None:
-            object.__setattr__(self, "speed", make_speed("mean", n=self.n, R=self.R))
+            object.__setattr__(self, "speed", SpeedSpec("mean", n=self.n, R=self.R))
         if self.speed.n != self.n or self.speed.R != self.R:
             raise ValueError("speed was built for a different dimension or radius")
         if self.integrator == "rk4" and self.dt is not None:

@@ -144,7 +144,6 @@ class Grid:
             self.shape = (n_lat, n_lon)
             x, w = np.polynomial.legendre.leggauss(n_lat)
             self.x = x
-            self.glw = w
             self.theta = np.arccos(x)
             self.sin_theta = np.sqrt(1.0 - x * x)
             self.phi = 2.0 * math.pi * np.arange(n_lon) / n_lon
@@ -159,7 +158,7 @@ class Grid:
             self._directions = (st * np.cos(self.phi)[None, :],
                                 st * np.sin(self.phi)[None, :],
                                 np.broadcast_to(self.x[:, None], self.shape))
-            _freeze(self.x, self.glw, self.theta, self.sin_theta, self.phi,
+            _freeze(self.x, self.theta, self.sin_theta, self.phi,
                     self.quad_weights, self._tab_mjl, self._tab_dt_mjl, *self._directions)
         n_uni = self.shape[-1]
         m = np.arange(L + 1)

@@ -10,10 +10,10 @@ A key the file leaves out takes FlowConfig's default; init defaults to
 
 Speed values follow `mean`, `power_mean m=1 beta=2`, or `elementary l=2`.
 Initial data follows `const:c`, `harmonic:l,p,amp`, `random:amp,lmax,seed`,
-or `sphere:z0,z1,...`.  Unknown or repeated keys are rejected with the line
-number; so is any malformed value.  Header echoes print each float in its
-short `:g` form when that parses back exactly, else in full (repr), so a
-run.csv header parses back to the configuration that wrote it.
+or `sphere:z0,z1,...`, every value finite.  Unknown or repeated keys, and
+any malformed value or parameter a kind does not take, are rejected with the
+line number.  Header echoes print ints with `str`, floats in short `:g` form
+when that parses back exactly, else in full (repr), so they parse back.
 
 Snapshots are plain text: four header lines (n, R, L_max, t) followed by
 one `l p value` line per stored coefficient, 17 significant digits, which
@@ -33,12 +33,16 @@ from .analysis import sphere_from_coords
 from .errors import ConfigError, SnapshotError
 from .flow import FlowConfig, FlowProblem, FlowRun, FlowState, default_timestep, run
 from .harmonics import Grid, RadialField, build_grid, harmonic_multiplicity
-from .speeds import SpeedSpec, format_number, make_speed
+from .speeds import SPEED_PARAMS, SpeedSpec, format_number, format_param
 
 # Config key -> cast of its text; speed and init are parsed further below.
 _CASTS = {"n": int, "R": float, "k": int, "speed": str, "integrator": str, "dt": float,
           "T": float, "L_max": int, "init": str, "out_dir": str, "cadence": int}
 CONFIG_KEYS = tuple(_CASTS)
+
+# Init kind -> casts of its comma-separated parameters; None: any number of floats.
+_INIT_CASTS = {"const": (float,), "harmonic": (int, int, float), "random": (float, int, int),
+               "sphere": None}
 
 RUN_COLUMNS = ("t", "h_k", "V", "sup_G", "sup_rho", "sphere_residual_sup",
                "mode_energy_l2", "mode_energy_l3", "mode_energy_l4",
@@ -54,17 +58,8 @@ class InitSpec:
     params: tuple
 
     def describe(self) -> str:
-        if self.kind == "const":
-            return f"const:{format_number(self.params[0])}"
-        if self.kind == "harmonic":
-            l, p, amp = self.params
-            return f"harmonic:{l},{p},{format_number(amp)}"
-        if self.kind == "random":
-            amp, lmax, seed = self.params
-            return f"random:{format_number(amp)},{lmax},{seed}"
-        if self.kind == "sphere":
-            return "sphere:" + ",".join(format_number(z) for z in self.params)
-        return self.kind
+        casts = _INIT_CASTS[self.kind] or (float,) * len(self.params)
+        return f"{self.kind}:" + ",".join(map(format_param, casts, self.params))
 
     def build(self, grid: Grid, R: float) -> RadialField:
         if self.kind == "const":
@@ -107,21 +102,23 @@ class ParsedConfig:
 
 
 def _parse_speed(value: str, n: int, R: float, lineno: int) -> SpeedSpec:
-    parts = value.split()
-    kind = parts[0]
+    kind, *items = value.split()
+    if kind not in SPEED_PARAMS:
+        raise ConfigError(f"line {lineno}: unknown speed kind {kind!r}")
+    casts = SPEED_PARAMS[kind]
     kwargs: dict = {}
-    for item in parts[1:]:
-        if "=" not in item:
+    for item in items:
+        key, sep, raw = item.partition("=")
+        if not sep:
             raise ConfigError(f"line {lineno}: bad speed parameter {item!r}")
-        key, _, raw = item.partition("=")
-        if key not in ("m", "beta", "l"):
-            raise ConfigError(f"line {lineno}: unknown speed parameter {key!r}")
+        if key not in casts:
+            raise ConfigError(f"line {lineno}: unknown speed parameter {key!r} for {kind}")
         try:
-            kwargs[key] = float(raw) if key == "beta" else int(raw)
+            kwargs[key] = casts[key](raw)
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: bad speed parameter value {raw!r}") from exc
     try:
-        return make_speed(kind, n=n, R=R, **kwargs)
+        return SpeedSpec(kind, n=n, R=R, **kwargs)
     except Exception as exc:
         raise ConfigError(f"line {lineno}: {exc}") from exc
 
@@ -130,22 +127,17 @@ def _parse_init(value: str, lineno: int) -> InitSpec:
     kind, sep, rest = value.partition(":")
     if not sep:
         raise ConfigError(f"line {lineno}: init needs the form kind:params")
+    if kind not in _INIT_CASTS:
+        raise ConfigError(f"line {lineno}: unknown init kind {kind!r}")
+    items = rest.split(",")
+    casts = _INIT_CASTS[kind] or (float,) * len(items)
     try:
-        if kind == "const":
-            return InitSpec("const", (float(rest),))
-        if kind == "harmonic":
-            l, p, amp = rest.split(",")
-            return InitSpec("harmonic", (int(l), int(p), float(amp)))
-        if kind == "random":
-            amp, lmax, seed = rest.split(",")
-            return InitSpec("random", (float(amp), int(lmax), int(seed)))
-        if kind == "sphere":
-            return InitSpec("sphere", tuple(float(v) for v in rest.split(",")))
-    except ConfigError:
-        raise
+        params = tuple(cast(item) for cast, item in zip(casts, items, strict=True))
     except ValueError as exc:
         raise ConfigError(f"line {lineno}: bad init parameters {rest!r}") from exc
-    raise ConfigError(f"line {lineno}: unknown init kind {kind!r}")
+    if not all(map(math.isfinite, params)):
+        raise ConfigError(f"line {lineno}: init parameters must be finite, got {rest!r}")
+    return InitSpec(kind, params)
 
 
 def parse_config_text(text: str) -> ParsedConfig:
@@ -247,16 +239,17 @@ def run_to_files(parsed: ParsedConfig, out_dir: str,
                  ) -> tuple[FlowRun, tuple[str, str]]:
     """Run a parsed config; write run.csv and final_state.snapshot into out_dir.
 
-    The initial field comes from `build_init` when given, else from the
-    config's init.  The run.csv header is `head`, then `run_meta`, then
-    `tail`.  A failed run writes its records so far and its last recorded
-    state.  Returns the run and the two paths written.
+    out_dir is resolved and made only after the run returns.  The initial
+    field comes from `build_init` when given, else from the config's init.
+    The run.csv header is `head`, `run_meta`, then `tail`.  A failed run
+    writes its records so far and last recorded state.  Returns (run, paths).
     """
     cfg = parsed.config
     prob = FlowProblem(cfg)
     rho0 = (build_init or parsed.init.build)(prob.grid, cfg.R)
     out = run(cfg, rho0, problem=prob)
-    csv_path, snap_path = f"{out_dir}/run.csv", f"{out_dir}/final_state.snapshot"
+    target = resolve_out_dir(out_dir)
+    csv_path, snap_path = f"{target}/run.csv", f"{target}/final_state.snapshot"
     write_lines(csv_path, run_csv_lines(out.records, [*head, *run_meta(parsed, prob.grid), *tail]))
     write_snapshot(out.final, snap_path)
     return out, (csv_path, snap_path)

@@ -175,7 +175,7 @@ def _spectrum_files(parsed: ParsedConfig, out_dir: str) -> tuple[list[CheckResul
         _check_le("zero_multiplicity_error",
                   abs(report.zero_multiplicity_numeric - (cfg.n + 2)), 0.0),
     ]
-    path = f"{out_dir}/spectrum.csv"
+    path = f"{resolve_out_dir(out_dir)}/spectrum.csv"
     write_lines(path, report.csv_lines())
     lines = [f"lambda_max_abs = {lam!r}",
              f"zero_multiplicity = {report.zero_multiplicity_numeric}"]
@@ -206,19 +206,20 @@ def run_experiment(name: str, overrides: dict[str, str] | None = None,
     if "init" in overrides:
         build_init = init_label = None
     label_lines = () if init_label is None else (f"init_override = {init_label}",)
-    target_dir = resolve_out_dir(out_dir if out_dir is not None else parsed.out_dir)
+    requested = out_dir if out_dir is not None else parsed.out_dir
     extra_lines: list[str] = []
     if name == "spectrum":
-        checks, files, extra_lines = _spectrum_files(parsed, target_dir)
+        checks, files, extra_lines = _spectrum_files(parsed, requested)
         status = "spectrum"
     else:
-        out, files = run_to_files(parsed, target_dir, build_init,
+        out, files = run_to_files(parsed, requested, build_init,
                                   head=(f"preset = {name}",), tail=label_lines)
         status = out.status
         if out.error is None:
             checks = _CHECKS[name](parsed, out)
         else:
             checks, extra_lines = [], [f"error = {out.error}"]
+    target_dir = resolve_out_dir(requested)
     passed = status != "failed" and all(c.passed for c in checks)
     summary = [f"preset = {name}", *config_echo(parsed), *label_lines,
                f"status = {status}", *extra_lines, *(c.line() for c in checks),

@@ -26,7 +26,9 @@ import numpy as np
 from .errors import SpeedError
 from .geometry import elementary_symmetric
 
-_KINDS = ("mean", "power_mean", "elementary", "custom")
+# Speed kind -> cast of each numeric parameter it takes; the others keep their defaults.
+SPEED_PARAMS = {"mean": {}, "power_mean": {"m": int, "beta": float},
+                "elementary": {"l": int}, "custom": {}}
 
 
 def format_number(x: float) -> str:
@@ -35,9 +37,14 @@ def format_number(x: float) -> str:
     return text if float(text) == x else repr(float(x))
 
 
+def format_param(cast: type, x) -> str:
+    """Text of a parameter that parses back through cast: str for ints."""
+    return str(x) if cast is int else format_number(x)
+
+
 @dataclass(frozen=True)
 class SpeedSpec:
-    """Speed function bound to a dimension n and reference radius R."""
+    """Speed function bound to a dimension n and reference radius R; built checked whole."""
 
     kind: str
     n: int
@@ -48,7 +55,7 @@ class SpeedSpec:
     phi: Callable[..., np.ndarray] | None = None
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
+        if self.kind not in SPEED_PARAMS:
             raise SpeedError(f"unknown speed kind {self.kind!r}")
         if self.n not in (1, 2):
             raise SpeedError(f"speeds are defined for n in {{1, 2}}, got {self.n}")
@@ -56,29 +63,24 @@ class SpeedSpec:
             raise SpeedError(f"reference radius must be positive, got {self.R}")
         if not math.isfinite(self.R):
             raise SpeedError(f"reference radius must be finite, got {self.R}")
+        for name in ("m", "beta", "l"):
+            value = getattr(self, name)
+            if name not in SPEED_PARAMS[self.kind] and value != getattr(SpeedSpec, name):
+                raise SpeedError(f"speed kind {self.kind!r} takes no parameter {name}={value!r}")
         if self.kind == "power_mean" and not 1 <= self.m <= self.n:
             raise SpeedError(f"power_mean needs 1 <= m <= n, got m={self.m}")
         if self.kind == "elementary" and not 1 <= self.l <= self.n:
             raise SpeedError(f"elementary needs 1 <= l <= n, got l={self.l}")
         if self.kind == "custom" and self.phi is None:
             raise SpeedError("custom speed needs a callable phi")
+        fp = umbilic_derivative(self)
+        if not np.isfinite(fp) or fp <= 0.0:
+            raise SpeedError(
+                f"speed {self.describe()} is not increasing at the reference sphere (F'={fp:.3e})")
 
     def describe(self) -> str:
-        if self.kind == "power_mean":
-            return f"power_mean m={self.m} beta={format_number(self.beta)}"
-        if self.kind == "elementary":
-            return f"elementary l={self.l}"
-        return self.kind
-
-
-def make_speed(kind: str, n: int, R: float = 1.0, **params) -> SpeedSpec:
-    """Build a speed and verify it is admissible at the reference sphere."""
-    spec = SpeedSpec(kind=kind, n=n, R=R, **params)
-    fp = umbilic_derivative(spec)
-    if not np.isfinite(fp) or fp <= 0.0:
-        raise SpeedError(
-            f"speed {spec.describe()} is not increasing at the reference sphere (F'={fp:.3e})")
-    return spec
+        return " ".join([self.kind, *(f"{name}={format_param(cast, getattr(self, name))}"
+                                      for name, cast in SPEED_PARAMS[self.kind].items())])
 
 
 def eval_speed(spec: SpeedSpec, E: tuple) -> np.ndarray:

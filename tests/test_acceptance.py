@@ -21,7 +21,7 @@ from mixedflow.geometry import bundle_from_coeffs
 from mixedflow.harmonics import RadialField, build_grid
 from mixedflow.io import random_band_field
 from mixedflow.presets import run_experiment
-from mixedflow.speeds import eval_speed_kappa, make_speed
+from mixedflow.speeds import SpeedSpec, eval_speed_kappa
 from oracles import graph_area, mesh_principal_curvatures, y21, y21_grad
 
 
@@ -34,9 +34,9 @@ def test_01_spheres_are_stationary():
     R = 1.0
     worst, worst_case = 0.0, ""
     for n in (1, 2):
-        speeds = [make_speed("mean", n=n, R=R),
-                  make_speed("power_mean", n=n, R=R, m=1, beta=2.0),
-                  make_speed("elementary", n=n, R=R, l=n)]
+        speeds = [SpeedSpec("mean", n=n, R=R),
+                  SpeedSpec("power_mean", n=n, R=R, m=1, beta=2.0),
+                  SpeedSpec("elementary", n=n, R=R, l=n)]
         for speed in speeds:
             F0 = eval_speed_kappa(speed, [1.0 / R] * n)
             for k in range(-1, n):
@@ -150,12 +150,12 @@ def test_05_linear_decay_rates():
     cases = []
     for speed_kind, k in (("mean", -1), ("mean", 0), ("power_mean", -1)):
         if speed_kind == "mean":
-            speed = make_speed("mean", n=2, R=1.0)
+            speed = SpeedSpec("mean", n=2, R=1.0)
         else:
-            speed = make_speed("power_mean", n=2, R=1.0, m=1, beta=2.0)
+            speed = SpeedSpec("power_mean", n=2, R=1.0, m=1, beta=2.0)
         for m in (2, 3, 4):
             cases.append((2, speed, k, m, 8))
-    mean1 = make_speed("mean", n=1, R=1.0)
+    mean1 = SpeedSpec("mean", n=1, R=1.0)
     for m in (2, 3, 4):
         cases.append((1, mean1, -1, m, 16))
     for n, speed, k, m, L in cases:

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from mixedflow.analysis import (
-    analytic_spectrum,
     fit_decay_rate,
     fit_sphere,
     mixed_volume,
@@ -16,7 +15,7 @@ from mixedflow.analysis import (
 from mixedflow.errors import AdmissibilityError, SpectrumRangeError
 from mixedflow.flow import FlowConfig
 from mixedflow.harmonics import SPHERE_AREA, RadialField
-from mixedflow.speeds import make_speed
+from mixedflow.speeds import SpeedSpec
 
 
 def test_mixed_volume_round_spheres(grid1, grid2):
@@ -52,33 +51,33 @@ def test_mixed_volume_k_range(grid2):
 
 
 def test_stable_decay_rate_frozen():
-    mean2 = make_speed("mean", n=2, R=1.0)
+    mean2 = SpeedSpec("mean", n=2, R=1.0)
     assert [stable_decay_rate(mean2, l) for l in (2, 3, 4)] == [4.0, 10.0, 18.0]
-    mean1 = make_speed("mean", n=1, R=1.0)
+    mean1 = SpeedSpec("mean", n=1, R=1.0)
     assert [stable_decay_rate(mean1, l) for l in (2, 3, 4)] == [3.0, 8.0, 15.0]
     # power_mean(1, 2) has derivative 2/n at the unit sphere
-    pm2 = make_speed("power_mean", n=2, R=1.0, m=1, beta=2.0)
+    pm2 = SpeedSpec("power_mean", n=2, R=1.0, m=1, beta=2.0)
     assert stable_decay_rate(pm2, 2) == pytest.approx(4.0, rel=1e-15)
-    pm1 = make_speed("power_mean", n=1, R=1.0, m=1, beta=2.0)
+    pm1 = SpeedSpec("power_mean", n=1, R=1.0, m=1, beta=2.0)
     assert stable_decay_rate(pm1, 2) == pytest.approx(6.0, rel=1e-15)
     # radius scaling: rate ~ R^-2 for the 1-homogeneous mean speed
-    mean2b = make_speed("mean", n=2, R=2.0)
+    mean2b = SpeedSpec("mean", n=2, R=2.0)
     assert stable_decay_rate(mean2b, 2) == pytest.approx(1.0, rel=1e-15)
 
 
 def test_analytic_spectrum_structure():
-    rep = analytic_spectrum(FlowConfig(n=2, R=1.0, k=-1), l_max=3)
+    rep = numerical_jacobian(FlowConfig(n=2, R=1.0, k=-1), l_max=3)[1]
     assert [row.multiplicity for row in rep.rows] == [1, 3, 5, 7]
     assert [row.lambda_analytic for row in rep.rows] == [0.0, 0.0, -4.0, -10.0]
     assert rep.center_dimension == 4
     assert rep.lambda_max_abs == 10.0
-    rep1 = analytic_spectrum(FlowConfig(n=1, R=1.0, k=-1), l_max=2)
+    rep1 = numerical_jacobian(FlowConfig(n=1, R=1.0, k=-1), l_max=2)[1]
     assert [row.multiplicity for row in rep1.rows] == [1, 2, 2]
     assert rep1.center_dimension == 3
 
 
 def test_spectrum_csv_header():
-    rep = analytic_spectrum(FlowConfig(n=2, R=1.0, k=-1), l_max=2)
+    rep = numerical_jacobian(FlowConfig(n=2, R=1.0, k=-1), l_max=2)[1]
     lines = rep.csv_lines()
     assert lines[0] == "l,lambda_analytic,lambda_numeric,multiplicity,offdiag_max"
     assert len(lines) == 4

@@ -17,7 +17,7 @@ from mixedflow.flow import (
 )
 from mixedflow.harmonics import RadialField
 from mixedflow.io import random_band_field
-from mixedflow.speeds import eval_speed_kappa, make_speed, reference_speed
+from mixedflow.speeds import SpeedSpec, eval_speed_kappa, reference_speed
 from conftest import band_coeffs
 
 
@@ -28,9 +28,9 @@ def const_coeffs(grid, c):
 
 
 def speed_matrix(n, R):
-    return [make_speed("mean", n=n, R=R),
-            make_speed("power_mean", n=n, R=R, m=1, beta=2.0),
-            make_speed("elementary", n=n, R=R, l=n)]
+    return [SpeedSpec("mean", n=n, R=R),
+            SpeedSpec("power_mean", n=n, R=R, m=1, beta=2.0),
+            SpeedSpec("elementary", n=n, R=R, l=n)]
 
 
 # -- stationarity ------------------------------------------------------------------
@@ -148,7 +148,7 @@ def test_rk4_bound_is_computed_once(monkeypatch):
     # a custom speed's umbilic derivative is a four-call difference: not per step
     from mixedflow import flow
 
-    speed = make_speed("custom", n=2, R=1.0, phi=lambda h1, h2: h1 + 0.5 * h2)
+    speed = SpeedSpec("custom", n=2, R=1.0, phi=lambda h1, h2: h1 + 0.5 * h2)
     cfg = FlowConfig(n=2, R=1.0, speed=speed, integrator="rk4", L_max=8)
     prob = FlowProblem(cfg)
     bound = cfl_timestep(cfg)
@@ -166,7 +166,7 @@ def test_rk4_bound_is_computed_once(monkeypatch):
 def test_speed_failure_rejects_step():
     # beta = 0.5 needs a positive mean curvature; this admissible field's
     # turns negative, so the speed is undefined there and the step is rejected
-    speed = make_speed("power_mean", n=2, R=1.0, m=1, beta=0.5)
+    speed = SpeedSpec("power_mean", n=2, R=1.0, m=1, beta=0.5)
     cfg = FlowConfig(n=2, R=1.0, speed=speed, L_max=16)
     prob = FlowProblem(cfg)
     c0 = random_band_field(prob.grid, 1.0, 0.6, 6, 10, 3).coeffs
@@ -288,7 +288,7 @@ def test_flow_config_validation():
     with pytest.raises(ValueError):
         FlowConfig(dt=-1e-3)
     with pytest.raises(ValueError):
-        FlowConfig(n=1, speed=make_speed("mean", n=2, R=1.0))
+        FlowConfig(n=1, speed=SpeedSpec("mean", n=2, R=1.0))
 
 
 @pytest.mark.parametrize("field,value", [("T", math.nan), ("T", math.inf), ("dt", math.nan),
@@ -346,7 +346,7 @@ def test_run_ends_at_T_when_steps_are_whole_to_tolerance():
 
 def _failing_run(integrator):
     # E_2 at amplitude 0.2 drives the graph out of the admissible cone
-    speed = make_speed("elementary", n=2, R=1.0, l=2)
+    speed = SpeedSpec("elementary", n=2, R=1.0, l=2)
     cfg = FlowConfig(n=2, R=1.0, speed=speed, integrator=integrator, T=0.2, L_max=12,
                      cadence=1)
     prob = FlowProblem(cfg)

@@ -1,6 +1,7 @@
 """Config parsing, snapshots, run.csv emission, and the command-line front end."""
 
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,9 +11,10 @@ from hypothesis import strategies as st
 from mixedflow.analysis import fit_sphere, sphere_from_coords
 from mixedflow.cli import main
 from mixedflow.errors import ConfigError, SnapshotError
-from mixedflow.flow import FlowProblem, FlowState, default_timestep, run
+from mixedflow.flow import FlowConfig, FlowProblem, FlowState, default_timestep, run
 from mixedflow.harmonics import RadialField, build_grid
 from mixedflow.io import (
+    CONFIG_KEYS,
     RUN_COLUMNS,
     InitSpec,
     config_echo,
@@ -25,6 +27,7 @@ from mixedflow.io import (
     write_snapshot,
 )
 from mixedflow.presets import PRESET_NAMES, _preset_config
+from mixedflow.speeds import SPEED_PARAMS, SpeedSpec
 
 FULL_CONFIG = """\
 # demo configuration
@@ -84,11 +87,31 @@ def test_parse_full_config():
     ("init = const\n", "line 1: init needs the form kind:params"),
     ("n = 2\ninit = sphere:0.1,0.2\n", "line 2: sphere init needs 4 coordinates, got 2"),
     ("integrator = euler\n", "inconsistent configuration"),
+    ("init = const:nan\n", "line 1: init parameters must be finite, got 'nan'"),
+    ("n = 2\ninit = harmonic:2,1,nan\n", "line 2: init parameters must be finite"),
+    ("init = random:inf,6,1\n", "line 1: init parameters must be finite"),
+    ("init = sphere:nan,0,0,0\n", "line 1: init parameters must be finite"),
+    ("speed = mean beta=3\n", "line 1: unknown speed parameter 'beta' for mean"),
+    ("speed = power_mean m=1 beta=2 l=2\n",
+     "line 1: unknown speed parameter 'l' for power_mean"),
 ])
 def test_parse_errors_carry_line_numbers(text, fragment):
     with pytest.raises(ConfigError) as info:
         parse_config_text(text)
     assert fragment in str(info.value)
+
+
+def test_readme_example_config_parses_to_the_defaults():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    after = readme[readme.index("values below are those defaults"):]
+    block = after.split("```\n")[1]
+    parsed = parse_config_text(block)
+    keys = [line.partition("=")[0].strip() for line in block.splitlines()
+            if line.strip() and not line.lstrip().startswith("#")]
+    assert set(keys) == set(CONFIG_KEYS)
+    defaults = FlowConfig()
+    for key in set(keys) - {"dt", "init", "out_dir"}:
+        assert getattr(parsed.config, key) == getattr(defaults, key), key
 
 
 def test_config_echo_resolves_dt():
@@ -128,6 +151,16 @@ def test_echo_keeps_full_precision():
     _echo_round_trips(parsed)
     # the default rk4 step, 0.5 / (16 * 17), has no exact 6-digit form
     _echo_round_trips(parse_config_text("integrator = rk4\ninit = sphere:0.123456789,0,0,0\n"))
+
+
+def test_speed_kinds_round_trip_through_their_echo():
+    _echo_round_trips(parse_config_text("speed = elementary l=2\n"))
+    samples = {"mean": {}, "power_mean": {"m": 2, "beta": 1.23456789}, "elementary": {"l": 2}}
+    for kind in SPEED_PARAMS:
+        if kind == "custom":
+            continue
+        s = SpeedSpec(kind, n=2, R=1.0, **samples[kind])
+        assert parse_config_text(f"speed = {s.describe()}").config.speed == s
 
 
 # -- initial data -----------------------------------------------------------------
@@ -443,6 +476,22 @@ def test_cli_non_finite_config_is_input_error(tmp_path, monkeypatch, capsys, lin
     cfg = _write_config(tmp_path, f"n = 2\nL_max = 8\n{line}\n")
     assert main(["run", "--config", cfg]) == 2
     assert fragment in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("init", ["const:nan", "const:-2", "random:0.05,1,1", "harmonic:2,1,nan"])
+def test_cli_rejected_initial_field_makes_no_directory(tmp_path, monkeypatch, capsys, init):
+    monkeypatch.setenv("MIXEDFLOW_OUT", str(tmp_path / "out"))
+    cfg = _write_config(tmp_path, f"n = 2\nL_max = 8\ninit = {init}\n")
+    assert main(["run", "--config", cfg]) == 2
+    assert "error: " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_preset_rejected_initial_field_makes_no_directory(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("MIXEDFLOW_OUT", str(tmp_path / "out"))
+    assert main(["preset", "stationarity", "--set", "init=const:-2"]) == 2
+    assert "error: " in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
