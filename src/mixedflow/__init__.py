@@ -22,11 +22,7 @@ from .harmonics import (
     harmonic_multiplicity,
     total_coefficients,
 )
-from .geometry import (
-    CurvatureBundle,
-    bundle_from_coeffs,
-    elementary_symmetric,
-)
+from .geometry import CurvatureBundle, bundle_from_coeffs
 from .speeds import SpeedSpec, eval_speed, reference_speed, umbilic_derivative
 from .flow import (
     DiagnosticsRecord,

@@ -74,23 +74,6 @@ class CurvatureBundle:
         return (0.5 * (trW + sq), 0.5 * (trW - sq))
 
 
-def elementary_symmetric(kappa, l: int) -> float:
-    """Elementary symmetric function E_l of a sequence of numbers.
-
-    Expands prod(x + kappa_i) iteratively, which is stable and avoids
-    enumerating subsets.
-    """
-    kappa = [float(k) for k in kappa]
-    n = len(kappa)
-    if not 0 <= l <= n:
-        raise ValueError(f"E_{l} undefined for {n} arguments")
-    e = np.zeros(n + 1)
-    e[0] = 1.0
-    for k in kappa:
-        e[1:] += k * e[:-1].copy()
-    return float(e[l])
-
-
 def check_radius(r: np.ndarray) -> None:
     """Raise AdmissibilityError unless every radius is finite and positive."""
     if not np.all(np.isfinite(r)):

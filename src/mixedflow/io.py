@@ -30,7 +30,7 @@ from typing import Callable
 import numpy as np
 
 from .analysis import sphere_from_coords
-from .errors import ConfigError, SnapshotError
+from .errors import ConfigError, SnapshotError, SpeedError
 from .flow import FlowConfig, FlowProblem, FlowRun, FlowState, default_timestep, run
 from .harmonics import Grid, RadialField, build_grid, harmonic_multiplicity
 from .speeds import SPEED_PARAMS, SpeedSpec, format_number, format_param
@@ -50,6 +50,13 @@ RUN_COLUMNS = ("t", "h_k", "V", "sup_G", "sup_rho", "sphere_residual_sup",
                "mode_energy_l8")
 
 
+def _init_casts(kind: str, count: int) -> tuple:
+    """Casts of the count parameters of an init kind; ConfigError for an unknown kind."""
+    if kind not in _INIT_CASTS:
+        raise ConfigError(f"unknown init kind {kind!r}")
+    return _INIT_CASTS[kind] or (float,) * count
+
+
 @dataclass(frozen=True)
 class InitSpec:
     """Parsed initial-data descriptor; built into a field once a grid exists."""
@@ -57,8 +64,17 @@ class InitSpec:
     kind: str
     params: tuple
 
+    def __post_init__(self):
+        casts = _init_casts(self.kind, len(self.params))
+        if len(self.params) != len(casts):
+            raise ConfigError(
+                f"init kind {self.kind} takes {len(casts)} parameters, got {len(self.params)}")
+        if not all(map(math.isfinite, self.params)):
+            raise ConfigError(
+                f"init parameters must be finite, got {self.describe().partition(':')[2]!r}")
+
     def describe(self) -> str:
-        casts = _INIT_CASTS[self.kind] or (float,) * len(self.params)
+        casts = _init_casts(self.kind, len(self.params))
         return f"{self.kind}:" + ",".join(map(format_param, casts, self.params))
 
     def build(self, grid: Grid, R: float) -> RadialField:
@@ -72,9 +88,7 @@ class InitSpec:
         if self.kind == "random":
             amp, lmax, seed = self.params
             return random_band_field(grid, R, amp, 2, lmax, seed)
-        if self.kind == "sphere":
-            return sphere_from_coords(np.asarray(self.params), grid, R)
-        raise ConfigError(f"unknown init kind {self.kind!r}")
+        return sphere_from_coords(np.asarray(self.params), grid, R)
 
 
 def random_band_field(grid: Grid, R: float, amp: float, l_lo: int, l_hi: int,
@@ -119,7 +133,7 @@ def _parse_speed(value: str, n: int, R: float, lineno: int) -> SpeedSpec:
             raise ConfigError(f"line {lineno}: bad speed parameter value {raw!r}") from exc
     try:
         return SpeedSpec(kind, n=n, R=R, **kwargs)
-    except Exception as exc:
+    except SpeedError as exc:
         raise ConfigError(f"line {lineno}: {exc}") from exc
 
 
@@ -127,17 +141,15 @@ def _parse_init(value: str, lineno: int) -> InitSpec:
     kind, sep, rest = value.partition(":")
     if not sep:
         raise ConfigError(f"line {lineno}: init needs the form kind:params")
-    if kind not in _INIT_CASTS:
-        raise ConfigError(f"line {lineno}: unknown init kind {kind!r}")
     items = rest.split(",")
-    casts = _INIT_CASTS[kind] or (float,) * len(items)
     try:
+        casts = _init_casts(kind, len(items))
         params = tuple(cast(item) for cast, item in zip(casts, items, strict=True))
+        return InitSpec(kind, params)
     except ValueError as exc:
         raise ConfigError(f"line {lineno}: bad init parameters {rest!r}") from exc
-    if not all(map(math.isfinite, params)):
-        raise ConfigError(f"line {lineno}: init parameters must be finite, got {rest!r}")
-    return InitSpec(kind, params)
+    except ConfigError as exc:
+        raise ConfigError(f"line {lineno}: {exc}") from exc
 
 
 def parse_config_text(text: str) -> ParsedConfig:

@@ -2,10 +2,12 @@
 
 Everything here works from closed-form radius functions and plain numpy:
 fourth-order finite differences of the embedding for curvatures, hand-derived
-first-fundamental-form quadrature for areas and volumes.  No imports from
-the package under test.
+first-fundamental-form quadrature for areas and volumes, and speeds at one
+curvature tuple from their definitions.  No imports from the package under
+test.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -157,3 +159,34 @@ def bundle_reference(d, R, sin_theta=None, x=None):
             "graph_factor": den / r, "radius": r,
             "shape_operator": (g11, g12, g22, H11, H12, H22, den_detg),
             "kappa": (0.5 * (trW + sq), 0.5 * (trW - sq))}
+
+
+def elementary_symmetric(kappa, l):
+    """E_l of a tuple of numbers: the sum of the products of its l-element subsets."""
+    return float(sum(math.prod(combo) for combo in itertools.combinations(kappa, l)))
+
+
+def speed_at(spec, kappa):
+    """Speed F at one tuple of principal curvatures, from the definition of its kind.
+
+    spec is any object with the fields kind, m, beta and l, such as a
+    SpeedSpec; the dimension n is the length of kappa.
+    """
+    if spec.kind == "mean":
+        return elementary_symmetric(kappa, 1)
+    if spec.kind == "elementary":
+        return elementary_symmetric(kappa, spec.l)
+    if spec.kind == "power_mean":
+        return (elementary_symmetric(kappa, spec.m) / math.comb(len(kappa), spec.m)) ** spec.beta
+    raise ValueError(f"no definition for speed kind {spec.kind!r}")
+
+
+def umbilic_difference(spec, h):
+    """Central difference, step h, of F in one principal curvature at the round sphere.
+
+    The sphere is the one of radius spec.R in dimension spec.n: every
+    curvature equals 1/R.
+    """
+    k0 = 1.0 / spec.R
+    rest = [k0] * (spec.n - 1)
+    return (speed_at(spec, [k0 + h, *rest]) - speed_at(spec, [k0 - h, *rest])) / (2.0 * h)

@@ -21,8 +21,8 @@ from mixedflow.geometry import bundle_from_coeffs
 from mixedflow.harmonics import RadialField, build_grid
 from mixedflow.io import random_band_field
 from mixedflow.presets import run_experiment
-from mixedflow.speeds import SpeedSpec, eval_speed_kappa
-from oracles import graph_area, mesh_principal_curvatures, y21, y21_grad
+from mixedflow.speeds import SpeedSpec
+from oracles import graph_area, mesh_principal_curvatures, speed_at, y21, y21_grad
 
 
 def _report(num: int, passed: bool, detail: str) -> None:
@@ -38,7 +38,7 @@ def test_01_spheres_are_stationary():
                   SpeedSpec("power_mean", n=n, R=R, m=1, beta=2.0),
                   SpeedSpec("elementary", n=n, R=R, l=n)]
         for speed in speeds:
-            F0 = eval_speed_kappa(speed, [1.0 / R] * n)
+            F0 = speed_at(speed, [1.0 / R] * n)
             for k in range(-1, n):
                 cfg = FlowConfig(n=n, R=R, k=k, speed=speed, L_max=16)
                 prob = FlowProblem(cfg)

@@ -17,8 +17,9 @@ from mixedflow.flow import (
 )
 from mixedflow.harmonics import RadialField
 from mixedflow.io import random_band_field
-from mixedflow.speeds import SpeedSpec, eval_speed_kappa, reference_speed
+from mixedflow.speeds import SpeedSpec, reference_speed
 from conftest import band_coeffs
+from oracles import speed_at
 
 
 def const_coeffs(grid, c):
@@ -50,7 +51,7 @@ def test_spheres_stationary_all_speeds():
                     assert np.max(np.abs(G)) <= 1e-11 * reference_speed(speed)
                     # the constraint value on a round sphere is F itself
                     kap = 1.0 / (R + c)
-                    assert abs(h - eval_speed_kappa(speed, [kap] * n)) \
+                    assert abs(h - speed_at(speed, [kap] * n)) \
                         <= 1e-11 * reference_speed(speed)
 
 
@@ -145,10 +146,10 @@ def test_cfl_rejection():
 
 
 def test_rk4_bound_is_computed_once(monkeypatch):
-    # a custom speed's umbilic derivative is a four-call difference: not per step
+    # the step bound is read from the problem, never recomputed per step
     from mixedflow import flow
 
-    speed = SpeedSpec("custom", n=2, R=1.0, phi=lambda h1, h2: h1 + 0.5 * h2)
+    speed = SpeedSpec("power_mean", n=2, R=1.0, m=1, beta=2.0)
     cfg = FlowConfig(n=2, R=1.0, speed=speed, integrator="rk4", L_max=8)
     prob = FlowProblem(cfg)
     bound = cfl_timestep(cfg)

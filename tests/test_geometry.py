@@ -1,15 +1,13 @@
 """Curvature pipeline tests, cross-checked against finite-difference oracles."""
 
-import itertools
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from mixedflow.analysis import mixed_volume
 from mixedflow.errors import AdmissibilityError
-from mixedflow.geometry import BundleWorkspace, bundle_from_coeffs, elementary_symmetric
+from mixedflow.geometry import BundleWorkspace, bundle_from_coeffs
 from mixedflow.harmonics import RadialField, build_grid
 from conftest import band_coeffs
 from oracles import (
@@ -25,18 +23,6 @@ def const_field(grid, R, c):
     coeffs = np.zeros(grid.size)
     coeffs[0] = c * math.sqrt(4.0 * math.pi if grid.n == 2 else 2.0 * math.pi)
     return RadialField(grid, R, coeffs=coeffs)
-
-
-# -- elementary symmetric functions ----------------------------------------------
-
-
-@settings(max_examples=50, deadline=None)
-@given(st.lists(st.floats(-3, 3), min_size=1, max_size=6), st.integers(0, 6))
-def test_elementary_symmetric_matches_combinations(kappa, l):
-    l = min(l, len(kappa))
-    got = elementary_symmetric(kappa, l)
-    want = sum(math.prod(combo) for combo in itertools.combinations(kappa, l))
-    assert abs(got - want) <= 1e-10 * max(1.0, abs(want))
 
 
 # -- umbilic identity -------------------------------------------------------------

@@ -94,6 +94,8 @@ def test_parse_full_config():
     ("speed = mean beta=3\n", "line 1: unknown speed parameter 'beta' for mean"),
     ("speed = power_mean m=1 beta=2 l=2\n",
      "line 1: unknown speed parameter 'l' for power_mean"),
+    ("R = 0.001\nspeed = power_mean m=1 beta=1000\n",
+     "line 2: F' of speed power_mean m=1 beta=1000 at the reference sphere is inf"),
 ])
 def test_parse_errors_carry_line_numbers(text, fragment):
     with pytest.raises(ConfigError) as info:
@@ -157,8 +159,6 @@ def test_speed_kinds_round_trip_through_their_echo():
     _echo_round_trips(parse_config_text("speed = elementary l=2\n"))
     samples = {"mean": {}, "power_mean": {"m": 2, "beta": 1.23456789}, "elementary": {"l": 2}}
     for kind in SPEED_PARAMS:
-        if kind == "custom":
-            continue
         s = SpeedSpec(kind, n=2, R=1.0, **samples[kind])
         assert parse_config_text(f"speed = {s.describe()}").config.speed == s
 
@@ -208,6 +208,17 @@ def test_init_describe_round_trip():
                  InitSpec("sphere", (0.1, 0.0, 0.02, -0.01))):
         parsed = parse_config_text(f"init = {spec.describe()}\n")
         assert parsed.init == spec
+
+
+@pytest.mark.parametrize("kind,params,fragment", [
+    ("blob", (1.0,), "unknown init kind 'blob'"),
+    ("const", (0.1, 0.2), "init kind const takes 1 parameters, got 2"),
+    ("harmonic", (2, 1, float("nan")), "init parameters must be finite, got '2,1,nan'"),
+])
+def test_init_spec_checks_itself(kind, params, fragment):
+    with pytest.raises(ConfigError) as info:
+        InitSpec(kind, params)
+    assert fragment in str(info.value)
 
 
 # -- snapshots --------------------------------------------------------------------

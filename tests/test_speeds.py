@@ -8,13 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from mixedflow.errors import SpeedError
 from mixedflow.geometry import bundle_from_coeffs
-from mixedflow.speeds import (
-    SpeedSpec,
-    eval_speed,
-    eval_speed_kappa,
-    reference_speed,
-    umbilic_derivative,
-)
+from mixedflow.speeds import SpeedSpec, eval_speed, reference_speed, umbilic_derivative
+from oracles import elementary_symmetric, speed_at, umbilic_difference
 
 
 def all_speeds(n, R=1.0):
@@ -28,11 +23,17 @@ def all_speeds(n, R=1.0):
     return speeds
 
 
+def speed_kappa(spec, kappa):
+    """The package's speed at one curvature tuple, fed the oracle's E_0, ..., E_n."""
+    return float(eval_speed(spec, tuple(elementary_symmetric(kappa, l)
+                                        for l in range(spec.n + 1))))
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.floats(0.1, 3.0), st.floats(0.1, 3.0))
 def test_permutation_symmetry(k1, k2):
     for spec in all_speeds(2):
-        assert eval_speed_kappa(spec, (k1, k2)) == eval_speed_kappa(spec, (k2, k1))
+        assert speed_kappa(spec, (k1, k2)) == speed_kappa(spec, (k2, k1))
 
 
 def test_umbilic_derivative_closed_forms():
@@ -49,7 +50,7 @@ def test_umbilic_derivative_vs_finite_differences():
     for n in (1, 2):
         for spec in all_speeds(n, R=1.3):
             closed = umbilic_derivative(spec)
-            fd = umbilic_derivative(spec, step=1e-6)
+            fd = umbilic_difference(spec, h=1e-6)
             assert abs(closed - fd) <= 1e-7 * abs(closed)
 
 
@@ -58,6 +59,15 @@ def test_reference_speed_frozen():
     assert reference_speed(SpeedSpec("mean", n=1, R=2.0)) == 0.5
     assert abs(reference_speed(SpeedSpec("power_mean", n=2, R=2.0, m=1, beta=2.0)) - 0.25) < 1e-15
     assert abs(reference_speed(SpeedSpec("elementary", n=2, R=2.0, l=2)) - 0.25) < 1e-15
+
+
+def test_reference_speed_matches_the_definition():
+    # the closed form of F(kappa0) against the speed's definition at (1/R, ..., 1/R)
+    for n in (1, 2):
+        for R in (0.7, 1.0, 1.3):
+            for spec in all_speeds(n, R):
+                want = speed_at(spec, [1.0 / R] * n)
+                assert abs(reference_speed(spec) - want) <= 2.0 * math.ulp(want), spec
 
 
 def test_constant_on_spheres(grid2):
@@ -79,11 +89,13 @@ def test_admissibility_rejected():
         SpeedSpec("power_mean", n=2, R=1.0, m=3, beta=1.0)
     with pytest.raises(SpeedError):
         SpeedSpec("madeup", n=2, R=1.0)
-    with pytest.raises(SpeedError):
-        SpeedSpec("custom", n=2, R=1.0)  # no phi
-    with pytest.raises(SpeedError):
-        # decreasing speed: F' < 0 at the sphere
-        SpeedSpec("custom", n=2, R=1.0, phi=lambda h1, h2: -h1)
+    # F' or F at the reference sphere too large for a float
+    with pytest.raises(SpeedError,
+                       match="F' of speed power_mean m=1 beta=1000 at the reference sphere is inf"):
+        SpeedSpec("power_mean", n=2, R=0.001, m=1, beta=1000.0)
+    with pytest.raises(SpeedError,
+                       match="F of speed elementary l=2 at the reference sphere is inf"):
+        SpeedSpec("elementary", n=2, R=1e-160, l=2)
     # a non-default value of a parameter the kind does not take
     with pytest.raises(SpeedError, match="takes no parameter beta=3.0"):
         SpeedSpec("mean", n=2, R=1.0, beta=3.0)
@@ -91,17 +103,11 @@ def test_admissibility_rejected():
         SpeedSpec("power_mean", n=2, R=1.0, m=1, beta=2.0, l=2)
 
 
-def test_custom_speed():
-    # F = H_1 H_2 has F'(kappa_0) = (1/n + 1) R^{-2} at the round sphere
-    spec = SpeedSpec("custom", n=2, R=1.0, phi=lambda h1, h2: h1 * h2)
-    assert abs(umbilic_derivative(spec) - 1.5) < 1e-9
-
-
 def test_power_mean_negative_base():
     # non-integer powers need positive curvature means pointwise
     spec = SpeedSpec("power_mean", n=2, R=1.0, m=1, beta=0.5)
     with pytest.raises(SpeedError):
-        eval_speed_kappa(spec, (-2.0, -2.0))
+        speed_kappa(spec, (-2.0, -2.0))
 
 
 def test_describe_strings():
