@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from mixedflow.analysis import sphere_from_coords
 from mixedflow.errors import AdmissibilityError, SpeedError, StepRejectedError
 from mixedflow.flow import (
     FlowConfig,
@@ -53,6 +54,21 @@ def test_spheres_stationary_all_speeds():
                     kap = 1.0 / (R + c)
                     assert abs(h - speed_at(speed, [kap] * n)) \
                         <= 1e-11 * reference_speed(speed)
+
+
+@pytest.mark.parametrize("L", (16, 32, 48, 64))
+def test_spheres_stationary_at_every_band_limit(L):
+    # centered spheres and one off center (|center| = 0.197) stay fixed up to
+    # the largest band limit, where derivatives amplify quadrature error most
+    for k in (-1, 0, 1):
+        prob = FlowProblem(FlowConfig(n=2, R=1.0, k=k, L_max=L))
+        tol = 1e-10 * reference_speed(prob.config.speed)
+        spheres = {f"c={c}": RadialField(prob.grid, 1.0, values=np.full(prob.grid.shape, c))
+                   for c in (-0.3, 0.2, 0.5)}
+        spheres["off-center"] = sphere_from_coords((0.05, 0.15, -0.1, 0.08), prob.grid, 1.0)
+        for name, rho in spheres.items():
+            G, _ = prob.velocity_values(rho.coeffs)
+            assert np.max(np.abs(G)) <= tol, (k, name)
 
 
 def test_g_coeffs_vanish_on_sphere(grid2):

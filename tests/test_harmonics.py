@@ -118,6 +118,16 @@ def test_mean_value(grid2_small):
     assert abs(grid2_small.integrate(u) / SPHERE_AREA[2] - 3.0) < 1e-12
 
 
+@pytest.mark.parametrize("L", (16, 32, 64))
+def test_latitude_weights_are_orthogonal_to_legendre_polynomials(L):
+    # sum_j w_j P_l(x_j) = 0 for 1 <= l <= 2 n_lat - 1; an error here grows
+    # like l^2 in second derivatives and moves round spheres off stationarity
+    grid = build_grid(2, L)
+    w = grid.quad_weights[:, 0] * (grid.n_lon / (2.0 * math.pi))
+    P = np.polynomial.legendre.legvander(grid.x, 2 * grid.n_lat - 1)
+    assert np.max(np.abs(w @ P[:, 1:])) <= 2e-15
+
+
 # -- calculus --------------------------------------------------------------------
 # On the unit sphere the Laplace-Beltrami operator is synthesize_derivs' "lap"
 # ("utt" on the circle) and the surface gradient is (ut, up / sin(theta)); on the
