@@ -6,7 +6,11 @@ the reference sphere.  fit_sphere inverts that parametrization in the
 weighted least-squares sense by Gauss-Newton, seeded from the lowest-mode
 projection of the field, so convergence statements about the flow can be
 made against the nearest true sphere rather than against harmonics of the
-evolving surface.
+evolving surface.  The fit runs on the grid flattened to one axis: the
+direction components are one stacked (n + 1, N) array (Grid.directions), so
+the sphere's height is a matvec and each Gauss-Newton step a handful of
+whole-array operations and one weighted matmul, cheap enough to fit every
+diagnostics record.
 """
 
 from __future__ import annotations
@@ -141,24 +145,32 @@ def numerical_jacobian(config: FlowConfig, l_max: int) -> tuple[np.ndarray, Spec
 # -- sphere fitting -----------------------------------------------------------
 
 
-def _sphere_height(z: np.ndarray, grid: Grid, R: float):
-    """Height of the sphere with coordinates z over the reference sphere."""
-    omega = grid.directions()
+def _sphere_height(z: np.ndarray, grid: Grid, R: float) -> tuple[np.ndarray, np.ndarray]:
+    """The terms (s, q) of the height s - R + q of the sphere z, over the flat grid.
+
+    s = z[1:] . omega is the center's component along each direction and
+    q = sqrt(s^2 + (R + z0)^2 - |z[1:]|^2), so the ray along omega meets
+    the sphere at distance s + q; the sphere is a graph while q^2 > 0.
+    """
     if z.size != grid.n + 2:
         raise ValueError(f"expected {grid.n + 2} coordinates, got {z.size}")
-    s = sum(z[1 + i] * omega[i] for i in range(grid.n + 1))
-    q2 = s * s + (R + z[0]) ** 2 - float(np.sum(z[1:] ** 2))
-    if np.min(q2) <= 0.0:
+    center = z[1:]
+    s = center @ grid.directions().reshape(grid.n + 1, -1)
+    q = s * s
+    c = (R + z[0]) ** 2 - float(center @ center)
+    q += c
+    # With the origin inside the sphere (c > 0) every q^2 >= c > 0, so only
+    # c <= 0 needs the scan.
+    if c <= 0.0 and q.min() <= 0.0:
         raise AdmissibilityError("sphere is not a graph over the reference sphere")
-    q = np.sqrt(q2)
-    return s - R + q, s, q, omega
+    np.sqrt(q, out=q)
+    return s, q
 
 
 def sphere_from_coords(z, grid: Grid, R: float) -> RadialField:
     """Exact sphere of radius R + z0 centered at sum z_p omega_p, as a height field."""
-    z = np.asarray(z, dtype=float)
-    values, _, _, _ = _sphere_height(z, grid, R)
-    return RadialField(grid, R, values=values)
+    s, q = _sphere_height(np.asarray(z, dtype=float), grid, R)
+    return RadialField(grid, R, values=(s - R + q).reshape(grid.shape))
 
 
 def project_center_coords(rho: RadialField) -> np.ndarray:
@@ -187,28 +199,39 @@ def fit_sphere(rho: RadialField) -> tuple[np.ndarray, np.ndarray]:
     z is the (n + 2)-vector of sphere coordinates (z0, z1, ..., z_{n+1}).
     Gauss-Newton on the n+2 sphere coordinates, seeded from the lowest-mode
     projection; stops when the update norm drops below 1e-12 R, and gives
-    up after 50 iterations.
+    up after 50 iterations.  Each iteration works on the whole flattened
+    grid at once: one matvec of z against the stacked directions, the
+    Jacobian rows (R + z0)/q and omega_i (1 + s/q) - z_i/q beside the
+    residual in one array, and one weighted matmul for the normal matrix
+    and its right-hand side.
     """
     grid, R = rho.grid, rho.R
     if rho.sup_abs() > 0.3 * R:
         raise AdmissibilityError("field is too far from the reference sphere to fit")
+    n = grid.n
+    omega = grid.directions().reshape(n + 1, -1)
     w = grid.quad_weights.ravel()
-    vals = rho.values.ravel()
+    vals_R = rho.values.ravel() + R
+    # Rows 0..n+1 hold the Jacobian of the height in z, row n+2 the residual.
+    rows = np.empty((n + 3, w.size))
+    J, res = rows[:-1], rows[-1]
     z = project_center_coords(rho)
     for _ in range(_FIT_MAX_ITER):
-        heights, s, q, omega = _sphere_height(z, grid, R)
-        res = vals - heights.ravel()
-        cols = [((R + z[0]) / q).ravel()]
-        for i in range(grid.n + 1):
-            cols.append((omega[i] + (s * omega[i] - z[1 + i]) / q).ravel())
-        J = np.stack(cols, axis=1)
-        A = J.T @ (w[:, None] * J)
-        b = J.T @ (w * res)
-        delta = np.linalg.solve(A, b)
+        s, q = _sphere_height(z, grid, R)
+        np.subtract(vals_R, s, out=res)
+        res -= q
+        inv_q = np.divide(1.0, q, out=q)
+        np.multiply(R + z[0], inv_q, out=J[0])
+        s *= inv_q
+        s += 1.0
+        np.multiply(omega, s, out=J[1:])
+        J[1:] -= z[1:, None] * inv_q
+        normal = (rows * w) @ J.T
+        delta = np.linalg.solve(normal[:-1], normal[-1])
         z = z + delta
         if float(np.linalg.norm(delta)) < _FIT_STEP_TOL * R:
-            heights, _, _, _ = _sphere_height(z, grid, R)
-            return z, rho.values - heights
+            s, q = _sphere_height(z, grid, R)
+            return z, rho.values - (s - R + q).reshape(grid.shape)
     raise FitConvergenceError(f"sphere fit did not converge in {_FIT_MAX_ITER} iterations")
 
 

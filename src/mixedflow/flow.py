@@ -182,14 +182,20 @@ class FlowProblem:
         return self._velocity(bundle_from_coeffs(self.grid, self.config.R, coeffs, self._work))
 
     def _velocity(self, bundle: CurvatureBundle) -> tuple[np.ndarray, float]:
+        """G and h of a bundle computed into this problem's workspace.
+
+        The constraint weight and F * weight go into the workspace's scratch
+        array, which the bundle leaves free; G is fresh.
+        """
         F = eval_speed(self.config.speed, bundle.E)
-        weight = bundle.E[self.config.k + 1] * bundle.mu
+        weight = np.multiply(bundle.E[self.config.k + 1], bundle.mu, out=self._work.scratch)
         den = self.grid.integrate(weight)
         if not den > 0.0:
             raise ConstraintDegenerateError(
                 f"constraint weight integral is not positive ({den:.3e})")
-        h = self.grid.integrate(F * weight) / den
-        G = bundle.graph_factor * (h - F)
+        h = self.grid.integrate(np.multiply(F, weight, out=weight)) / den
+        G = np.subtract(h, F)
+        G *= bundle.graph_factor
         if not np.all(np.isfinite(G)):
             raise AdmissibilityError("velocity field contains non-finite values")
         return G, h
@@ -247,8 +253,10 @@ class FlowProblem:
             res_sup = float(np.max(np.abs(residual)))
         except MixedFlowError:
             res_sup = float("nan")
-        kmin = min(float(np.min(k)) for k in bundle.kappa)
-        kmax = max(float(np.max(k)) for k in bundle.kappa)
+        # kappa is stored largest first.
+        kappa = bundle.kappa
+        kmin = float(np.min(kappa[-1]))
+        kmax = float(np.max(kappa[0]))
         return DiagnosticsRecord(
             t=t,
             h_k=h,

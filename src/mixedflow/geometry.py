@@ -90,11 +90,15 @@ class BundleWorkspace:
     arrays for the bundle fields that do not fit in those, a read-only
     ones array for E_0 and, for n = 2, the grid-constant columns sin(theta),
     cot(theta), sin(theta) cos(theta) and sin(theta)^2, shaped (n_lat, 1).
+    scratch is the derivative buffers' tmp array: a bundle uses it while it
+    is computed and holds nothing in it, so a caller may use it until the
+    next bundle.
     """
 
     def __init__(self, grid):
         self.grid = grid
         self.derivs = grid.derivs_buffers()
+        self.scratch = self.derivs["tmp"]
         self.ones = np.ones(grid.shape)
         self.ones.flags.writeable = False
         self.own = tuple(np.empty(grid.shape) for _ in range(3 if grid.n == 1 else 7))

@@ -155,8 +155,8 @@ class Grid:
             # in its Legendre tables.
             lon_scale = np.full((L + 1, 1, 1), 1.0 / math.sqrt(math.pi))
             lon_scale[0] = 1.0 / math.sqrt(2.0 * math.pi)
-            self._directions = (np.cos(self.theta), np.sin(self.theta))
-            _freeze(self.theta, self.quad_weights, *self._directions)
+            self._directions = np.stack([np.cos(self.theta), np.sin(self.theta)])
+            _freeze(self.theta, self.quad_weights, self._directions)
         else:
             n_lat = max(math.ceil(oversample * (L + 1)), L + 1)
             n_lon = max(math.ceil(oversample * (2 * L + 1)), 2 * L + 2)
@@ -177,11 +177,11 @@ class Grid:
             self._tab_dt_mjl = dP * scale
             lon_scale = 1.0
             st = self.sin_theta[:, None]
-            self._directions = (st * np.cos(self.phi)[None, :],
-                                st * np.sin(self.phi)[None, :],
-                                np.broadcast_to(self.x[:, None], self.shape))
+            self._directions = np.stack([st * np.cos(self.phi)[None, :],
+                                         st * np.sin(self.phi)[None, :],
+                                         np.broadcast_to(self.x[:, None], self.shape)])
             _freeze(self.x, self.theta, self.sin_theta, self.phi,
-                    self.quad_weights, self._tab_mjl, self._tab_dt_mjl, *self._directions)
+                    self.quad_weights, self._tab_mjl, self._tab_dt_mjl, self._directions)
         n_uni = self.shape[-1]
         m = np.arange(L + 1)
         # Reduce m*phi exactly before the trigonometric calls.
@@ -190,7 +190,11 @@ class Grid:
         d_cs = m[:, None, None] * np.stack([-cs[:, 1], cs[:, 0]], axis=1)
         m2_cs = -(m * m)[:, None, None] * cs
         self._lon = np.stack([cs, d_cs, m2_cs]).reshape(3, 2 * (L + 1), n_uni)
-        _freeze(self._lon)
+        # analyze's row weights, repeated to the shape of its longitude sums:
+        # numpy allocates an iteration buffer as large as those sums for a
+        # broadcasting multiply, and nothing for a same-shape one.
+        self._sum_weights = np.repeat(self.quad_weights[..., :1], 2 * (L + 1), axis=-1)
+        _freeze(self._lon, self._sum_weights)
         self.size = total_coefficients(L, n)
         self._build_layout()
 
@@ -270,7 +274,7 @@ class Grid:
         # Columns (m, c) of the longitude sums, each row weighted by its
         # quadrature weight (Gauss weight times 2*pi/n_lon; 2*pi/n_theta on the circle).
         Y = v @ self._lon[0].T
-        Y *= self.quad_weights[..., :1]
+        Y *= self._sum_weights
         if self.n == 2:
             Y = Y.reshape(self.n_lat, self.L_max + 1, 2).transpose(1, 0, 2)
             Y = np.matmul(self._tab_mjl.transpose(0, 2, 1), Y)
@@ -359,8 +363,14 @@ class Grid:
         """Integral against the unit-sphere measure."""
         return float(np.sum(self.quad_weights * values))
 
-    def directions(self) -> tuple[np.ndarray, ...]:
-        """Components of the unit position vector at the nodes (read-only)."""
+    def directions(self) -> np.ndarray:
+        """Components of the unit position vector at the nodes, stacked.
+
+        One read-only, C-contiguous array of shape (n + 1, *shape), built at
+        construction: row i is omega_{i+1}, so (cos theta, sin theta) on the
+        circle and (sin theta cos phi, sin theta sin phi, cos theta) on the
+        sphere.  Every call returns the same array.
+        """
         return self._directions
 
     def mode_energies(self, coeffs: np.ndarray) -> np.ndarray:

@@ -72,6 +72,8 @@ class InitSpec:
         if not all(map(math.isfinite, self.params)):
             raise ConfigError(
                 f"init parameters must be finite, got {self.describe().partition(':')[2]!r}")
+        if self.kind == "random" and self.params[2] < 0:
+            raise ConfigError(f"random init seed must be non-negative, got {self.params[2]}")
 
     def describe(self) -> str:
         casts = _init_casts(self.kind, len(self.params))

@@ -2,9 +2,9 @@
 
 Everything here works from closed-form radius functions and plain numpy:
 fourth-order finite differences of the embedding for curvatures, hand-derived
-first-fundamental-form quadrature for areas and volumes, and speeds at one
-curvature tuple from their definitions.  No imports from the package under
-test.
+first-fundamental-form quadrature for areas and volumes, speeds at one
+curvature tuple from their definitions, and the sphere fit as a loop over
+Jacobian columns.  No imports from the package under test.
 """
 
 import itertools
@@ -190,3 +190,61 @@ def umbilic_difference(spec, h):
     k0 = 1.0 / spec.R
     rest = [k0] * (spec.n - 1)
     return (speed_at(spec, [k0 + h, *rest]) - speed_at(spec, [k0 - h, *rest])) / (2.0 * h)
+
+
+def unit_directions(x, phi=None):
+    """Components of the unit position vector at the nodes, as a tuple of arrays.
+
+    Circle: x holds the angles theta and phi is None.  Sphere: x holds
+    cos(theta) at the latitude nodes and phi the longitudes; the third
+    component is a broadcast view of x over the longitudes.
+    """
+    if phi is None:
+        return np.cos(x), np.sin(x)
+    st = np.sqrt(1.0 - x * x)[:, None]
+    shape = (x.size, phi.size)
+    return (st * np.cos(phi)[None, :], st * np.sin(phi)[None, :],
+            np.broadcast_to(x[:, None], shape))
+
+
+def sphere_height_reference(z, omega, R):
+    """(height, s, q) of the sphere z = (z0, center) over the radius-R sphere.
+
+    omega is the tuple of direction components; the height is s - R + q
+    with s = center . omega and q = sqrt(s^2 + (R + z0)^2 - |center|^2).
+    ValueError when the sphere is not a graph (q^2 <= 0 at some node).
+    """
+    s = sum(z[1 + i] * omega[i] for i in range(len(omega)))
+    q2 = s * s + (R + z[0]) ** 2 - float(np.sum(z[1:] ** 2))
+    if np.min(q2) <= 0.0:
+        raise ValueError("sphere is not a graph over the reference sphere")
+    q = np.sqrt(q2)
+    return s - R + q, s, q
+
+
+def fit_sphere_reference(values, weights, omega, R, z, max_iter=50, step_tol=1e-12):
+    """Weighted least-squares sphere fit by Gauss-Newton, one column at a time.
+
+    Works on a tuple of direction arrays: from the seed z, each step stacks
+    the Jacobian columns (R + z0)/q and omega_i + (s omega_i - z_i)/q,
+    solves the weighted normal equations and stops once the update norm is
+    below step_tol * R.  Returns (z, values - height of the fitted sphere).
+    """
+    w = weights.ravel()
+    vals = values.ravel()
+    z = np.array(z, dtype=float)
+    for _ in range(max_iter):
+        heights, s, q = sphere_height_reference(z, omega, R)
+        res = vals - heights.ravel()
+        cols = [((R + z[0]) / q).ravel()]
+        for i in range(len(omega)):
+            cols.append((omega[i] + (s * omega[i] - z[1 + i]) / q).ravel())
+        J = np.stack(cols, axis=1)
+        A = J.T @ (w[:, None] * J)
+        b = J.T @ (w * res)
+        delta = np.linalg.solve(A, b)
+        z = z + delta
+        if float(np.linalg.norm(delta)) < step_tol * R:
+            heights, _, _ = sphere_height_reference(z, omega, R)
+            return z, values - heights
+    raise RuntimeError(f"sphere fit did not converge in {max_iter} iterations")

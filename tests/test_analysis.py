@@ -15,7 +15,9 @@ from mixedflow.analysis import (
 from mixedflow.errors import AdmissibilityError, SpectrumRangeError
 from mixedflow.flow import FlowConfig
 from mixedflow.harmonics import SPHERE_AREA, RadialField
+from mixedflow.io import random_band_field
 from mixedflow.speeds import SpeedSpec
+from oracles import fit_sphere_reference, sphere_height_reference, unit_directions
 
 
 def test_mixed_volume_round_spheres(grid1, grid2):
@@ -159,6 +161,28 @@ def test_fit_sphere_guard(grid2):
     rho = RadialField(grid2, 1.0, values=np.full(grid2.shape, 0.4))
     with pytest.raises(AdmissibilityError):
         fit_sphere(rho)
+    # origin outside the sphere (radius 0.5, center 0.6 away): not a graph
+    with pytest.raises(AdmissibilityError, match="not a graph"):
+        sphere_from_coords([-0.5, 0.6, 0.0, 0.0], grid2, 1.0)
+
+
+@pytest.mark.parametrize("case", ("sphere", "random-0.05", "random-0.2"))
+def test_fit_sphere_matches_column_reference(grid_band, case):
+    # the stacked-array fit against the column-by-column loop on tuple directions
+    grid = grid_band
+    omega = (unit_directions(grid.theta) if grid.n == 1
+             else unit_directions(grid.x, grid.phi))
+    for R, seed in ((1.0, 5), (2.5, 6)):
+        if case == "sphere":
+            z = np.array([0.1, -0.07, 0.12, 0.05][:grid.n + 2]) * R
+            rho = RadialField(grid, R, values=sphere_height_reference(z, omega, R)[0])
+        else:
+            rho = random_band_field(grid, R, float(case[7:]) * R, 2, 6, seed)
+        z_ref, res_ref = fit_sphere_reference(rho.values, grid.quad_weights, omega, R,
+                                              project_center_coords(rho))
+        z, res = fit_sphere(rho)
+        assert np.max(np.abs(z - z_ref)) <= 1e-13 * R
+        assert np.max(np.abs(res - res_ref)) <= 1e-12 * R
 
 
 def test_fit_decay_rate():

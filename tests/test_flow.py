@@ -492,6 +492,28 @@ def test_velocity_evaluation_allocation_budget(n, L):
     assert peak <= 4 * np.empty(prob.grid.shape).nbytes
 
 
+@pytest.mark.parametrize("L", (24, 64))
+def test_velocity_evaluation_allocates_only_G_and_its_analysis(L):
+    # the constraint weight and F * weight go into the workspace; G stays
+    # fresh, so a warm mean-speed evaluation peaks at G plus the transient
+    # arrays of its analysis
+    prob = FlowProblem(FlowConfig(n=2, L_max=L))
+    c = random_band_field(prob.grid, 1.0, 0.05, 2, 6, 3).coeffs.copy()
+    prob.g_coeffs(c)
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        prob.g_coeffs(c)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak <= 2 * np.empty(prob.grid.shape).nbytes
+
+
 @pytest.mark.parametrize("n", (1, 2))
 def test_returned_velocity_survives_later_evaluations(n):
     cfg = FlowConfig(n=n, R=1.0, k=0, L_max=12)

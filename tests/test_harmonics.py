@@ -268,6 +268,9 @@ def test_directions_built_once_read_only(grid1, grid2):
         assert all(not w.flags.writeable for w in omega)
         r2 = sum(w * w for w in omega)
         assert np.max(np.abs(r2 - 1.0)) <= 1e-15
+        # one stacked array, row i the i-th component
+        assert omega.shape == (grid.n + 1, *grid.shape)
+        assert omega.flags.c_contiguous and not omega.flags.writeable
 
 
 # -- transforms across band limits ----------------------------------------------------

@@ -91,6 +91,7 @@ def test_parse_full_config():
     ("n = 2\ninit = harmonic:2,1,nan\n", "line 2: init parameters must be finite"),
     ("init = random:inf,6,1\n", "line 1: init parameters must be finite"),
     ("init = sphere:nan,0,0,0\n", "line 1: init parameters must be finite"),
+    ("n = 2\ninit = random:0.05,6,-1\n", "line 2: random init seed must be non-negative, got -1"),
     ("speed = mean beta=3\n", "line 1: unknown speed parameter 'beta' for mean"),
     ("speed = power_mean m=1 beta=2 l=2\n",
      "line 1: unknown speed parameter 'l' for power_mean"),
@@ -490,7 +491,8 @@ def test_cli_non_finite_config_is_input_error(tmp_path, monkeypatch, capsys, lin
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("init", ["const:nan", "const:-2", "random:0.05,1,1", "harmonic:2,1,nan"])
+@pytest.mark.parametrize("init", ["const:nan", "const:-2", "random:0.05,1,1", "harmonic:2,1,nan",
+                                  "random:0.05,6,-1"])
 def test_cli_rejected_initial_field_makes_no_directory(tmp_path, monkeypatch, capsys, init):
     monkeypatch.setenv("MIXEDFLOW_OUT", str(tmp_path / "out"))
     cfg = _write_config(tmp_path, f"n = 2\nL_max = 8\ninit = {init}\n")
