@@ -12,8 +12,11 @@ Transforms are real matmuls only, with no FFT.  Both dimensions share one
 longitude stage against matrices of cos(m phi), sin(m phi) and their
 phi-derivatives; on the circle phi is the angle theta and that stage is the
 whole transform.  n = 2 adds a Legendre stage over the degree l for all
-orders m at once, against a value table and a theta-derivative table (see
-Grid).
+orders m at once, against a value table and a theta-derivative table stored
+in (m, l, node) order.  Its outputs come out in (m, c, node) order, so a
+plain reshape and transpose make them the latitude rows [node, (m, c)] that
+the longitude stage multiplies: BLAS reads the transposed view in place and
+nothing is copied between the stages (see Grid).
 
 The reference radius R never enters the tables: derivatives are angular and
 quadrature is against the unit-sphere measure.  On the radius-R sphere the
@@ -51,8 +54,8 @@ def total_coefficients(L_max: int, n: int) -> int:
 def _legendre_tables(L: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Normalized associated Legendre values and theta-derivatives at nodes x.
 
-    Returns arrays of shape (L+1, len(x), L+1) indexed [m, node, l], zero for
-    m > l.  Normalization: the integral of P[l,m]^2 over x in [-1, 1] equals
+    Returns arrays of shape (L+1, L+1, len(x)) indexed [m, l, node], zero for
+    m > l.  Normalization: the integral of P[m, l]^2 over x in [-1, 1] equals
     1/(2*pi) for every order, so that the assembled real harmonics are unit
     vectors on the sphere.  Stable three-term recurrences in l, run for all
     orders m at once.
@@ -79,7 +82,7 @@ def _legendre_tables(L: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
                            0.0))
     dP = np.zeros_like(P)
     dP[1:] = ((ell[1:, :, None] * x) * P[1:] - c[1:, :, None] * P[:-1]) / s
-    return np.ascontiguousarray(P.transpose(1, 2, 0)), np.ascontiguousarray(dP.transpose(1, 2, 0))
+    return np.ascontiguousarray(P.transpose(1, 0, 2)), np.ascontiguousarray(dP.transpose(1, 0, 2))
 
 
 def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -118,20 +121,26 @@ class Grid:
     a real matmul against tables frozen at construction:
 
     - the real spectral container holds the cosine (c = 0) and sine (c = 1)
-      coefficient of each order m, B[m, c] on the circle and B[m, l, c] of
+      coefficient of each order m, B[m, c] on the circle and B[m, c, l] of
       degree l on the sphere; a flat coefficient vector is scattered into it
-      through one index array, and gathered back from it the same way;
+      through one index array, and gathered back from analysis's output,
+      laid out the same way;
     - n = 2 only: two Legendre tables, values and theta-derivatives, each
-      indexed [m, node, l], contract B over l for all orders at once (a
-      batched matmul over m); analysis contracts against the transposed view
-      of the value table;
+      indexed [m, l, node], contract B over l for all orders at once (a
+      batched matmul over m) into outputs D[m, c, node].
+      D.reshape(2 * (L_max + 1), n_lat).T is the latitude-rows operand
+      [node, (m, c)] of the longitude matmuls, read in place;
     - three longitude matrices, built the same way for both n from the
       uniform node count, map a row [D(m, c)] to grid values: rows indexed
       (m, c), columns by the uniform nodes, holding cos(m phi) and
       sin(m phi), then their first and their second phi-derivatives.  On the
       circle the rows also carry the basis normalization.  One batched
-      matmul gives a field and its phi-derivatives; analysis uses the
-      transpose of the first matrix.
+      matmul gives a field and its phi-derivatives.
+
+    Analysis runs the same layout backwards: the first longitude matrix
+    times the transposed field gives weighted sums [(m, c), node], and on
+    the sphere these contract over the nodes against the transposed view of
+    the value table into [m, c, l].
     """
 
     def __init__(self, n: int, L_max: int, oversample: float):
@@ -173,15 +182,15 @@ class Grid:
             P, dP = _legendre_tables(L, x)
             scale = np.full((L + 1, 1, 1), math.sqrt(2.0))
             scale[0] = 1.0
-            self._tab_mjl = P * scale
-            self._tab_dt_mjl = dP * scale
+            self._tab_mlj = P * scale
+            self._tab_dt_mlj = dP * scale
             lon_scale = 1.0
             st = self.sin_theta[:, None]
             self._directions = np.stack([st * np.cos(self.phi)[None, :],
                                          st * np.sin(self.phi)[None, :],
                                          np.broadcast_to(self.x[:, None], self.shape)])
             _freeze(self.x, self.theta, self.sin_theta, self.phi,
-                    self.quad_weights, self._tab_mjl, self._tab_dt_mjl, self._directions)
+                    self.quad_weights, self._tab_mlj, self._tab_dt_mlj, self._directions)
         n_uni = self.shape[-1]
         m = np.arange(L + 1)
         # Reduce m*phi exactly before the trigonometric calls.
@@ -190,10 +199,10 @@ class Grid:
         d_cs = m[:, None, None] * np.stack([-cs[:, 1], cs[:, 0]], axis=1)
         m2_cs = -(m * m)[:, None, None] * cs
         self._lon = np.stack([cs, d_cs, m2_cs]).reshape(3, 2 * (L + 1), n_uni)
-        # analyze's row weights, repeated to the shape of its longitude sums:
-        # numpy allocates an iteration buffer as large as those sums for a
-        # broadcasting multiply, and nothing for a same-shape one.
-        self._sum_weights = np.repeat(self.quad_weights[..., :1], 2 * (L + 1), axis=-1)
+        # analyze's latitude weights, repeated to the shape [(m, c), node] of
+        # its longitude sums: numpy allocates an iteration buffer as large as
+        # those sums for a broadcasting multiply, and nothing for a same-shape one.
+        self._sum_weights = np.repeat(self.quad_weights[..., :1].T, 2 * (L + 1), axis=0)
         _freeze(self._lon, self._sum_weights)
         self.size = total_coefficients(L, n)
         self._build_layout()
@@ -209,17 +218,17 @@ class Grid:
             slot = k + (k > 0)
         else:
             # Position of each flat coefficient in the flattened container
-            # B[m, l, c]: the order-m cosine member of degree l sits at flat
+            # B[m, c, l]: the order-m cosine member of degree l sits at flat
             # l*l + 2m - 1 (l*l for m = 0), its sine partner right after it.
             degrees = np.empty(self.size, dtype=int)
             slot = np.empty(self.size, dtype=int)
             for l in range(L + 1):
                 base = l * l
                 degrees[base:base + 2 * l + 1] = l
-                slot[base] = 2 * l
+                slot[base] = l
                 for m in range(1, l + 1):
-                    slot[base + 2 * m - 1] = 2 * (m * (L + 1) + l)
-                    slot[base + 2 * m] = 2 * (m * (L + 1) + l) + 1
+                    slot[base + 2 * m - 1] = 2 * m * (L + 1) + l
+                    slot[base + 2 * m] = (2 * m + 1) * (L + 1) + l
         self._slot = slot
         self.degrees = degrees
         ell = np.arange(L + 1, dtype=float)
@@ -249,35 +258,34 @@ class Grid:
     # -- spectral containers --------------------------------------------------
 
     def _container(self, coeffs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Flat real coefficients to the real container: B[m, l, c] for n = 2,
+        """Flat real coefficients to the real container: B[m, c, l] for n = 2,
         B[m, c] for n = 1 (c = 0 cosine, c = 1 sine).  An `out` container
-        must be zero off the coefficient slots, as derivs_buffers makes it."""
-        B = np.zeros((self.L_max + 1,) * self.n + (2,)) if out is None else out
+        must be zero off the coefficient slots, as derivs_buffers makes it;
+        the coefficients go into its leading B, so on the sphere the
+        Laplacian's container stacked after it is left as it is."""
+        L1 = self.L_max + 1
+        B = np.zeros((L1, 2) + (L1,) * (self.n - 1)) if out is None else out
         B.reshape(-1)[self._slot] = self._pad(coeffs)
         return B
 
-    def _rows(self, D: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Legendre output D[m, node, c] as latitude rows [node, (m, c)]."""
-        rows = D.transpose(1, 0, 2)
-        if out is None:
-            return rows.reshape(self.n_lat, -1)
-        np.copyto(out.reshape(rows.shape), rows)
-        return out
+    def _field(self, values: np.ndarray) -> np.ndarray:
+        """Grid samples as a float array, refused unless grid-shaped."""
+        v = np.asarray(values, dtype=float)
+        if v.shape != self.shape:
+            raise GridError(f"field shape {v.shape} does not match grid shape {self.shape}")
+        return v
 
     # -- transforms -----------------------------------------------------------
 
     def analyze(self, values: np.ndarray) -> np.ndarray:
         """Project grid samples onto the orthonormal basis (unit-sphere inner product)."""
-        v = np.asarray(values, dtype=float)
-        if v.shape != self.shape:
-            raise GridError(f"field shape {v.shape} does not match grid shape {self.shape}")
-        # Columns (m, c) of the longitude sums, each row weighted by its
+        v = self._field(values)
+        # Longitude sums [(m, c), node], each node column weighted by its
         # quadrature weight (Gauss weight times 2*pi/n_lon; 2*pi/n_theta on the circle).
-        Y = v @ self._lon[0].T
+        Y = self._lon[0] @ v.T
         Y *= self._sum_weights
         if self.n == 2:
-            Y = Y.reshape(self.n_lat, self.L_max + 1, 2).transpose(1, 0, 2)
-            Y = np.matmul(self._tab_mjl.transpose(0, 2, 1), Y)
+            Y = np.matmul(Y.reshape(self.L_max + 1, 2, self.n_lat), self._tab_mlj.transpose(0, 2, 1))
         return Y.reshape(-1)[self._slot]
 
     def synthesize(self, coeffs: np.ndarray) -> np.ndarray:
@@ -285,28 +293,29 @@ class Grid:
         B = self._container(coeffs)
         if self.n == 1:
             return B.reshape(-1) @ self._lon[0]
-        return self._rows(np.matmul(self._tab_mjl, B)) @ self._lon[0]
+        return np.matmul(B, self._tab_mlj).reshape(-1, self.n_lat).T @ self._lon[0]
 
     def derivs_buffers(self) -> dict[str, np.ndarray]:
         """Arrays that synthesize_derivs(coeffs, out=...) writes into.
 
-        B is the spectral container, zero off the coefficient slots.  The
-        fields are views of the stacked outputs of the longitude matmuls:
+        B is the spectral container, zero off the coefficient slots; on the
+        sphere it is stacked with the Laplacian's container, B[k, m, c, l].
+        The fields are views of the stacked outputs of the longitude matmuls:
         u_ut_utt on the circle; u_up_upp, ut_utp and lap on the sphere.  tmp
-        is one grid-shaped scratch array.  n = 2 adds B4 (B beside
-        laplace_factor * B), the Legendre outputs D and Dt, one buffer of
-        latitude rows, and the columns cot = cot(theta) and
+        is one grid-shaped scratch array.  n = 2 adds D, the Legendre outputs
+        D[k, m, c, node] of the field (k = 0), its Laplacian (1) and its
+        theta-derivative (2), and the columns cot = cot(theta) and
         sin2 = sin(theta)^2, shaped (n_lat, 1).
         """
         L1 = self.L_max + 1
-        buf = {"B": np.zeros((L1,) * self.n + (2,)), "tmp": np.empty(self.shape)}
+        buf = {"B": np.zeros((L1, 2) if self.n == 1 else (2, L1, 2, L1)),
+               "tmp": np.empty(self.shape)}
         if self.n == 1:
             buf["u_ut_utt"] = np.empty((3,) + self.shape)
             buf.update(zip(("u", "ut", "utt"), buf["u_ut_utt"]))
             return buf
         st = self.sin_theta[:, None]
-        buf.update(B4=np.empty((L1, L1, 4)), D=np.empty((L1, self.n_lat, 4)),
-                   Dt=np.empty((L1, self.n_lat, 2)), rows=np.empty((self.n_lat, 2 * L1)),
+        buf.update(D=np.empty((3, L1, 2, self.n_lat)),
                    u_up_upp=np.empty((3,) + self.shape), ut_utp=np.empty((2,) + self.shape),
                    lap=np.empty(self.shape), cot=self.x[:, None] / st, sin2=st * st)
         buf.update(zip(("u", "up", "upp"), buf["u_up_upp"]))
@@ -321,9 +330,12 @@ class Grid:
         matrices.  Keys for n = 2: u, ut, up, utt, utp, upp, lap.  All
         derivatives are taken spectrally; the second theta-derivative is
         recovered from the Laplacian identity so no second derivative table
-        is required.  For n = 2 the Legendre sums run over three coefficient
-        sets: B and laplace_factor * B against the value table, B against
-        the derivative table.  The phi-derivatives come from the longitude
+        is required.  For n = 2 two batched matmuls over the orders m make
+        the Legendre outputs D[m, c, node]: the field's and the Laplacian's
+        containers against the value table, the field's against the
+        derivative table.  Each D, reshaped to [(m, c), node] and
+        transposed, is the latitude-rows operand of the longitude matmuls,
+        without a copy.  The phi-derivatives come from the longitude
         matrices, since differentiating in phi commutes with the sum over l.
 
         Without `out` every array is fresh.  With `out`, buffers from
@@ -336,14 +348,15 @@ class Grid:
         if self.n == 1:
             np.matmul(B.reshape(-1), self._lon, out=buf["u_ut_utt"])
             return {key: buf[key] for key in ("u", "ut", "utt")}
-        B4, D, Dt, rows, lap = buf["B4"], buf["D"], buf["Dt"], buf["rows"], buf["lap"]
-        B4[:, :, :2] = B
-        np.multiply(self.laplace_factor[:, None], B, out=B4[:, :, 2:])
-        np.matmul(self._tab_mjl, B4, out=D)
-        np.matmul(self._tab_dt_mjl, B, out=Dt)
-        np.matmul(self._rows(D[:, :, :2], rows), self._lon, out=buf["u_up_upp"])
-        np.matmul(self._rows(D[:, :, 2:], rows), self._lon[0], out=lap)
-        np.matmul(self._rows(Dt, rows), self._lon[:2], out=buf["ut_utp"])
+        D = buf["D"]
+        np.multiply(self.laplace_factor, B[0], out=B[1])
+        np.matmul(B, self._tab_mlj, out=D[:2])
+        np.matmul(B[0], self._tab_dt_mlj, out=D[2])
+        D_u, D_lap, D_t = D
+        lap, n_lat = buf["lap"], self.n_lat
+        np.matmul(D_u.reshape(-1, n_lat).T, self._lon, out=buf["u_up_upp"])
+        np.matmul(D_lap.reshape(-1, n_lat).T, self._lon[0], out=lap)
+        np.matmul(D_t.reshape(-1, n_lat).T, self._lon[:2], out=buf["ut_utp"])
         # utt = lap - cot(theta) ut - upp / sin(theta)^2
         utt = np.empty(self.shape) if out is None else lap
         tmp = buf["tmp"]
@@ -360,8 +373,8 @@ class Grid:
     # -- quadrature and geometry helpers ---------------------------------------
 
     def integrate(self, values: np.ndarray) -> float:
-        """Integral against the unit-sphere measure."""
-        return float(np.sum(self.quad_weights * values))
+        """Integral of a grid-shaped field against the unit-sphere measure."""
+        return float(self.quad_weights.reshape(-1) @ self._field(values).reshape(-1))
 
     def directions(self) -> np.ndarray:
         """Components of the unit position vector at the nodes, stacked.
@@ -407,10 +420,7 @@ class RadialField:
             self._coeffs.flags.writeable = False
             self.values = grid.synthesize(self._coeffs)
         else:
-            v = np.asarray(values, dtype=float)
-            if v.shape != grid.shape:
-                raise GridError(f"field shape {v.shape} does not match grid shape {grid.shape}")
-            self.values = v.copy()
+            self.values = grid._field(values).copy()
             self._coeffs = None
         self.values.flags.writeable = False
 

@@ -3,8 +3,9 @@
 Everything here works from closed-form radius functions and plain numpy:
 fourth-order finite differences of the embedding for curvatures, hand-derived
 first-fundamental-form quadrature for areas and volumes, speeds at one
-curvature tuple from their definitions, and the sphere fit as a loop over
-Jacobian columns.  No imports from the package under test.
+curvature tuple from their definitions, the sphere fit as a loop over
+Jacobian columns, and the sphere transforms as loops over degree and order.
+No imports from the package under test.
 """
 
 import itertools
@@ -248,3 +249,79 @@ def fit_sphere_reference(values, weights, omega, R, z, max_iter=50, step_tol=1e-
             heights, _, _ = sphere_height_reference(z, omega, R)
             return z, values - heights
     raise RuntimeError(f"sphere fit did not converge in {max_iter} iterations")
+
+
+def legendre_tables_loop(L, x):
+    """Normalized associated Legendre values and theta-derivatives at nodes x.
+
+    The three-term recurrences one order and one degree at a time; indexed
+    [m, l, node], zero for m > l, and the integral of P[m, l]^2 over x in
+    [-1, 1] is 1/(2*pi).
+    """
+    s = np.sqrt(1.0 - x * x)
+    P = np.zeros((L + 1, L + 1, x.size))
+    P[0, 0] = 1.0 / math.sqrt(4.0 * math.pi)
+    for m in range(1, L + 1):
+        P[m, m] = math.sqrt((2 * m + 1) / (2.0 * m)) * s * P[m - 1, m - 1]
+    for m in range(0, L):
+        P[m + 1, m] = math.sqrt(2.0 * m + 3.0) * x * P[m, m]
+    for m in range(0, L + 1):
+        for l in range(m + 2, L + 1):
+            a = math.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))
+            b = math.sqrt(((l - 1.0) ** 2 - m * m) / (4.0 * (l - 1.0) ** 2 - 1.0))
+            P[l, m] = a * (x * P[l - 1, m] - b * P[l - 2, m])
+    dP = np.zeros_like(P)
+    for m in range(0, L + 1):
+        for l in range(max(m, 1), L + 1):
+            c = math.sqrt((2.0 * l + 1.0) * (l - m) * (l + m) / (2.0 * l - 1.0))
+            dP[l, m] = (l * x * P[l, m] - c * P[l - 1, m]) / s
+    return P.transpose(1, 0, 2), dP.transpose(1, 0, 2)
+
+
+def sphere_transform_reference(grid, coeffs):
+    """Sphere transforms by loops over degree l and order m.
+
+    Returns the field with every derivative synthesize_derivs gives (u, ut,
+    up, utt, utp, upp, lap) and the analysis of the field.  The real
+    harmonic of flat index l*l (m = 0) is P[0, l](cos theta); those of l*l +
+    2m - 1 and l*l + 2m are sqrt(2) P[m, l](cos theta) times cos(m phi) and
+    sin(m phi).  Each term's second theta-derivative comes from the
+    associated Legendre equation, P_tt = -cot P_t - (l(l+1) - m^2/sin^2) P.
+    Latitude profiles are summed per order and trigonometric factor, then
+    spread over the longitudes by outer products.  The analysis is the
+    explicit quadrature sum of weight times field times harmonic.
+    """
+    L, x, phi = grid.L_max, grid.x, grid.phi
+    s = np.sqrt(1.0 - x * x)
+    P, dP = legendre_tables_loop(L, x)
+    prof = {key: np.zeros((L + 1, 2, x.size)) for key in ("u", "ut", "utt", "lap")}
+    members = []
+    for l in range(L + 1):
+        for m in range(l + 1):
+            pairs = [(0, l * l)] if m == 0 else [(0, l * l + 2 * m - 1), (1, l * l + 2 * m)]
+            norm = 1.0 if m == 0 else math.sqrt(2.0)
+            p, dp = norm * P[m, l], norm * dP[m, l]
+            ddp = -(x / s) * dp - (l * (l + 1) - m * m / (s * s)) * p
+            for c, k in pairs:
+                prof["u"][m, c] += coeffs[k] * p
+                prof["ut"][m, c] += coeffs[k] * dp
+                prof["utt"][m, c] += coeffs[k] * ddp
+                prof["lap"][m, c] -= l * (l + 1) * coeffs[k] * p
+                members.append((k, m, c, p))
+    fields = {key: np.zeros((x.size, phi.size)) for key in ("u", "ut", "up", "utt", "utp", "upp", "lap")}
+    trig = []
+    for m in range(L + 1):
+        cs = (np.cos(m * phi), np.sin(m * phi))
+        trig.append(cs)
+        d_cs = (-m * cs[1], m * cs[0])
+        for c in (0, 1):
+            for key in ("u", "ut", "utt", "lap"):
+                fields[key] += np.outer(prof[key][m, c], cs[c])
+            fields["up"] += np.outer(prof["u"][m, c], d_cs[c])
+            fields["utp"] += np.outer(prof["ut"][m, c], d_cs[c])
+            fields["upp"] -= m * m * np.outer(prof["u"][m, c], cs[c])
+    weighted = grid.quad_weights * fields["u"]
+    back = np.zeros(len(coeffs))
+    for k, m, c, p in members:
+        back[k] = np.sum(weighted * np.outer(p, trig[m][c]))
+    return fields, back

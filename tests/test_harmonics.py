@@ -1,6 +1,7 @@
 """Transform-layer tests: grids, layouts, round trips, calculus identities."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from mixedflow.harmonics import (
     total_coefficients,
 )
 from conftest import band_coeffs
+from oracles import legendre_tables_loop, sphere_transform_reference
 
 
 # -- sizing and layout ----------------------------------------------------------
@@ -116,6 +118,18 @@ def test_quadrature_radius_scaling(grid2_small, rng):
 def test_mean_value(grid2_small):
     u = 3.0 + grid2_small.synthesize(band_coeffs(grid2_small, np.random.default_rng(7), l_lo=1))
     assert abs(grid2_small.integrate(u) / SPHERE_AREA[2] - 3.0) < 1e-12
+
+
+def test_integrate_refuses_fields_not_grid_shaped(grid1, grid2_small):
+    # a scalar, a longitude row and a latitude column would all broadcast
+    # against the weights; the transposed field has the right size
+    n_lat, n_lon = grid2_small.shape
+    for bad in (1.0, np.ones(n_lon), np.ones((n_lat, 1)), np.ones((n_lon, n_lat))):
+        shapes = f"field shape {np.shape(bad)} does not match grid shape {grid2_small.shape}"
+        with pytest.raises(GridError, match=re.escape(shapes)):
+            grid2_small.integrate(bad)
+    with pytest.raises(GridError, match=re.escape(f"grid shape {grid1.shape}")):
+        grid1.integrate(np.ones(grid1.n_theta + 2))
 
 
 @pytest.mark.parametrize("L", (16, 32, 64))
@@ -349,28 +363,6 @@ def test_circle_transforms_match_fft_reference(L, rng):
     assert np.max(np.abs(back - want_back)) <= 1e-14 * np.max(np.abs(want_back))
 
 
-def legendre_tables_loop(L, x):
-    """Reference: the same recurrences one order and one degree at a time, [m, node, l]."""
-    s = np.sqrt(1.0 - x * x)
-    P = np.zeros((L + 1, L + 1, x.size))
-    P[0, 0] = 1.0 / math.sqrt(4.0 * math.pi)
-    for m in range(1, L + 1):
-        P[m, m] = math.sqrt((2 * m + 1) / (2.0 * m)) * s * P[m - 1, m - 1]
-    for m in range(0, L):
-        P[m + 1, m] = math.sqrt(2.0 * m + 3.0) * x * P[m, m]
-    for m in range(0, L + 1):
-        for l in range(m + 2, L + 1):
-            a = math.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))
-            b = math.sqrt(((l - 1.0) ** 2 - m * m) / (4.0 * (l - 1.0) ** 2 - 1.0))
-            P[l, m] = a * (x * P[l - 1, m] - b * P[l - 2, m])
-    dP = np.zeros_like(P)
-    for m in range(0, L + 1):
-        for l in range(max(m, 1), L + 1):
-            c = math.sqrt((2.0 * l + 1.0) * (l - m) * (l + m) / (2.0 * l - 1.0))
-            dP[l, m] = (l * x * P[l, m] - c * P[l - 1, m]) / s
-    return P.transpose(1, 2, 0), dP.transpose(1, 2, 0)
-
-
 def test_legendre_tables_match_loop_reference(grid2_band):
     # same arithmetic per entry, only the loop order differs: equal bit for bit
     L = grid2_band.L_max
@@ -378,3 +370,15 @@ def test_legendre_tables_match_loop_reference(grid2_band):
     P_ref, dP_ref = legendre_tables_loop(L, grid2_band.x)
     assert np.array_equal(P, P_ref)
     assert np.array_equal(dP, dP_ref)
+
+
+def test_sphere_transforms_match_loop_reference(grid2_band, rng):
+    g = grid2_band
+    c = band_coeffs(g, rng)
+    want, want_back = sphere_transform_reference(g, c)
+    got = g.synthesize_derivs(c)
+    for key, ref in want.items():
+        assert np.max(np.abs(got[key] - ref)) <= 1e-12 * np.max(np.abs(ref)), key
+    assert np.max(np.abs(g.synthesize(c) - want["u"])) <= 1e-12 * np.max(np.abs(want["u"]))
+    back = g.analyze(want["u"])
+    assert np.max(np.abs(back - want_back)) <= 1e-12 * np.max(np.abs(want_back))
