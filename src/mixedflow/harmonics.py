@@ -12,9 +12,16 @@ Transforms are real matmuls only, with no FFT.  Both dimensions share one
 longitude stage against matrices of cos(m phi), sin(m phi) and their
 phi-derivatives; on the circle phi is the angle theta and that stage is the
 whole transform.  n = 2 adds a Legendre stage over the degree l for all
-orders m at once, against a value table and a theta-derivative table stored
-in (m, l, node) order.  Its outputs come out in (m, c, node) order, so a
-plain reshape and transpose make them the latitude rows [node, (m, c)] that
+orders m at once, against one table of associated Legendre values stored
+in (m, l, node) order, one degree past the band limit.  The
+theta-derivative needs no table of its own: the three-term recurrence gives
+
+    sin(theta) dP_l^m/dtheta = l a_{l+1,m} P_{l+1}^m - (l+1) a_{l,m} P_{l-1}^m,
+    a_{l,m} = sqrt((l^2 - m^2) / (4 l^2 - 1)),
+
+so coefficients scaled and moved one degree up and down contract against
+the same table.  The stage's outputs come out in (c, m, node) order, so a
+plain reshape and transpose make them the latitude rows [node, (c, m)] that
 the longitude stage multiplies: BLAS reads the transposed view in place and
 nothing is copied between the stages (see Grid).
 
@@ -51,38 +58,35 @@ def total_coefficients(L_max: int, n: int) -> int:
     return sum(harmonic_multiplicity(l, n) for l in range(L_max + 1))
 
 
-def _legendre_tables(L: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Normalized associated Legendre values and theta-derivatives at nodes x.
+def _legendre_table(L: int, x: np.ndarray) -> np.ndarray:
+    """Normalized associated Legendre values at nodes x, for orders m <= L
+    and degrees l <= L + 1.
 
-    Returns arrays of shape (L+1, L+1, len(x)) indexed [m, l, node], zero for
-    m > l.  Normalization: the integral of P[m, l]^2 over x in [-1, 1] equals
-    1/(2*pi) for every order, so that the assembled real harmonics are unit
-    vectors on the sphere.  Stable three-term recurrences in l, run for all
-    orders m at once.
+    Returns one array of shape (L+1, L+2, len(x)) indexed [m, l, node], zero
+    for m > l, written in place in that layout.  Normalization: the integral
+    of P[0, l]^2 over x in [-1, 1] equals 1/(2*pi), and orders m >= 1 carry
+    the real basis's extra sqrt(2), so that the assembled real harmonics are
+    unit vectors on the sphere.  Stable three-term recurrences in l, run for
+    all orders m at once.
     """
     x = np.asarray(x, dtype=float)
     s = np.sqrt(np.clip(1.0 - x * x, 0.0, None))
     if np.any(s == 0.0):
         raise GridError("nodes must avoid the poles")
-    P = np.zeros((L + 1, L + 1, x.size))
+    P = np.zeros((L + 1, L + 2, x.size))
     P[0, 0] = 1.0 / math.sqrt(4.0 * math.pi)
     for l in range(1, L + 1):
         P[l, l] = math.sqrt((2 * l + 1) / (2.0 * l)) * s * P[l - 1, l - 1]
-    i = np.arange(L)
+    i = np.arange(L + 1)
     m = i.astype(float)
-    P[i + 1, i] = np.sqrt(2.0 * m + 3.0)[:, None] * x * P[i, i]
-    for l in range(2, L + 1):
+    P[i, i + 1] = np.sqrt(2.0 * m + 3.0)[:, None] * x * P[i, i]
+    for l in range(2, L + 2):
         mm = m[:l - 1]
         a = np.sqrt((4.0 * l * l - 1.0) / (l * l - mm * mm))[:, None]
         b = np.sqrt(((l - 1.0) ** 2 - mm * mm) / (4.0 * (l - 1.0) ** 2 - 1.0))[:, None]
-        P[l, :l - 1] = a * (x * P[l - 1, :l - 1] - b * P[l - 2, :l - 1])
-    ell = np.arange(L + 1, dtype=float)[:, None]
-    # c[l, m]; zero above the diagonal, where the radicand is negative and P vanishes.
-    c = np.sqrt(np.maximum((2.0 * ell + 1.0) * (ell - ell.T) * (ell + ell.T) / (2.0 * ell - 1.0),
-                           0.0))
-    dP = np.zeros_like(P)
-    dP[1:] = ((ell[1:, :, None] * x) * P[1:] - c[1:, :, None] * P[:-1]) / s
-    return np.ascontiguousarray(P.transpose(1, 0, 2)), np.ascontiguousarray(dP.transpose(1, 0, 2))
+        P[:l - 1, l] = a * (x * P[:l - 1, l - 1] - b * P[:l - 1, l - 2])
+    P[1:] *= math.sqrt(2.0)
+    return P
 
 
 def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -121,26 +125,28 @@ class Grid:
     a real matmul against tables frozen at construction:
 
     - the real spectral container holds the cosine (c = 0) and sine (c = 1)
-      coefficient of each order m, B[m, c] on the circle and B[m, c, l] of
+      coefficient of each order m, B[c, m] on the circle and B[c, m, l] of
       degree l on the sphere; a flat coefficient vector is scattered into it
       through one index array, and gathered back from analysis's output,
       laid out the same way;
-    - n = 2 only: two Legendre tables, values and theta-derivatives, each
-      indexed [m, l, node], contract B over l for all orders at once (a
-      batched matmul over m) into outputs D[m, c, node].
+    - n = 2 only: one Legendre table P[m, l, node] of degrees
+      l <= L_max + 1 contracts B over l for all orders at once (a batched
+      matmul over m) into outputs D[c, m, node].
       D.reshape(2 * (L_max + 1), n_lat).T is the latitude-rows operand
-      [node, (m, c)] of the longitude matmuls, read in place;
+      [node, (c, m)] of the longitude matmuls, read in place.  synthesize
+      and analyze use the table's first L_max + 1 degrees; degree
+      L_max + 1 serves the theta-derivative (see derivs_buffers);
     - three longitude matrices, built the same way for both n from the
-      uniform node count, map a row [D(m, c)] to grid values: rows indexed
-      (m, c), columns by the uniform nodes, holding cos(m phi) and
+      uniform node count, map a row [D(c, m)] to grid values: rows indexed
+      (c, m), columns by the uniform nodes, holding cos(m phi) and
       sin(m phi), then their first and their second phi-derivatives.  On the
       circle the rows also carry the basis normalization.  One batched
       matmul gives a field and its phi-derivatives.
 
     Analysis runs the same layout backwards: the first longitude matrix
-    times the transposed field gives weighted sums [(m, c), node], and on
+    times the transposed field gives weighted sums [(c, m), node], and on
     the sphere these contract over the nodes against the transposed view of
-    the value table into [m, c, l].
+    the table into [c, m, l].
     """
 
     def __init__(self, n: int, L_max: int, oversample: float):
@@ -161,8 +167,8 @@ class Grid:
             self.theta = 2.0 * math.pi * np.arange(n_theta) / n_theta
             self.quad_weights = np.full(n_theta, 2.0 * math.pi / n_theta)
             # The circle's basis normalization, per order; the sphere's sits
-            # in its Legendre tables.
-            lon_scale = np.full((L + 1, 1, 1), 1.0 / math.sqrt(math.pi))
+            # in its Legendre table.
+            lon_scale = np.full((L + 1, 1), 1.0 / math.sqrt(math.pi))
             lon_scale[0] = 1.0 / math.sqrt(2.0 * math.pi)
             self._directions = np.stack([np.cos(self.theta), np.sin(self.theta)])
             _freeze(self.theta, self.quad_weights, self._directions)
@@ -179,27 +185,30 @@ class Grid:
             self.sin_theta = np.sqrt(1.0 - x * x)
             self.phi = 2.0 * math.pi * np.arange(n_lon) / n_lon
             self.quad_weights = np.outer(w, np.full(n_lon, 2.0 * math.pi / n_lon))
-            P, dP = _legendre_tables(L, x)
-            scale = np.full((L + 1, 1, 1), math.sqrt(2.0))
-            scale[0] = 1.0
-            self._tab_mlj = P * scale
-            self._tab_dt_mlj = dP * scale
+            self._tab_mlj = _legendre_table(L, x)
+            # 1/sin(theta), cot(theta) and m^2/sin(theta)^2 per latitude row
+            # [(c, m), node] of synthesize_derivs, repeated to that shape so
+            # its multiplies by them are same-shape ones.
+            inv_sin = 1.0 / self.sin_theta
+            m2 = np.tile(np.arange(L + 1.0) ** 2, 2)[:, None]
+            self._row_factors = np.stack(np.broadcast_arrays(inv_sin, x * inv_sin,
+                                                             m2 * inv_sin * inv_sin))
             lon_scale = 1.0
             st = self.sin_theta[:, None]
             self._directions = np.stack([st * np.cos(self.phi)[None, :],
                                          st * np.sin(self.phi)[None, :],
                                          np.broadcast_to(self.x[:, None], self.shape)])
             _freeze(self.x, self.theta, self.sin_theta, self.phi,
-                    self.quad_weights, self._tab_mlj, self._tab_dt_mlj, self._directions)
+                    self.quad_weights, self._tab_mlj, self._row_factors, self._directions)
         n_uni = self.shape[-1]
         m = np.arange(L + 1)
         # Reduce m*phi exactly before the trigonometric calls.
         angle = (2.0 * math.pi / n_uni) * (np.outer(m, np.arange(n_uni)) % n_uni)
-        cs = lon_scale * np.stack([np.cos(angle), np.sin(angle)], axis=1)
-        d_cs = m[:, None, None] * np.stack([-cs[:, 1], cs[:, 0]], axis=1)
-        m2_cs = -(m * m)[:, None, None] * cs
+        cs = lon_scale * np.stack([np.cos(angle), np.sin(angle)])
+        d_cs = m[:, None] * np.stack([-cs[1], cs[0]])
+        m2_cs = -(m * m)[:, None] * cs
         self._lon = np.stack([cs, d_cs, m2_cs]).reshape(3, 2 * (L + 1), n_uni)
-        # analyze's latitude weights, repeated to the shape [(m, c), node] of
+        # analyze's latitude weights, repeated to the shape [(c, m), node] of
         # its longitude sums: numpy allocates an iteration buffer as large as
         # those sums for a broadcasting multiply, and nothing for a same-shape one.
         self._sum_weights = np.repeat(self.quad_weights[..., :1].T, 2 * (L + 1), axis=0)
@@ -211,29 +220,49 @@ class Grid:
 
     def _build_layout(self) -> None:
         L, n = self.L_max, self.n
+        L1 = L + 1
         if n == 1:
-            # Flat 2m - 1 (cos) and 2m (sin) sit at 2m and 2m + 1 of B[m, c].
+            # Flat 2m - 1 (cos) and 2m (sin) sit at m and L_max + 1 + m of B[c, m].
             k = np.arange(self.size)
             degrees = (k + 1) // 2
-            slot = k + (k > 0)
+            slot = degrees + L1 * ((k > 0) & (k % 2 == 0))
         else:
             # Position of each flat coefficient in the flattened container
-            # B[m, c, l]: the order-m cosine member of degree l sits at flat
+            # B[c, m, l]: the order-m cosine member of degree l sits at flat
             # l*l + 2m - 1 (l*l for m = 0), its sine partner right after it.
             degrees = np.empty(self.size, dtype=int)
             slot = np.empty(self.size, dtype=int)
-            for l in range(L + 1):
+            for l in range(L1):
                 base = l * l
                 degrees[base:base + 2 * l + 1] = l
                 slot[base] = l
                 for m in range(1, l + 1):
-                    slot[base + 2 * m - 1] = 2 * m * (L + 1) + l
-                    slot[base + 2 * m] = (2 * m + 1) * (L + 1) + l
+                    slot[base + 2 * m - 1] = m * L1 + l
+                    slot[base + 2 * m] = (L1 + m) * L1 + l
         self._slot = slot
         self.degrees = degrees
-        ell = np.arange(L + 1, dtype=float)
+        ell = np.arange(L1, dtype=float)
         self.laplace_factor = -(ell * (ell + n - 1))
         _freeze(self._slot, self.degrees, self.laplace_factor)
+        if n == 2:
+            # The same positions in the k = 0 rows [c, m, l'] of the
+            # derivative container, whose degrees run to l' = L_max + 1.
+            self._derivs_slot = (slot // L1) * (L1 + 1) + slot % L1
+            # Factors of the coefficient at each position of the k = 0 rows
+            # (derivs_buffers): the Laplacian's eigenvalue, then l a_{l+1,m}
+            # and -(l+1) a_{l,m} for its moves one degree up and down.  Zero
+            # where m > l, where P vanishes.
+            ell = np.arange(L1 + 1.0)
+            m = np.arange(L1, dtype=float)[:, None]
+
+            def a(l: np.ndarray) -> np.ndarray:
+                return np.sqrt(np.maximum(l * l - m * m, 0.0) / (4.0 * l * l - 1.0))
+
+            factors = np.stack(np.broadcast_arrays(-(ell * (ell + 1.0)), ell * a(ell + 1.0),
+                                                   -(ell + 1.0) * a(ell)))
+            # Repeated for c = cos, sin and flattened like the k = 0 rows.
+            self._derivs_factor = np.repeat(factors[:, None], 2, axis=1).reshape(3, -1)
+            _freeze(self._derivs_slot, self._derivs_factor)
 
     def flat_index(self, l: int, p: int) -> int:
         """Flat position of the degree-l, order-p basis member (p is 1-based)."""
@@ -258,15 +287,18 @@ class Grid:
     # -- spectral containers --------------------------------------------------
 
     def _container(self, coeffs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Flat real coefficients to the real container: B[m, c, l] for n = 2,
-        B[m, c] for n = 1 (c = 0 cosine, c = 1 sine).  An `out` container
-        must be zero off the coefficient slots, as derivs_buffers makes it;
-        the coefficients go into its leading B, so on the sphere the
-        Laplacian's container stacked after it is left as it is."""
-        L1 = self.L_max + 1
-        B = np.zeros((L1, 2) + (L1,) * (self.n - 1)) if out is None else out
-        B.reshape(-1)[self._slot] = self._pad(coeffs)
-        return B
+        """Flat real coefficients to the real container: B[c, m, l] for n = 2,
+        B[c, m] for n = 1 (c = 0 cosine, c = 1 sine).  An `out` container is
+        derivs_buffers' B, zero off the coefficient slots; on the sphere the
+        coefficients go into its k = 0 rows and the other rows are left as
+        they are."""
+        if out is None:
+            out, slot = np.zeros((2,) + (self.L_max + 1,) * self.n), self._slot
+        else:
+            slot = self._slot if self.n == 1 else self._derivs_slot
+        c = np.asarray(coeffs, dtype=float)
+        out.reshape(-1)[slot] = c if c.shape == (self.size,) else self._pad(c)
+        return out
 
     def _field(self, values: np.ndarray) -> np.ndarray:
         """Grid samples as a float array, refused unless grid-shaped."""
@@ -280,12 +312,16 @@ class Grid:
     def analyze(self, values: np.ndarray) -> np.ndarray:
         """Project grid samples onto the orthonormal basis (unit-sphere inner product)."""
         v = self._field(values)
-        # Longitude sums [(m, c), node], each node column weighted by its
+        # Longitude sums [(c, m), node], each node column weighted by its
         # quadrature weight (Gauss weight times 2*pi/n_lon; 2*pi/n_theta on the circle).
         Y = self._lon[0] @ v.T
         Y *= self._sum_weights
         if self.n == 2:
-            Y = np.matmul(Y.reshape(self.L_max + 1, 2, self.n_lat), self._tab_mlj.transpose(0, 2, 1))
+            L1 = self.L_max + 1
+            B = np.empty((2, L1, L1))
+            np.matmul(Y.reshape(2, L1, self.n_lat).transpose(1, 0, 2),
+                      self._tab_mlj[:, :L1].transpose(0, 2, 1), out=B.transpose(1, 0, 2))
+            Y = B
         return Y.reshape(-1)[self._slot]
 
     def synthesize(self, coeffs: np.ndarray) -> np.ndarray:
@@ -293,31 +329,41 @@ class Grid:
         B = self._container(coeffs)
         if self.n == 1:
             return B.reshape(-1) @ self._lon[0]
-        return np.matmul(B, self._tab_mlj).reshape(-1, self.n_lat).T @ self._lon[0]
+        L1 = self.L_max + 1
+        D = np.empty((2, L1, self.n_lat))
+        np.matmul(B.transpose(1, 0, 2), self._tab_mlj[:, :L1], out=D.transpose(1, 0, 2))
+        return D.reshape(-1, self.n_lat).T @ self._lon[0]
 
     def derivs_buffers(self) -> dict[str, np.ndarray]:
         """Arrays that synthesize_derivs(coeffs, out=...) writes into.
 
-        B is the spectral container, zero off the coefficient slots; on the
-        sphere it is stacked with the Laplacian's container, B[k, m, c, l].
-        The fields are views of the stacked outputs of the longitude matmuls:
-        u_ut_utt on the circle; u_up_upp, ut_utp and lap on the sphere.  tmp
-        is one grid-shaped scratch array.  n = 2 adds D, the Legendre outputs
-        D[k, m, c, node] of the field (k = 0), its Laplacian (1) and its
-        theta-derivative (2), and the columns cot = cot(theta) and
-        sin2 = sin(theta)^2, shaped (n_lat, 1).
+        B is the spectral container, zero off the coefficient slots.  The
+        fields are views of the stacked outputs of the longitude matmuls:
+        u_ut_utt on the circle; u_up_upp, ut_utp and utt on the sphere.  tmp
+        is one grid-shaped scratch array.
+
+        On the sphere B is the derivative container B[k, c, m, l'] of
+        degrees l' <= L_max + 1, and D[k, c, m, node] holds its Legendre
+        outputs.  Its row sets k are the coefficients u (k = 0), the
+        Laplacian's -l(l+1) u (1), and (2) the sum of u scaled by l a_{l+1,m}
+        and moved to degree l + 1 and u scaled by -(l+1) a_{l,m} and moved
+        to degree l - 1: by the recurrence in the module docstring its
+        Legendre output is sin(theta) times the theta-derivative's.  moved
+        holds those two scaled copies of the flattened k = 0 rows, each with
+        one zero at the end it moves away from.  The sphere adds the columns
+        cot = cot(theta) and sin2 = sin(theta)^2, shaped (n_lat, 1).
         """
         L1 = self.L_max + 1
-        buf = {"B": np.zeros((L1, 2) if self.n == 1 else (2, L1, 2, L1)),
+        buf = {"B": np.zeros((2, L1) if self.n == 1 else (3, 2, L1, L1 + 1)),
                "tmp": np.empty(self.shape)}
         if self.n == 1:
             buf["u_ut_utt"] = np.empty((3,) + self.shape)
             buf.update(zip(("u", "ut", "utt"), buf["u_ut_utt"]))
             return buf
         st = self.sin_theta[:, None]
-        buf.update(D=np.empty((3, L1, 2, self.n_lat)),
+        buf.update(D=np.empty((3, 2, L1, self.n_lat)), moved=np.zeros((2, 2 * L1 * (L1 + 1) + 1)),
                    u_up_upp=np.empty((3,) + self.shape), ut_utp=np.empty((2,) + self.shape),
-                   lap=np.empty(self.shape), cot=self.x[:, None] / st, sin2=st * st)
+                   utt=np.empty(self.shape), cot=self.x[:, None] / st, sin2=st * st)
         buf.update(zip(("u", "up", "upp"), buf["u_up_upp"]))
         buf.update(zip(("ut", "utp"), buf["ut_utp"]))
         return buf
@@ -328,46 +374,54 @@ class Grid:
 
         Keys for n = 1: u, ut, utt, straight from the three longitude
         matrices.  Keys for n = 2: u, ut, up, utt, utp, upp, lap.  All
-        derivatives are taken spectrally; the second theta-derivative is
-        recovered from the Laplacian identity so no second derivative table
-        is required.  For n = 2 two batched matmuls over the orders m make
-        the Legendre outputs D[m, c, node]: the field's and the Laplacian's
-        containers against the value table, the field's against the
-        derivative table.  Each D, reshaped to [(m, c), node] and
-        transposed, is the latitude-rows operand of the longitude matmuls,
-        without a copy.  The phi-derivatives come from the longitude
-        matrices, since differentiating in phi commutes with the sum over l.
+        derivatives are taken spectrally.  For n = 2 the derivative
+        container's row sets k = 1, 2 (see derivs_buffers) are made from its
+        coefficient rows by multiplies and one add, each over contiguous
+        flat arrays: a move by one degree is a shift by one element, since
+        every row ends on degree L_max + 1, which holds no coefficient.  One
+        batched matmul over the orders m then contracts the container with
+        the Legendre table into D, and D[2] is divided by sin(theta).  Each
+        row set of D, reshaped to latitude rows [(c, m), node] and
+        transposed, is the operand of the longitude matmuls, without a copy.
+        The phi-derivatives come from the longitude matrices, since
+        differentiating in phi commutes with the sum over l.  The second
+        theta-derivative comes from the Laplacian identity
+        utt = lap - cot(theta) ut - upp / sin(theta)^2, applied to the
+        latitude rows, so no second derivative table is required.
 
         Without `out` every array is fresh.  With `out`, buffers from
         derivs_buffers, every array is written into them and nothing
-        grid-sized is allocated; utt then overwrites lap, so the result has
-        no lap key, and its arrays hold until `out` is written again.
+        grid-sized is allocated; the result then has no lap key, and its
+        arrays hold until `out` is written again.
         """
         buf = self.derivs_buffers() if out is None else out
         B = self._container(coeffs, buf["B"])
         if self.n == 1:
             np.matmul(B.reshape(-1), self._lon, out=buf["u_ut_utt"])
             return {key: buf[key] for key in ("u", "ut", "utt")}
-        D = buf["D"]
-        np.multiply(self.laplace_factor, B[0], out=B[1])
-        np.matmul(B, self._tab_mlj, out=D[:2])
-        np.matmul(B[0], self._tab_dt_mlj, out=D[2])
-        D_u, D_lap, D_t = D
-        lap, n_lat = buf["lap"], self.n_lat
-        np.matmul(D_u.reshape(-1, n_lat).T, self._lon, out=buf["u_up_upp"])
-        np.matmul(D_lap.reshape(-1, n_lat).T, self._lon[0], out=lap)
-        np.matmul(D_t.reshape(-1, n_lat).T, self._lon[:2], out=buf["ut_utp"])
-        # utt = lap - cot(theta) ut - upp / sin(theta)^2
-        utt = np.empty(self.shape) if out is None else lap
-        tmp = buf["tmp"]
-        np.multiply(buf["cot"], buf["ut"], out=tmp)
-        np.subtract(lap, tmp, out=utt)
-        np.divide(buf["upp"], buf["sin2"], out=tmp)
-        np.subtract(utt, tmp, out=utt)
-        fields = {key: buf[key] for key in ("u", "ut", "up", "utp", "upp")}
-        fields["utt"] = utt
+        L1, n_lat, D = self.L_max + 1, self.n_lat, buf["D"]
+        rows, factor, moved = B.reshape(3, -1), self._derivs_factor, buf["moved"]
+        np.multiply(factor[0], rows[0], out=rows[1])
+        np.multiply(factor[1], rows[0], out=moved[0, 1:])
+        np.multiply(factor[2], rows[0], out=moved[1, :-1])
+        np.add(moved[0, :-1], moved[1, 1:], out=rows[2])
+        np.matmul(B.reshape(6, L1, L1 + 1).transpose(1, 0, 2), self._tab_mlj,
+                  out=D.reshape(6, L1, n_lat).transpose(1, 0, 2))
+        D_u, D_lap, D_t = D.reshape(3, -1, n_lat)
+        inv_sin, cot, m2_sin2 = self._row_factors
+        np.multiply(inv_sin, D_t, out=D_t)
+        np.matmul(D_u.T, self._lon, out=buf["u_up_upp"])
+        np.matmul(D_t.T, self._lon[:2], out=buf["ut_utp"])
+        fields = {key: buf[key] for key in ("u", "ut", "up", "utp", "upp", "utt")}
         if out is None:
-            fields["lap"] = lap
+            fields["lap"] = D_lap.T @ self._lon[0]
+        # utt = lap - cot(theta) ut - upp / sin(theta)^2 with upp = -m^2 u,
+        # taken on the latitude rows, whose D_u and D_t are no longer needed
+        np.multiply(cot, D_t, out=D_t)
+        np.subtract(D_lap, D_t, out=D_lap)
+        np.multiply(m2_sin2, D_u, out=D_u)
+        np.add(D_lap, D_u, out=D_lap)
+        np.matmul(D_lap.T, self._lon[0], out=buf["utt"])
         return fields
 
     # -- quadrature and geometry helpers ---------------------------------------

@@ -198,10 +198,12 @@ def parse_config_text(text: str) -> ParsedConfig:
     except Exception as exc:
         keys = ", ".join(f"{key}(line {v[1]})" for key, v in raw.items())
         raise ConfigError(f"inconsistent configuration [{keys}]: {exc}") from exc
-    if init.kind == "harmonic":
-        l, p, _ = init.params
+    if init.kind in ("harmonic", "random"):
+        l = init.params[0 if init.kind == "harmonic" else 1]
         if l > config.L_max:
             raise ConfigError(f"line {raw['init'][1]}: init degree {l} exceeds L_max={config.L_max}")
+    if init.kind == "harmonic":
+        l, p, _ = init.params
         if l < 0:
             raise ConfigError(f"line {raw['init'][1]}: init degree {l} is negative")
         mult = harmonic_multiplicity(l, n)

@@ -2,6 +2,7 @@
 
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from mixedflow.errors import DegreeOverflowError, GridError
 from mixedflow.harmonics import (
     SPHERE_AREA,
     RadialField,
-    _legendre_tables,
     build_grid,
     harmonic_multiplicity,
     total_coefficients,
@@ -363,13 +363,56 @@ def test_circle_transforms_match_fft_reference(L, rng):
     assert np.max(np.abs(back - want_back)) <= 1e-14 * np.max(np.abs(want_back))
 
 
+def order_scale(L):
+    """The real basis's factor per order: 1 for m = 0, sqrt(2) above, shaped [m, 1, 1]."""
+    scale = np.full((L + 1, 1, 1), math.sqrt(2.0))
+    scale[0] = 1.0
+    return scale
+
+
 def test_legendre_tables_match_loop_reference(grid2_band):
-    # same arithmetic per entry, only the loop order differs: equal bit for bit
+    # same arithmetic per entry, only the loop order differs: equal bit for
+    # bit to the loop table extended by one degree, orders m <= L
     L = grid2_band.L_max
-    P, dP = _legendre_tables(L, grid2_band.x)
-    P_ref, dP_ref = legendre_tables_loop(L, grid2_band.x)
-    assert np.array_equal(P, P_ref)
-    assert np.array_equal(dP, dP_ref)
+    P_ref = legendre_tables_loop(L + 1, grid2_band.x)[0][:L + 1]
+    assert np.array_equal(grid2_band._tab_mlj, P_ref * order_scale(L))
+
+
+def test_theta_derivative_recombination_matches_loop_table(grid2_band):
+    # sin(theta) dP_l/dtheta = l a_{l+1} P_{l+1} - (l+1) a_l P_{l-1}, from the
+    # grid's own table and factors, against the loop's derivative recurrence
+    g = grid2_band
+    L = g.L_max
+    up, down = g._derivs_factor[1:].reshape(2, 2, L + 1, L + 2)[:, 0]
+    tab = g._tab_mlj
+    rec = up[:, :L + 1, None] * tab[:, 1:]
+    rec[:, 1:] += down[:, 1:L + 1, None] * tab[:, :L]
+    rec /= g.sin_theta
+    want = legendre_tables_loop(L, g.x)[1] * order_scale(L)
+    for m in range(L + 1):
+        assert np.max(np.abs(rec[m] - want[m])) <= 1e-13 * np.max(np.abs(want[m])), m
+
+
+def test_sphere_grid_builds_one_table_in_place():
+    # the Legendre table is written in its final layout: building the grid
+    # peaks not far above what it keeps
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        grid = build_grid(2, 64)
+        retained, peak = (b - base for b in tracemalloc.get_traced_memory())
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak <= 1.25 * retained
+    L, n_lat = grid.L_max, grid.n_lat
+    tables = [a for a in vars(grid).values()
+              if isinstance(a, np.ndarray) and a.size >= (L + 1) ** 2 * n_lat]
+    assert len(tables) == 1
+    assert tables[0].shape == (L + 1, L + 2, n_lat) and tables[0].dtype == np.float64
 
 
 def test_sphere_transforms_match_loop_reference(grid2_band, rng):

@@ -82,6 +82,7 @@ def test_parse_full_config():
     ("speed = schwarz\n", "line 1:"),
     ("n = 1\nk = 5\n", "line 2: k = 5 is outside [-1, 0] for n = 1"),
     ("L_max = 8\ninit = harmonic:9,1,1e-4\n", "line 2: init degree 9 exceeds L_max=8"),
+    ("L_max = 8\ninit = random:0.05,12,42\n", "line 2: init degree 12 exceeds L_max=8"),
     ("init = blob:1\n", "line 1: unknown init kind 'blob'"),
     ("init = harmonic:2\n", "line 1: bad init parameters"),
     ("init = const\n", "line 1: init needs the form kind:params"),
@@ -492,7 +493,7 @@ def test_cli_non_finite_config_is_input_error(tmp_path, monkeypatch, capsys, lin
 
 
 @pytest.mark.parametrize("init", ["const:nan", "const:-2", "random:0.05,1,1", "harmonic:2,1,nan",
-                                  "random:0.05,6,-1"])
+                                  "random:0.05,6,-1", "random:0.05,12,42"])
 def test_cli_rejected_initial_field_makes_no_directory(tmp_path, monkeypatch, capsys, init):
     monkeypatch.setenv("MIXEDFLOW_OUT", str(tmp_path / "out"))
     cfg = _write_config(tmp_path, f"n = 2\nL_max = 8\ninit = {init}\n")
