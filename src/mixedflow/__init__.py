@@ -6,6 +6,7 @@ from .errors import (
     AdmissibilityError,
     ConfigError,
     ConstraintDegenerateError,
+    DecayFitError,
     DegreeOverflowError,
     FitConvergenceError,
     GridError,

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AdmissibilityError, FitConvergenceError, SpectrumRangeError
+from .errors import AdmissibilityError, DecayFitError, FitConvergenceError, SpectrumRangeError
 from .flow import FlowConfig, FlowProblem, stable_decay_rate
 from .geometry import CurvatureBundle, bundle_from_coeffs, check_radius
 from .harmonics import (
@@ -242,7 +242,7 @@ def fit_decay_rate(times, values) -> float:
     """Least-squares slope of log(values) over the trailing half of the time interval.
 
     At least 10 samples must fall inside that window and the values must be
-    positive there.
+    positive there, else DecayFitError.
     """
     t = np.asarray(times, dtype=float)
     v = np.asarray(values, dtype=float)
@@ -251,8 +251,8 @@ def fit_decay_rate(times, values) -> float:
     cut = t[-1] - _DECAY_FIT_WINDOW * (t[-1] - t[0])
     mask = t >= cut
     if int(np.sum(mask)) < 10:
-        raise ValueError(f"only {int(np.sum(mask))} samples in the fit window; need at least 10")
+        raise DecayFitError(f"only {int(np.sum(mask))} samples in the fit window; need at least 10")
     if np.any(v[mask] <= 0.0):
-        raise ValueError("values must be positive inside the fit window")
+        raise DecayFitError("values must be positive inside the fit window")
     slope = np.polyfit(t[mask], np.log(v[mask]), 1)[0]
     return float(slope)

@@ -37,6 +37,10 @@ class FitConvergenceError(MixedFlowError):
     """Gauss-Newton sphere fit did not converge within the iteration cap."""
 
 
+class DecayFitError(MixedFlowError):
+    """Decay-rate fit window holds too few samples or a non-positive value."""
+
+
 class SpectrumRangeError(MixedFlowError):
     """Requested Jacobian block lies outside the band limit or the supported size."""
 

@@ -79,7 +79,24 @@ class InitSpec:
         casts = _init_casts(self.kind, len(self.params))
         return f"{self.kind}:" + ",".join(map(format_param, casts, self.params))
 
+    def _check_grid(self, L_max: int, n: int) -> None:
+        """ConfigError unless the init fits a grid of band limit L_max on the n-sphere."""
+        if self.kind in ("harmonic", "random"):
+            l = self.params[0 if self.kind == "harmonic" else 1]
+            if l > L_max:
+                raise ConfigError(f"init degree {l} exceeds L_max={L_max}")
+        if self.kind == "harmonic":
+            l, p, _ = self.params
+            if l < 0:
+                raise ConfigError(f"init degree {l} is negative")
+            mult = harmonic_multiplicity(l, n)
+            if not 1 <= p <= mult:
+                raise ConfigError(f"init order {p} is outside [1, {mult}] for degree {l}")
+        if self.kind == "sphere" and len(self.params) != n + 2:
+            raise ConfigError(f"sphere init needs {n + 2} coordinates, got {len(self.params)}")
+
     def build(self, grid: Grid, R: float) -> RadialField:
+        self._check_grid(grid.L_max, grid.n)
         if self.kind == "const":
             return RadialField(grid, R, values=np.full(grid.shape, self.params[0]))
         if self.kind == "harmonic":
@@ -198,21 +215,10 @@ def parse_config_text(text: str) -> ParsedConfig:
     except Exception as exc:
         keys = ", ".join(f"{key}(line {v[1]})" for key, v in raw.items())
         raise ConfigError(f"inconsistent configuration [{keys}]: {exc}") from exc
-    if init.kind in ("harmonic", "random"):
-        l = init.params[0 if init.kind == "harmonic" else 1]
-        if l > config.L_max:
-            raise ConfigError(f"line {raw['init'][1]}: init degree {l} exceeds L_max={config.L_max}")
-    if init.kind == "harmonic":
-        l, p, _ = init.params
-        if l < 0:
-            raise ConfigError(f"line {raw['init'][1]}: init degree {l} is negative")
-        mult = harmonic_multiplicity(l, n)
-        if not 1 <= p <= mult:
-            raise ConfigError(
-                f"line {raw['init'][1]}: init order {p} is outside [1, {mult}] for degree {l}")
-    if init.kind == "sphere" and len(init.params) != n + 2:
-        raise ConfigError(
-            f"line {raw['init'][1]}: sphere init needs {n + 2} coordinates, got {len(init.params)}")
+    try:
+        init._check_grid(config.L_max, config.n)
+    except ConfigError as exc:
+        raise ConfigError(f"line {raw['init'][1]}: {exc}") from exc
     return ParsedConfig(config=config, init=init, out_dir=out_dir)
 
 

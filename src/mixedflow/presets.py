@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .analysis import fit_decay_rate, fit_sphere, numerical_jacobian, stable_decay_rate
-from .errors import ConfigError
+from .errors import ConfigError, DecayFitError, FitConvergenceError
 from .flow import FlowRun
 from .harmonics import SPHERE_AREA, Grid, RadialField
 from .io import (
@@ -199,6 +199,9 @@ def run_experiment(name: str, overrides: dict[str, str] | None = None,
     snapshot for flow presets, and summary.txt.  Output is deterministic:
     rerunning a preset reproduces every file byte for byte.  A flow preset
     whose run failed writes its files, skips its checks and does not pass.
+    One whose checks cannot be evaluated, because a decay-rate or sphere fit
+    fails on the run's records, writes a failed `checks_evaluated` check and
+    the fit's error instead of them.
     """
     overrides = {k.strip(): v.strip() for k, v in (overrides or {}).items()}
     parsed = _preset_config(name, overrides)
@@ -216,7 +219,11 @@ def run_experiment(name: str, overrides: dict[str, str] | None = None,
                                   head=(f"preset = {name}",), tail=label_lines)
         status = out.status
         if out.error is None:
-            checks = _CHECKS[name](parsed, out)
+            try:
+                checks = _CHECKS[name](parsed, out)
+            except (DecayFitError, FitConvergenceError) as exc:
+                checks = [_check_le("checks_evaluated", math.nan, 0.0)]
+                extra_lines = [f"error = {exc}"]
         else:
             checks, extra_lines = [], [f"error = {out.error}"]
     target_dir = resolve_out_dir(requested)

@@ -4,8 +4,9 @@ Everything here works from closed-form radius functions and plain numpy:
 fourth-order finite differences of the embedding for curvatures, hand-derived
 first-fundamental-form quadrature for areas and volumes, speeds at one
 curvature tuple from their definitions, the sphere fit as a loop over
-Jacobian columns, and the sphere transforms as loops over degree and order.
-No imports from the package under test.
+Jacobian columns, the sphere transforms and the coefficient layout as loops
+over degree and order, and Gauss-Legendre nodes and weights seeded by
+numpy's leggauss.  No imports from the package under test.
 """
 
 import itertools
@@ -325,3 +326,50 @@ def sphere_transform_reference(grid, coeffs):
     for k, m, c, p in members:
         back[k] = np.sum(weighted * np.outer(p, trig[m][c]))
     return fields, back
+
+
+def gauss_legendre_leggauss(n):
+    """Gauss-Legendre nodes and weights on [-1, 1], seeded by numpy's leggauss.
+
+    Two Newton steps on P_n refine leggauss's nodes; the weights
+    2 / ((1 - x^2) P_n'(x)^2) are taken at the refined nodes, symmetrized
+    with them and scaled to sum 2.
+    """
+    x = np.polynomial.legendre.leggauss(n)[0]
+    for newton_step in range(3):
+        p_prev, p = np.ones_like(x), x
+        for k in range(2, n + 1):
+            p_prev, p = p, ((2 * k - 1) * x * p - (k - 1) * p_prev) / k
+        dp = n * (x * p - p_prev) / (x * x - 1.0)
+        if newton_step < 2:
+            x = x - p / dp
+    w = 2.0 / ((1.0 - x * x) * dp * dp)
+    x, w = 0.5 * (x - x[::-1]), 0.5 * (w + w[::-1])
+    return x, w * (2.0 / w.sum())
+
+
+def coefficient_layout_loop(L, n):
+    """Degree of each flat coefficient and its positions in the real containers.
+
+    Returns (degrees, slot, derivs_slot) by a loop over degree l and order m.
+    slot indexes the flattened B[c, m] on the circle and B[c, m, l] on the
+    sphere (c = 0 cosine, c = 1 sine), derivs_slot the flattened k = 0 rows
+    [c, m, l'] of the sphere's derivative container, l' <= L + 1 (None on
+    the circle).
+    """
+    degrees, slot, derivs_slot = [], [], []
+    for l in range(L + 1):
+        # the (c, m) of the degree-l members, in flat order
+        if n == 1:
+            members = [(0, 0)] if l == 0 else [(0, l), (1, l)]
+        else:
+            members = [(0, 0)] + [(c, m) for m in range(1, l + 1) for c in (0, 1)]
+        for c, m in members:
+            degrees.append(l)
+            if n == 1:
+                slot.append(c * (L + 1) + m)
+            else:
+                slot.append((c * (L + 1) + m) * (L + 1) + l)
+                derivs_slot.append((c * (L + 1) + m) * (L + 2) + l)
+    return (np.array(degrees, dtype=int), np.array(slot, dtype=int),
+            np.array(derivs_slot, dtype=int) if n == 2 else None)

@@ -12,7 +12,7 @@ from mixedflow.analysis import (
     sphere_from_coords,
     stable_decay_rate,
 )
-from mixedflow.errors import AdmissibilityError, SpectrumRangeError
+from mixedflow.errors import AdmissibilityError, DecayFitError, SpectrumRangeError
 from mixedflow.flow import FlowConfig
 from mixedflow.harmonics import SPHERE_AREA, RadialField
 from mixedflow.io import random_band_field
@@ -189,9 +189,9 @@ def test_fit_decay_rate():
     t = np.linspace(0.0, 1.0, 101)
     v = 3e-4 * np.exp(-7.3 * t)
     assert fit_decay_rate(t, v) == pytest.approx(-7.3, abs=1e-10)
-    with pytest.raises(ValueError):
+    with pytest.raises(DecayFitError, match="only 4 samples in the fit window"):
         fit_decay_rate(t[:8], v[:8])
-    with pytest.raises(ValueError):
+    with pytest.raises(DecayFitError, match="values must be positive"):
         fit_decay_rate(t, v - 1.0)
     with pytest.raises(ValueError):
         fit_decay_rate(t, v[:-1])

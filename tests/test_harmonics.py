@@ -1,8 +1,12 @@
 """Transform-layer tests: grids, layouts, round trips, calculus identities."""
 
 import math
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,12 +16,18 @@ from mixedflow.errors import DegreeOverflowError, GridError
 from mixedflow.harmonics import (
     SPHERE_AREA,
     RadialField,
+    _gauss_legendre,
     build_grid,
     harmonic_multiplicity,
     total_coefficients,
 )
 from conftest import band_coeffs
-from oracles import legendre_tables_loop, sphere_transform_reference
+from oracles import (
+    coefficient_layout_loop,
+    gauss_legendre_leggauss,
+    legendre_tables_loop,
+    sphere_transform_reference,
+)
 
 
 # -- sizing and layout ----------------------------------------------------------
@@ -140,6 +150,44 @@ def test_latitude_weights_are_orthogonal_to_legendre_polynomials(L):
     w = grid.quad_weights[:, 0] * (grid.n_lon / (2.0 * math.pi))
     P = np.polynomial.legendre.legvander(grid.x, 2 * grid.n_lat - 1)
     assert np.max(np.abs(w @ P[:, 1:])) <= 2e-15
+
+
+@pytest.mark.parametrize("L", range(4, 65))
+def test_gauss_legendre_matches_leggauss_reference(L):
+    # the latitude count of band limit L at oversample 2; the weights differ
+    # most near the poles, through 1 - x^2
+    n = 2 * (L + 1)
+    x, w = _gauss_legendre(n)
+    x_ref, w_ref = gauss_legendre_leggauss(n)
+    assert np.max(np.abs(x - x_ref)) <= 2.3e-16
+    assert np.max(np.abs(w / w_ref - 1.0)) <= 1e-12
+    P = np.polynomial.legendre.legvander(x, 2 * n - 1)
+    assert np.max(np.abs(w @ P[:, 1:])) <= 8.6e-16
+
+
+def test_grid_build_imports_no_numpy_polynomial():
+    # the package finds its quadrature nodes without numpy.polynomial, whose
+    # import every cold start would otherwise pay
+    code = ("import sys\nimport mixedflow\n"
+            "mixedflow.FlowProblem(mixedflow.FlowConfig(L_max=16))\n"
+            "print('numpy.polynomial' in sys.modules)\n")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    assert proc.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("n,L", [(1, 4), (1, 17), (1, 64), (2, 4), (2, 5), (2, 16), (2, 64)])
+def test_coefficient_layout_matches_loop_reference(n, L):
+    grid = build_grid(n, L)
+    degrees, slot, derivs_slot = coefficient_layout_loop(L, n)
+    pairs = [(grid.degrees, degrees), (grid._slot, slot)]
+    if n == 2:
+        pairs.append((grid._derivs_slot, derivs_slot))
+    for got, want in pairs:
+        assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 # -- calculus --------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Config parsing, snapshots, run.csv emission, and the command-line front end."""
 
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -203,6 +204,17 @@ def test_random_band_empty_degrees(grid2):
         random_band_field(grid2, 1.0, 0.05, 9, 8, 1)
 
 
+@pytest.mark.parametrize("kind,params,message", [
+    ("random", (0.05, 12, 42), "init degree 12 exceeds L_max=8"),
+    ("harmonic", (20, 1, 0.1), "init degree 20 exceeds L_max=8"),
+    ("sphere", (0.1, 0.2), "sphere init needs 4 coordinates, got 2"),
+])
+def test_init_build_checks_the_grid(grid2_small, kind, params, message):
+    # the checks a config file gets from the parser hold for a spec built directly
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        InitSpec(kind, params).build(grid2_small, 1.0)
+
+
 def test_init_describe_round_trip():
     for spec in (InitSpec("const", (0.2,)),
                  InitSpec("harmonic", (2, 1, 1e-4)),
@@ -381,6 +393,25 @@ def test_cli_preset_override(tmp_path, monkeypatch, capsys):
     assert main(["preset", "stationarity", "--set", "init=const:0.1", "--set", "n=1"]) == 0
     out = capsys.readouterr().out
     assert "overall = PASS" in out
+
+
+@pytest.mark.parametrize("name,overrides", [
+    ("linear-decay", ["dt=1e-2"]),
+    ("zero-modes", ["T=0.1", "cadence=20"]),
+    ("nonlinear-convergence", ["T=0.1", "cadence=20"]),
+])
+def test_cli_preset_failed_decay_fit(tmp_path, monkeypatch, capsys, name, overrides):
+    # 11 or 6 records leave too few samples in the fit window: the preset
+    # still writes summary.txt, with the fit's error and a failed check, and exits 1
+    monkeypatch.setenv("MIXEDFLOW_OUT", str(tmp_path))
+    assert main(["preset", name, *(arg for o in overrides for arg in ("--set", o))]) == 1
+    assert "failed checks: checks_evaluated" in capsys.readouterr().err
+    summary = (tmp_path / "summary.txt").read_text().splitlines()
+    assert "status = reached_T" in summary
+    assert any(re.fullmatch(r"error = only \d samples in the fit window; need at least 10", line)
+               for line in summary)
+    assert summary[-2:] == ["check checks_evaluated: value=nan <= threshold=0.0 -> FAIL",
+                            "overall = FAIL"]
 
 
 def test_cli_spectrum(tmp_path, monkeypatch, capsys):
