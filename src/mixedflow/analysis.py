@@ -3,14 +3,14 @@
 The sphere family is parametrized by n+2 numbers z = (z0, z1, ..., z_{n+1}):
 center sum(z_p omega_p) and radius R + z0, written as a height function over
 the reference sphere.  fit_sphere inverts that parametrization in the
-weighted least-squares sense by Gauss-Newton, seeded from the lowest-mode
-projection of the field, so convergence statements about the flow can be
-made against the nearest true sphere rather than against harmonics of the
-evolving surface.  The fit runs on the grid flattened to one axis: the
-direction components are one stacked (n + 1, N) array (Grid.directions), so
-the sphere's height is a matvec and each Gauss-Newton step a handful of
-whole-array operations and one weighted matmul, cheap enough to fit every
-diagnostics record.
+weighted least-squares sense by Gauss-Newton, seeded from the linear chart
+(the field's quadrature against 1 and the direction components), so
+convergence statements about the flow can be made against the nearest true
+sphere rather than against harmonics of the evolving surface.  The fit runs
+on the grid flattened to one axis: the direction components are one stacked
+(n + 1, N) array (Grid.directions), so the sphere's height is a matvec and
+each Gauss-Newton step a handful of whole-array operations and one weighted
+matmul, cheap enough to fit every diagnostics record.
 """
 
 from __future__ import annotations
@@ -174,32 +174,25 @@ def sphere_from_coords(z, grid: Grid, R: float) -> RadialField:
 
 
 def project_center_coords(rho: RadialField) -> np.ndarray:
-    """Sphere coordinates of the lowest-mode content of a field.
+    """Sphere coordinates of the lowest-mode content of a field: the linear chart.
 
-    Converts the orthonormal constant/degree-1 coefficients into the raw
-    (z0, center) chart; exact when rho is itself an infinitesimal sphere.
+    z0 = int(rho) / |S^n| and z_i = (n + 1) / |S^n| * int(rho omega_i), by
+    quadrature on the grid; exact when rho is itself an infinitesimal sphere.
     """
-    grid, R = rho.grid, rho.R
+    grid = rho.grid
     n = grid.n
-    c = rho.coeffs
-    area = SPHERE_AREA[n]
-    z = np.empty(n + 2)
-    z[0] = c[grid.flat_index(0, 1)] / math.sqrt(area)
-    scale = math.sqrt(area / (n + 1.0))
-    # omega_1, omega_2 carry the (1, cos) and (1, sin) harmonics; omega_3 the zonal one.
-    orders = (1, 2) if n == 1 else (2, 3, 1)
-    for i, p in enumerate(orders, start=1):
-        z[i] = c[grid.flat_index(1, p)] / scale
-    return z
+    w_rho = (grid.quad_weights * rho.values).reshape(-1)
+    moments = grid.directions().reshape(n + 1, -1) @ w_rho
+    return np.concatenate(([w_rho.sum()], (n + 1) * moments)) / SPHERE_AREA[n]
 
 
 def fit_sphere(rho: RadialField) -> tuple[np.ndarray, np.ndarray]:
     """Nearest sphere in the weighted least-squares sense: (z, residual field).
 
     z is the (n + 2)-vector of sphere coordinates (z0, z1, ..., z_{n+1}).
-    Gauss-Newton on the n+2 sphere coordinates, seeded from the lowest-mode
-    projection; stops when the update norm drops below 1e-12 R, and gives
-    up after 50 iterations.  Each iteration works on the whole flattened
+    Gauss-Newton on the n+2 sphere coordinates, seeded from the linear
+    chart (project_center_coords); stops when the update norm drops below
+    1e-12 R, and gives up after 50 iterations.  Each iteration works on the whole flattened
     grid at once: one matvec of z against the stacked directions, the
     Jacobian rows (R + z0)/q and omega_i (1 + s/q) - z_i/q beside the
     residual in one array, and one weighted matmul for the normal matrix

@@ -89,7 +89,8 @@ class BundleWorkspace:
     FlowProblem): the derivative buffers of Grid.synthesize_derivs, own
     arrays for the bundle fields that do not fit in those, a read-only
     ones array for E_0 and, for n = 2, the grid-constant columns sin(theta),
-    cot(theta), sin(theta) cos(theta) and sin(theta)^2, shaped (n_lat, 1).
+    cot(theta), sin(theta) cos(theta) and sin(theta)^2, shaped (n_lat, 1),
+    which only the bundle reads.
     scratch is the derivative buffers' tmp array: a bundle uses it while it
     is computed and holds nothing in it, so a caller may use it until the
     next bundle.
@@ -104,9 +105,9 @@ class BundleWorkspace:
         self.own = tuple(np.empty(grid.shape) for _ in range(3 if grid.n == 1 else 7))
         if grid.n == 2:
             self.sin = grid.sin_theta[:, None]
-            self.cot = self.derivs["cot"]
+            self.cot = grid.x[:, None] / self.sin
             self.sin_cos = self.sin * grid.x[:, None]
-            self.sin2 = self.derivs["sin2"]
+            self.sin2 = self.sin * self.sin
 
 
 def bundle_from_coeffs(grid, R: float, coeffs: np.ndarray,

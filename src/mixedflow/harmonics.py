@@ -13,14 +13,16 @@ longitude stage against matrices of cos(m phi), sin(m phi) and their
 phi-derivatives; on the circle phi is the angle theta and that stage is the
 whole transform.  n = 2 adds a Legendre stage over the degree l for all
 orders m at once, against one table of associated Legendre values stored
-in (m, l, node) order, one degree past the band limit.  The
-theta-derivative needs no table of its own: the three-term recurrence gives
+in (m, l, node) order.  Table and spectral container both run one degree
+past the band limit, so that the theta-derivative needs no table of its
+own: the three-term recurrence gives
 
     sin(theta) dP_l^m/dtheta = l a_{l+1,m} P_{l+1}^m - (l+1) a_{l,m} P_{l-1}^m,
     a_{l,m} = sqrt((l^2 - m^2) / (4 l^2 - 1)),
 
-so coefficients scaled and moved one degree up and down contract against
-the same table.  The stage's outputs come out in (c, m, node) order, so a
+so coefficients scaled and moved one degree up and down in the same
+container contract against the same table.  Every transform uses that one
+container layout.  The stage's outputs come out in (c, m, node) order, so a
 plain reshape and transpose make them the latitude rows [node, (c, m)] that
 the longitude stage multiplies: BLAS reads the transposed view in place and
 nothing is copied between the stages (see Grid).
@@ -140,16 +142,16 @@ class Grid:
 
     - the real spectral container holds the cosine (c = 0) and sine (c = 1)
       coefficient of each order m, B[c, m] on the circle and B[c, m, l] of
-      degree l on the sphere; a flat coefficient vector is scattered into it
-      through one index array, and gathered back from analysis's output,
-      laid out the same way;
-    - n = 2 only: one Legendre table P[m, l, node] of degrees
-      l <= L_max + 1 contracts B over l for all orders at once (a batched
-      matmul over m) into outputs D[c, m, node].
-      D.reshape(2 * (L_max + 1), n_lat).T is the latitude-rows operand
-      [node, (c, m)] of the longitude matmuls, read in place.  synthesize
-      and analyze use the table's first L_max + 1 degrees; degree
-      L_max + 1 serves the theta-derivative (see derivs_buffers);
+      degrees l <= L_max + 1 on the sphere, where degree L_max + 1 holds
+      no coefficient and gives the theta-derivative room to move one degree
+      up (see derivs_buffers); a flat coefficient vector is scattered into
+      it through one index array, and gathered back from analysis's
+      output, laid out the same way;
+    - n = 2 only: one Legendre table P[m, l, node] of the same degrees
+      contracts B over l for all orders at once (a batched matmul over m)
+      into outputs D[c, m, node].  D.reshape(2 * (L_max + 1), n_lat).T is
+      the latitude-rows operand [node, (c, m)] of the longitude matmuls,
+      read in place;
     - three longitude matrices, built the same way for both n from the
       uniform node count, map a row [D(c, m)] to grid values: rows indexed
       (c, m), columns by the uniform nodes, holding cos(m phi) and
@@ -247,20 +249,17 @@ class Grid:
             degrees = np.repeat(np.arange(L1), 2 * np.arange(L1) + 1)
             j = k - degrees * degrees
         cm = L1 * ((j > 0) & (j % 2 == 0)) + (j + 1) // 2
-        slot = cm if n == 1 else cm * L1 + degrees
-        self._slot = slot
+        self._slot = cm if n == 1 else cm * (L1 + 1) + degrees
+        self._container_shape = (2, L1) if n == 1 else (2, L1, L1 + 1)
         self.degrees = degrees
         ell = np.arange(L1, dtype=float)
         self.laplace_factor = -(ell * (ell + n - 1))
         _freeze(self._slot, self.degrees, self.laplace_factor)
         if n == 2:
-            # The same positions in the k = 0 rows [c, m, l'] of the
-            # derivative container, whose degrees run to l' = L_max + 1.
-            self._derivs_slot = (slot // L1) * (L1 + 1) + slot % L1
-            # Factors of the coefficient at each position of the k = 0 rows
-            # (derivs_buffers): the Laplacian's eigenvalue, then l a_{l+1,m}
-            # and -(l+1) a_{l,m} for its moves one degree up and down.  Zero
-            # where m > l, where P vanishes.
+            # Factors of the coefficient at each position of the container
+            # (the k = 0 rows of derivs_buffers): the Laplacian's eigenvalue,
+            # then l a_{l+1,m} and -(l+1) a_{l,m} for its moves one degree up
+            # and down.  Zero where m > l, where P vanishes.
             ell = np.arange(L1 + 1.0)
             m = np.arange(L1, dtype=float)[:, None]
 
@@ -269,9 +268,9 @@ class Grid:
 
             factors = np.stack(np.broadcast_arrays(-(ell * (ell + 1.0)), ell * a(ell + 1.0),
                                                    -(ell + 1.0) * a(ell)))
-            # Repeated for c = cos, sin and flattened like the k = 0 rows.
+            # Repeated for c = cos, sin and flattened like the container.
             self._derivs_factor = np.repeat(factors[:, None], 2, axis=1).reshape(3, -1)
-            _freeze(self._derivs_slot, self._derivs_factor)
+            _freeze(self._derivs_factor)
 
     def flat_index(self, l: int, p: int) -> int:
         """Flat position of the degree-l, order-p basis member (p is 1-based)."""
@@ -302,11 +301,9 @@ class Grid:
         coefficients go into its k = 0 rows and the other rows are left as
         they are."""
         if out is None:
-            out, slot = np.zeros((2,) + (self.L_max + 1,) * self.n), self._slot
-        else:
-            slot = self._slot if self.n == 1 else self._derivs_slot
+            out = np.zeros(self._container_shape)
         c = np.asarray(coeffs, dtype=float)
-        out.reshape(-1)[slot] = c if c.shape == (self.size,) else self._pad(c)
+        out.reshape(-1)[self._slot] = c if c.shape == (self.size,) else self._pad(c)
         return out
 
     def _field(self, values: np.ndarray) -> np.ndarray:
@@ -326,10 +323,9 @@ class Grid:
         Y = self._lon[0] @ v.T
         Y *= self._sum_weights
         if self.n == 2:
-            L1 = self.L_max + 1
-            B = np.empty((2, L1, L1))
-            np.matmul(Y.reshape(2, L1, self.n_lat).transpose(1, 0, 2),
-                      self._tab_mlj[:, :L1].transpose(0, 2, 1), out=B.transpose(1, 0, 2))
+            B = np.empty(self._container_shape)
+            np.matmul(Y.reshape(2, self.L_max + 1, self.n_lat).transpose(1, 0, 2),
+                      self._tab_mlj.transpose(0, 2, 1), out=B.transpose(1, 0, 2))
             Y = B
         return Y.reshape(-1)[self._slot]
 
@@ -338,9 +334,8 @@ class Grid:
         B = self._container(coeffs)
         if self.n == 1:
             return B.reshape(-1) @ self._lon[0]
-        L1 = self.L_max + 1
-        D = np.empty((2, L1, self.n_lat))
-        np.matmul(B.transpose(1, 0, 2), self._tab_mlj[:, :L1], out=D.transpose(1, 0, 2))
+        D = np.empty((2, self.L_max + 1, self.n_lat))
+        np.matmul(B.transpose(1, 0, 2), self._tab_mlj, out=D.transpose(1, 0, 2))
         return D.reshape(-1, self.n_lat).T @ self._lon[0]
 
     def derivs_buffers(self) -> dict[str, np.ndarray]:
@@ -351,28 +346,27 @@ class Grid:
         u_ut_utt on the circle; u_up_upp, ut_utp and utt on the sphere.  tmp
         is one grid-shaped scratch array.
 
-        On the sphere B is the derivative container B[k, c, m, l'] of
-        degrees l' <= L_max + 1, and D[k, c, m, node] holds its Legendre
-        outputs.  Its row sets k are the coefficients u (k = 0), the
+        On the sphere B[k, c, m, l] stacks three row sets k, each one
+        spectral container, and D[k, c, m, node] holds their Legendre
+        outputs.  The row sets are the coefficients u (k = 0), the
         Laplacian's -l(l+1) u (1), and (2) the sum of u scaled by l a_{l+1,m}
         and moved to degree l + 1 and u scaled by -(l+1) a_{l,m} and moved
         to degree l - 1: by the recurrence in the module docstring its
         Legendre output is sin(theta) times the theta-derivative's.  moved
         holds those two scaled copies of the flattened k = 0 rows, each with
-        one zero at the end it moves away from.  The sphere adds the columns
-        cot = cot(theta) and sin2 = sin(theta)^2, shaped (n_lat, 1).
+        one zero at the end it moves away from.
         """
         L1 = self.L_max + 1
-        buf = {"B": np.zeros((2, L1) if self.n == 1 else (3, 2, L1, L1 + 1)),
+        buf = {"B": np.zeros(self._container_shape if self.n == 1
+                             else (3,) + self._container_shape),
                "tmp": np.empty(self.shape)}
         if self.n == 1:
             buf["u_ut_utt"] = np.empty((3,) + self.shape)
             buf.update(zip(("u", "ut", "utt"), buf["u_ut_utt"]))
             return buf
-        st = self.sin_theta[:, None]
         buf.update(D=np.empty((3, 2, L1, self.n_lat)), moved=np.zeros((2, 2 * L1 * (L1 + 1) + 1)),
                    u_up_upp=np.empty((3,) + self.shape), ut_utp=np.empty((2,) + self.shape),
-                   utt=np.empty(self.shape), cot=self.x[:, None] / st, sin2=st * st)
+                   utt=np.empty(self.shape))
         buf.update(zip(("u", "up", "upp"), buf["u_up_upp"]))
         buf.update(zip(("ut", "utp"), buf["ut_utp"]))
         return buf
@@ -383,15 +377,15 @@ class Grid:
 
         Keys for n = 1: u, ut, utt, straight from the three longitude
         matrices.  Keys for n = 2: u, ut, up, utt, utp, upp, lap.  All
-        derivatives are taken spectrally.  For n = 2 the derivative
-        container's row sets k = 1, 2 (see derivs_buffers) are made from its
-        coefficient rows by multiplies and one add, each over contiguous
-        flat arrays: a move by one degree is a shift by one element, since
-        every row ends on degree L_max + 1, which holds no coefficient.  One
-        batched matmul over the orders m then contracts the container with
-        the Legendre table into D, and D[2] is divided by sin(theta).  Each
-        row set of D, reshaped to latitude rows [(c, m), node] and
-        transposed, is the operand of the longitude matmuls, without a copy.
+        derivatives are taken spectrally.  For n = 2 the row sets k = 1, 2
+        of B (see derivs_buffers) are made from its coefficient rows by
+        multiplies and one add, each over contiguous flat arrays: a move by
+        one degree is a shift by one element, since every row ends on degree
+        L_max + 1, which holds no coefficient.  One batched matmul over the
+        orders m then contracts B with the Legendre table into D, and D[2]
+        is divided by sin(theta).  Each row set of D, reshaped to latitude
+        rows [(c, m), node] and transposed, is the operand of the longitude
+        matmuls, without a copy.
         The phi-derivatives come from the longitude matrices, since
         differentiating in phi commutes with the sum over l.  The second
         theta-derivative comes from the Laplacian identity

@@ -115,8 +115,11 @@ def random_band_field(grid: Grid, R: float, amp: float, l_lo: int, l_hi: int,
     """Seeded band-limited field, scaled so the sup norm equals amp.
 
     Coefficients are uniform on [-1, 1] for degrees l_lo..l_hi and zero
-    outside, in particular on the constant and degree-1 modes.
+    outside, in particular on the constant and degree-1 modes.  ConfigError
+    if l_hi exceeds the grid's band limit or the band holds no degree.
     """
+    if l_hi > grid.L_max:
+        raise ConfigError(f"random init degree {l_hi} exceeds L_max={grid.L_max}")
     rng = np.random.default_rng(seed)
     c = rng.uniform(-1.0, 1.0, grid.size)
     deg = grid.degrees

@@ -4,7 +4,7 @@ A speed is a symmetric function of the principal curvatures, evaluated here
 through the elementary symmetric combinations that the geometry module
 already provides.  Built-in kinds:
 
-    mean                F = E_1, the sum of principal curvatures
+    mean                F = E_1, the sum of principal curvatures (elementary l=1)
     power_mean m beta   F = (E_m / C(n, m))^beta
     elementary l        F = E_l
 
@@ -90,9 +90,7 @@ def _at_sphere(spec: SpeedSpec, name: str, closed_form) -> float:
 
 def eval_speed(spec: SpeedSpec, E: tuple) -> np.ndarray:
     """Speed field from the elementary symmetric functions E = (E_0, ..., E_n)."""
-    if spec.kind == "mean":
-        return np.asarray(E[1], dtype=float)
-    if spec.kind == "elementary":
+    if spec.kind in ("mean", "elementary"):
         return np.asarray(E[spec.l], dtype=float)
     base = np.asarray(E[spec.m] / math.comb(spec.n, spec.m), dtype=float)
     if spec.beta != round(spec.beta) and np.any(base <= 0.0):
@@ -104,9 +102,7 @@ def eval_speed(spec: SpeedSpec, E: tuple) -> np.ndarray:
 def reference_speed(spec: SpeedSpec) -> float:
     """F at the round reference sphere (all curvatures 1/R), in closed form."""
     n, R = spec.n, spec.R
-    if spec.kind == "mean":
-        return n / R
-    if spec.kind == "elementary":
+    if spec.kind in ("mean", "elementary"):
         return math.comb(n, spec.l) * R ** -spec.l
     return R ** (-spec.m * spec.beta)
 
@@ -114,8 +110,6 @@ def reference_speed(spec: SpeedSpec) -> float:
 def umbilic_derivative(spec: SpeedSpec) -> float:
     """Derivative of F in one principal curvature at the round sphere, in closed form."""
     n, R = spec.n, spec.R
-    if spec.kind == "mean":
-        return 1.0
-    if spec.kind == "elementary":
+    if spec.kind in ("mean", "elementary"):
         return math.comb(n - 1, spec.l - 1) * R ** (1 - spec.l)
     return (spec.m * spec.beta / n) * R ** (1.0 - spec.m * spec.beta)

@@ -204,6 +204,12 @@ def test_random_band_empty_degrees(grid2):
         random_band_field(grid2, 1.0, 0.05, 9, 8, 1)
 
 
+def test_random_band_refuses_degrees_above_the_band_limit():
+    # degrees above L_max were dropped without a word
+    with pytest.raises(ConfigError, match="^random init degree 12 exceeds L_max=8$"):
+        random_band_field(build_grid(2, 8), 1.0, 0.05, 2, 12, 42)
+
+
 @pytest.mark.parametrize("kind,params,message", [
     ("random", (0.05, 12, 42), "init degree 12 exceeds L_max=8"),
     ("harmonic", (20, 1, 0.1), "init degree 20 exceeds L_max=8"),

@@ -70,6 +70,18 @@ def test_reference_speed_matches_the_definition():
                 assert abs(reference_speed(spec) - want) <= 2.0 * math.ulp(want), spec
 
 
+def test_mean_is_elementary_one():
+    # mean is E_1: the same bits as elementary l=1 in every closed form, and n / R at the sphere
+    rng = np.random.default_rng(3)
+    for n in (1, 2):
+        E = (np.ones(5), *rng.uniform(0.1, 3.0, (n, 5)))
+        for R in (1.0, 0.7, 3.0):
+            mean, e1 = SpeedSpec("mean", n=n, R=R), SpeedSpec("elementary", n=n, R=R, l=1)
+            assert np.array_equal(eval_speed(mean, E), eval_speed(e1, E))
+            assert reference_speed(mean) == reference_speed(e1) == n / R
+            assert umbilic_derivative(mean) == umbilic_derivative(e1) == 1.0
+
+
 def test_constant_on_spheres(grid2):
     coeffs = np.zeros(grid2.size)
     coeffs[0] = 0.3 * math.sqrt(4.0 * math.pi)
