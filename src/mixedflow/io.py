@@ -23,6 +23,7 @@ round-trips float64 exactly.  Coefficients not listed are zero.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 from dataclasses import dataclass
 from typing import Callable
@@ -32,7 +33,8 @@ import numpy as np
 from .analysis import sphere_from_coords
 from .errors import ConfigError, SnapshotError, SpeedError
 from .flow import FlowConfig, FlowProblem, FlowRun, FlowState, default_timestep, run
-from .harmonics import Grid, RadialField, build_grid, harmonic_multiplicity
+from .harmonics import (SPHERE_AREA, Grid, RadialField, build_grid, harmonic_multiplicity,
+                        total_coefficients)
 from .speeds import SPEED_PARAMS, SpeedSpec, format_number, format_param
 
 # Config key -> cast of its text; speed and init are parsed further below.
@@ -98,7 +100,12 @@ class InitSpec:
     def build(self, grid: Grid, R: float) -> RadialField:
         self._check_grid(grid.L_max, grid.n)
         if self.kind == "const":
-            return RadialField(grid, R, values=np.full(grid.shape, self.params[0]))
+            # The one exact coefficient (the constant member is |S^n|^(-1/2)):
+            # analysing grid values would leave roundoff in degrees l >= 1,
+            # which second derivatives amplify.
+            coeffs = np.zeros(grid.size)
+            coeffs[0] = self.params[0] * math.sqrt(SPHERE_AREA[grid.n])
+            return RadialField(grid, R, coeffs=coeffs)
         if self.kind == "harmonic":
             l, p, amp = self.params
             coeffs = np.zeros(grid.size)
@@ -110,20 +117,95 @@ class InitSpec:
         return sphere_from_coords(np.asarray(self.params), grid, R)
 
 
+_M32 = 0xFFFFFFFF
+_M64 = (1 << 64) - 1
+_M128 = (1 << 128) - 1
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _seed_words(seed: int) -> list[int]:
+    """The four 64-bit words of numpy's SeedSequence(seed).generate_state(4, uint64).
+
+    The seed's 32-bit words, least significant first, are hashed into a pool
+    of four 32-bit words and mixed; eight output words cycle the pool and
+    pair up little-endian.  The hash and mix constants are numpy's.
+    """
+    entropy = [seed & _M32]
+    while seed := seed >> 32:
+        entropy.append(seed & _M32)
+    hash_const = 0x43B0D7E5
+
+    def hashmix(value: int) -> int:
+        nonlocal hash_const
+        value ^= hash_const
+        hash_const = hash_const * 0x931E8875 & _M32
+        value = value * hash_const & _M32
+        return value ^ value >> 16
+
+    def mix(x: int, y: int) -> int:
+        r = (0xCA01F9DD * x - 0x4973F715 * y) & _M32
+        return r ^ r >> 16
+
+    pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    hash_const = 0x8B51F9DD
+    out = []
+    for i in range(8):
+        value = pool[i % 4] ^ hash_const
+        hash_const = hash_const * 0x58F38DED & _M32
+        value = value * hash_const & _M32
+        out.append(value ^ value >> 16)
+    return [out[i] | out[i + 1] << 32 for i in range(0, 8, 2)]
+
+
+def _uniform_draws(seed: int, count: int) -> np.ndarray:
+    """The first count values of numpy's default_rng(seed).uniform(-1, 1), bit for bit.
+
+    Ported so that a seed's field does not depend on the installed numpy,
+    and a cold start does not pay numpy's random-module import.  PCG64
+    (XSL-RR 128/64), seeded as numpy seeds it from _seed_words: state from
+    words 0-1, stream from words 2-3.  Each double is (x >> 11) 2^-53,
+    mapped to -1 + 2u.  ConfigError for a negative or non-integer seed,
+    whose word split would never end or not be numpy's.
+    """
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ConfigError(f"random init seed must be a non-negative integer, got {seed!r}")
+    w0, w1, w2, w3 = _seed_words(int(seed))
+    inc = ((w2 << 64 | w3) << 1 | 1) & _M128
+    state = ((inc + (w0 << 64 | w1)) * _PCG64_MULT + inc) & _M128
+    top = []
+    for _ in range(count):
+        state = (state * _PCG64_MULT + inc) & _M128
+        rot = state >> 122
+        x = (state >> 64 ^ state) & _M64
+        top.append(((x >> rot | x << (64 - rot)) & _M64) >> 11)
+    return -1.0 + 2.0 * (np.array(top, dtype=float) * 2.0 ** -53)
+
+
 def random_band_field(grid: Grid, R: float, amp: float, l_lo: int, l_hi: int,
                       seed: int) -> RadialField:
     """Seeded band-limited field, scaled so the sup norm equals amp.
 
     Coefficients are uniform on [-1, 1] for degrees l_lo..l_hi and zero
-    outside, in particular on the constant and degree-1 modes.  ConfigError
-    if l_hi exceeds the grid's band limit or the band holds no degree.
+    outside, in particular on the constant and degree-1 modes: the flat
+    coefficient k takes the k-th value of numpy's default_rng(seed) uniform
+    stream, drawn by _uniform_draws only up to degree l_hi.
+    ConfigError if l_hi exceeds the grid's band limit, the band holds no
+    degree, or the seed is negative or not an integer.
     """
     if l_hi > grid.L_max:
         raise ConfigError(f"random init degree {l_hi} exceeds L_max={grid.L_max}")
-    rng = np.random.default_rng(seed)
-    c = rng.uniform(-1.0, 1.0, grid.size)
-    deg = grid.degrees
-    c[(deg < l_lo) | (deg > l_hi)] = 0.0
+    # Degree-major layout: degrees 0..l_hi are the first coefficients.
+    count = total_coefficients(l_hi, grid.n)
+    c = np.zeros(grid.size)
+    c[:count] = _uniform_draws(seed, count)
+    c[grid.degrees < l_lo] = 0.0
     sup = float(np.max(np.abs(grid.synthesize(c))))
     if sup == 0.0:
         raise ConfigError(f"random init has no content in degrees {l_lo}..{l_hi}")

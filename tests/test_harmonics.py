@@ -165,18 +165,21 @@ def test_gauss_legendre_matches_leggauss_reference(L):
     assert np.max(np.abs(w @ P[:, 1:])) <= 8.6e-16
 
 
-def test_grid_build_imports_no_numpy_polynomial():
-    # the package finds its quadrature nodes without numpy.polynomial, whose
-    # import every cold start would otherwise pay
-    code = ("import sys\nimport mixedflow\n"
-            "mixedflow.FlowProblem(mixedflow.FlowConfig(L_max=16))\n"
-            "print('numpy.polynomial' in sys.modules)\n")
+def test_set_up_imports_no_numpy_polynomial_or_random():
+    # the package finds its quadrature nodes without numpy.polynomial and
+    # draws its seeded init without numpy.random, imports every cold start
+    # would otherwise pay
+    code = ("import sys\nfrom mixedflow.flow import FlowProblem\n"
+            "from mixedflow.io import parse_config_text\n"
+            "parsed = parse_config_text('L_max = 16\\ninit = random:0.05,6,42\\n')\n"
+            "parsed.init.build(FlowProblem(parsed.config).grid, parsed.config.R)\n"
+            "print(sorted({'numpy.polynomial', 'numpy.random'} & set(sys.modules)))\n")
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=120, check=True)
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize("n,L", [(1, 4), (1, 17), (1, 64), (2, 4), (2, 5), (2, 16), (2, 64)])

@@ -19,6 +19,7 @@ from mixedflow.io import (
     RUN_COLUMNS,
     InitSpec,
     config_echo,
+    _uniform_draws,
     parse_config_text,
     random_band_field,
     read_snapshot,
@@ -210,6 +211,36 @@ def test_random_band_refuses_degrees_above_the_band_limit():
         random_band_field(build_grid(2, 8), 1.0, 0.05, 2, 12, 42)
 
 
+@pytest.mark.parametrize("seed", [0, 1, 42, 2**32 - 1, 2**32, 2**64 + 3, 2**130 + 12345])
+def test_uniform_draws_match_numpy_bit_for_bit(seed):
+    # the reference stream is numpy's default generator (SeedSequence + PCG64)
+    for count in (1, 49, 169, 4225):
+        want = np.random.default_rng(seed).uniform(-1.0, 1.0, count)
+        assert _uniform_draws(seed, count).tobytes() == want.tobytes(), count
+
+
+@pytest.mark.parametrize("n,L,l_hi", [(1, 17, 6), (1, 17, 17), (2, 16, 6), (2, 16, 16),
+                                      (2, 64, 12), (2, 64, 64)])
+def test_random_band_field_is_the_full_draw_with_the_band_kept(n, L, l_hi):
+    # drawing only degrees <= l_hi gives the field of a full-length draw
+    # with the degrees outside l_lo..l_hi zeroed
+    grid = build_grid(n, L)
+    for seed in (7, 42):
+        c = np.random.default_rng(seed).uniform(-1.0, 1.0, grid.size)
+        c[(grid.degrees < 2) | (grid.degrees > l_hi)] = 0.0
+        want = c * (0.05 / np.max(np.abs(grid.synthesize(c))))
+        got = random_band_field(grid, 1.0, 0.05, 2, l_hi, seed).coeffs
+        assert got.tobytes() == want.tobytes(), seed
+
+
+@pytest.mark.parametrize("seed", [-1, -(2**40), 1.0, 2.5, "7", True, None])
+def test_random_band_refuses_a_bad_seed(grid2_small, seed):
+    # numpy raised a bare ValueError or TypeError here; a ported seed split
+    # would never end on a negative int
+    with pytest.raises(ConfigError, match=re.escape(f"got {seed!r}")):
+        random_band_field(grid2_small, 1.0, 0.05, 2, 6, seed)
+
+
 @pytest.mark.parametrize("kind,params,message", [
     ("random", (0.05, 12, 42), "init degree 12 exceeds L_max=8"),
     ("harmonic", (20, 1, 0.1), "init degree 20 exceeds L_max=8"),
@@ -392,6 +423,15 @@ def test_cli_preset(tmp_path, monkeypatch, capsys):
     assert "overall = PASS" in out
     assert (tmp_path / "summary.txt").exists()
     assert (tmp_path / "run.csv").exists()
+
+
+def test_cli_stationarity_const_init_at_band_limit_60(tmp_path, monkeypatch, capsys):
+    # a const init built from grid values left analyze's roundoff in degrees
+    # l >= 1, and sup_G crossed the 2e-10 gate at L = 60
+    monkeypatch.setenv("MIXEDFLOW_OUT", str(tmp_path))
+    assert main(["preset", "stationarity", "--set", "L_max=60", "--set", "init=const:-0.3",
+                 "--set", "T=2e-4"]) == 0
+    assert "overall = PASS" in capsys.readouterr().out
 
 
 def test_cli_preset_override(tmp_path, monkeypatch, capsys):
