@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import (AdmissibilityError, ConstraintDegenerateError, MixedFlowError, SpeedError,
                      StepRejectedError)
-from .geometry import BundleWorkspace, CurvatureBundle, bundle_from_coeffs
+from .geometry import BundleWorkspace, CurvatureBundle, bundle_from_coeffs, principal_curvatures
 from .harmonics import L_MAX_MAX, L_MAX_MIN, RadialField, build_grid
 from .speeds import SpeedSpec, eval_speed, umbilic_derivative
 
@@ -152,8 +152,11 @@ class FlowProblem:
     `step` advances coefficients with the configured integrator, and `run`
     drives it.  Every curvature bundle the problem evaluates is computed
     into one workspace built here, so a bundle's arrays hold only until the
-    next evaluation on the same problem.  The G that velocity_values returns
-    is a fresh array and keeps its values.
+    next evaluation on the same problem.  A diagnostics record reuses the
+    workspace once its bundle is consumed (G, h and V taken): the
+    curvature range and then the sphere fit write into the bundle's arrays.
+    The G that velocity_values returns is a fresh array and keeps its
+    values.
     """
 
     def __init__(self, config: FlowConfig):
@@ -247,16 +250,17 @@ class FlowProblem:
         G, h = self._velocity(bundle)
         self._handoff = (coeffs.tobytes(), G, h)
         V = mixed_volume(rho, self.config.k, bundle=bundle)
-        energies = self.grid.mode_energies(coeffs)
-        try:
-            _, residual = fit_sphere(rho)
-            res_sup = float(np.max(np.abs(residual)))
-        except MixedFlowError:
-            res_sup = float("nan")
-        # kappa is stored largest first.
-        kappa = bundle.kappa
+        # With G, h and V taken, the bundle is consumed: its curvature range
+        # and then the sphere fit reuse the workspace.  kappa is largest first.
+        kappa = principal_curvatures(bundle, self._work.kappa_buffers)
         kmin = float(np.min(kappa[-1]))
         kmax = float(np.max(kappa[0]))
+        energies = self.grid.mode_energies(coeffs)
+        try:
+            _, residual = fit_sphere(rho, self._work)
+            res_sup = float(np.max(np.abs(residual, out=residual)))
+        except MixedFlowError:
+            res_sup = float("nan")
         return DiagnosticsRecord(
             t=t,
             h_k=h,

@@ -12,19 +12,22 @@ shape operator g^-1 h:
     E_2 = det(g^-1 h) = (H11 H22 - H12^2) / (w2 det g),
 
 with H = den * h, which is polynomial in r and its derivatives.  Speeds
-read only E, so the principal curvatures are formed on demand, on first
-access to CurvatureBundle.kappa: the shape-operator entries from the stored
-g, H and den * det g, then the quadratic formula, with the discriminant
-clamped at zero against roundoff at umbilic points.
+read only E, so the principal curvatures are formed on demand by
+principal_curvatures: the shape-operator entries from the stored g, H and
+den * det g, then the quadratic formula, with the discriminant clamped at
+zero against roundoff at umbilic points.  It writes into five given
+arrays; CurvatureBundle.kappa calls it on first access with fresh ones.
 
 A bundle is computed with out= ufunc calls into a BundleWorkspace, in the
 operation order of the formulas above, so that a caller evaluating many
 bundles on one grid (a FlowProblem) allocates nothing grid-sized per
 evaluation.  Lifetime rule: the arrays of a bundle computed into a
 workspace hold until the next bundle is computed into the same workspace,
-so copy what must outlive that, and read kappa before it (kappa's own
-arrays are fresh).  Without a workspace each bundle gets a fresh one and
-owns its arrays.
+or until the caller reuses the workspace once it has consumed the bundle,
+as a diagnostics record does for its curvature range and sphere fit (the
+workspace's kappa_buffers and fit_buffers).  So copy what must outlive
+that, and read kappa before it (kappa's own arrays are fresh).  Without a
+workspace each bundle gets a fresh one and owns its arrays.
 """
 
 from __future__ import annotations
@@ -59,19 +62,54 @@ class CurvatureBundle:
 
     @cached_property
     def kappa(self) -> tuple[np.ndarray, ...]:
-        if len(self.shape_operator) == 1:
-            return self.shape_operator
-        g11, g12, g22, H11, H12, H22, den_detg = self.shape_operator
-        w11 = (g22 * H11 - g12 * H12) / den_detg
-        w12 = (g22 * H12 - g12 * H22) / den_detg
-        w21 = (g11 * H12 - g12 * H11) / den_detg
-        w22 = (g11 * H22 - g12 * H12) / den_detg
-        # Discriminant in a form free of the cancellation that tr^2 - 4 det
-        # suffers at umbilics.
-        disc = (w11 - w22) ** 2 + 4.0 * w12 * w21
-        sq = np.sqrt(np.maximum(disc, 0.0))
-        trW = self.E[1]
-        return (0.5 * (trW + sq), 0.5 * (trW - sq))
+        return principal_curvatures(self)
+
+
+def principal_curvatures(bundle: CurvatureBundle,
+                         out: tuple[np.ndarray, ...] | None = None) -> tuple[np.ndarray, ...]:
+    """The principal curvatures of a bundle, largest first.
+
+    For n = 1 this is the bundle's kappa_1 itself.  For n = 2 the shape
+    operator W is formed from the bundle's shape_operator arrays, and its
+    eigenvalues by the quadratic formula, into five grid-shaped arrays: out,
+    which must not hold any of the bundle's arrays, or fresh ones.  The two
+    returned arrays are out[1] and out[2].
+    """
+    if len(bundle.shape_operator) == 1:
+        return bundle.shape_operator
+    g11, g12, g22, H11, H12, H22, den_detg = bundle.shape_operator
+    if out is None:
+        out = tuple(np.empty(g11.shape) for _ in range(5))
+    w11, w12, w21, w22, s = out
+    mul, sub = np.multiply, np.subtract
+    mul(g22, H11, out=w11)
+    mul(g12, H12, out=s)
+    sub(w11, s, out=w11)
+    np.divide(w11, den_detg, out=w11)
+    mul(g22, H12, out=w12)
+    mul(g12, H22, out=s)
+    sub(w12, s, out=w12)
+    np.divide(w12, den_detg, out=w12)
+    mul(g11, H12, out=w21)
+    mul(g12, H11, out=s)
+    sub(w21, s, out=w21)
+    np.divide(w21, den_detg, out=w21)
+    mul(g11, H22, out=w22)
+    mul(g12, H12, out=s)
+    sub(w22, s, out=w22)
+    np.divide(w22, den_detg, out=w22)
+    # Discriminant in a form free of the cancellation that tr^2 - 4 det
+    # suffers at umbilics: (w11 - w22)^2 + 4 w12 w21 over w11.
+    sub(w11, w22, out=w11)
+    np.square(w11, out=w11)
+    mul(4.0, w12, out=s)
+    mul(s, w21, out=s)
+    np.add(w11, s, out=w11)
+    sq = np.sqrt(np.maximum(w11, 0.0, out=w11), out=w11)
+    trW = bundle.E[1]
+    k1 = mul(0.5, np.add(trW, sq, out=w12), out=w12)
+    k2 = mul(0.5, sub(trW, sq, out=w21), out=w21)
+    return (k1, k2)
 
 
 def check_radius(r: np.ndarray) -> None:
@@ -87,13 +125,22 @@ class BundleWorkspace:
 
     Built once per grid by a caller that evaluates many bundles (one per
     FlowProblem): the derivative buffers of Grid.synthesize_derivs, own
-    arrays for the bundle fields that do not fit in those, a read-only
-    ones array for E_0 and, for n = 2, the grid-constant columns sin(theta),
-    cot(theta), sin(theta) cos(theta) and sin(theta)^2, shaped (n_lat, 1),
-    which only the bundle reads.
+    arrays for the bundle fields that do not fit in those (one block,
+    (7, *shape) on the sphere and (4, *shape) on the circle, where the
+    bundle uses three rows), a read-only ones array for E_0 and, for n = 2,
+    the grid-constant columns sin(theta), cot(theta), sin(theta) cos(theta)
+    and sin(theta)^2, shaped (n_lat, 1), which only the bundle reads.
     scratch is the derivative buffers' tmp array: a bundle uses it while it
     is computed and holds nothing in it, so a caller may use it until the
     next bundle.
+
+    Two sets of views let a diagnostics record finish in the workspace.
+    kappa_buffers (None on the circle) are the five arrays in which an
+    n = 2 bundle holds its radius, mu, E_2 and graph_factor, and nothing,
+    so principal_curvatures may write into them once those are read.
+    fit_buffers are the flat views (rows (n + 3, N), weighted rows
+    (n + 2, N), values (N,)) that analysis.fit_sphere borrows once the
+    whole bundle is consumed.
     """
 
     def __init__(self, grid):
@@ -102,12 +149,20 @@ class BundleWorkspace:
         self.scratch = self.derivs["tmp"]
         self.ones = np.ones(grid.shape)
         self.ones.flags.writeable = False
-        self.own = tuple(np.empty(grid.shape) for _ in range(3 if grid.n == 1 else 7))
-        if grid.n == 2:
-            self.sin = grid.sin_theta[:, None]
-            self.cot = grid.x[:, None] / self.sin
-            self.sin_cos = self.sin * grid.x[:, None]
-            self.sin2 = self.sin * self.sin
+        self.own = np.empty((4 if grid.n == 1 else 7,) + grid.shape)
+        d = self.derivs
+        if grid.n == 1:
+            self.kappa_buffers = None
+            self.fit_buffers = (self.own.reshape(4, -1), d["u_ut_utt"].reshape(3, -1),
+                                self.scratch.reshape(-1))
+            return
+        self.kappa_buffers = (self.own[5], self.own[6], d["u"], d["up"], d["ut"])
+        self.fit_buffers = (d["u_up_upp_ut_utp"].reshape(5, -1), self.own[:4].reshape(4, -1),
+                            self.own[4].reshape(-1))
+        self.sin = grid.sin_theta[:, None]
+        self.cot = grid.x[:, None] / self.sin
+        self.sin_cos = self.sin * grid.x[:, None]
+        self.sin2 = self.sin * self.sin
 
 
 def bundle_from_coeffs(grid, R: float, coeffs: np.ndarray,
@@ -131,7 +186,7 @@ def bundle_from_coeffs(grid, R: float, coeffs: np.ndarray,
     mul, add, sub, div = np.multiply, np.add, np.subtract, np.divide
     if grid.n == 1:
         rt, rtt = d["ut"], d["utt"]
-        w2, den, mu = work.own
+        w2, den, mu = work.own[:3]
         mul(r, r, out=w2)
         mul(rt, rt, out=s)
         add(w2, s, out=w2)

@@ -343,8 +343,10 @@ class Grid:
 
         B is the spectral container, zero off the coefficient slots.  The
         fields are views of the stacked outputs of the longitude matmuls:
-        u_ut_utt on the circle; u_up_upp, ut_utp and utt on the sphere.  tmp
-        is one grid-shaped scratch array.
+        u_ut_utt on the circle; u_up_upp, ut_utp and utt on the sphere,
+        where u_up_upp and ut_utp are the two halves of one contiguous
+        (5, *shape) block, u_up_upp_ut_utp.  tmp is one grid-shaped scratch
+        array.
 
         On the sphere B[k, c, m, l] stacks three row sets k, each one
         spectral container, and D[k, c, m, node] holds their Legendre
@@ -364,8 +366,9 @@ class Grid:
             buf["u_ut_utt"] = np.empty((3,) + self.shape)
             buf.update(zip(("u", "ut", "utt"), buf["u_ut_utt"]))
             return buf
+        block = np.empty((5,) + self.shape)
         buf.update(D=np.empty((3, 2, L1, self.n_lat)), moved=np.zeros((2, 2 * L1 * (L1 + 1) + 1)),
-                   u_up_upp=np.empty((3,) + self.shape), ut_utp=np.empty((2,) + self.shape),
+                   u_up_upp_ut_utp=block, u_up_upp=block[:3], ut_utp=block[3:],
                    utt=np.empty(self.shape))
         buf.update(zip(("u", "up", "upp"), buf["u_up_upp"]))
         buf.update(zip(("ut", "utp"), buf["ut_utp"]))

@@ -14,6 +14,7 @@ from mixedflow.analysis import (
 )
 from mixedflow.errors import AdmissibilityError, DecayFitError, SpectrumRangeError
 from mixedflow.flow import FlowConfig
+from mixedflow.geometry import BundleWorkspace, bundle_from_coeffs
 from mixedflow.harmonics import SPHERE_AREA, RadialField
 from mixedflow.io import random_band_field
 from mixedflow.speeds import SpeedSpec
@@ -164,6 +165,35 @@ def test_fit_sphere_guard(grid2):
     # origin outside the sphere (radius 0.5, center 0.6 away): not a graph
     with pytest.raises(AdmissibilityError, match="not a graph"):
         sphere_from_coords([-0.5, 0.6, 0.0, 0.0], grid2, 1.0)
+
+
+@pytest.mark.parametrize("bad", (np.nan, np.inf, -np.inf))
+def test_fit_sphere_refuses_non_finite_field(grid1, grid2, bad):
+    # one bad value is refused before the first Gauss-Newton step, not
+    # reported as a fit that did not converge
+    for grid in (grid1, grid2):
+        values = np.full(grid.shape, 0.01)
+        values.reshape(-1)[5] = bad
+        with pytest.raises(AdmissibilityError, match="non-finite"):
+            fit_sphere(RadialField(grid, 1.0, values=values))
+
+
+def test_fit_into_dirtied_workspace_matches_fresh_fit(grid1, grid2):
+    # a workspace that last held a bundle and a fit of other fields gives
+    # the bits of a fit into fresh buffers
+    for grid in (grid1, grid2):
+        work = BundleWorkspace(grid)
+        other = random_band_field(grid, 1.0, 0.1, 1, min(6, grid.L_max), 11)
+        bundle_from_coeffs(grid, 1.0, other.coeffs, work)
+        fit_sphere(other, work)
+        for seed in (12, 13):
+            rho = random_band_field(grid, 1.0, 0.05, 0, min(6, grid.L_max), seed)
+            z, res = fit_sphere(rho)
+            z_w, res_w = fit_sphere(rho, work)
+            assert z_w.tobytes() == z.tobytes()
+            assert res_w.shape == grid.shape and res_w.tobytes() == res.tobytes()
+    with pytest.raises(ValueError, match="different grid"):
+        fit_sphere(RadialField(grid2, 1.0, values=np.zeros(grid2.shape)), BundleWorkspace(grid1))
 
 
 @pytest.mark.parametrize("case", ("sphere", "random-0.05", "random-0.2"))

@@ -393,7 +393,7 @@ def _short_run_config(n, k, integrator, cadence=1):
 
 def test_records_match_fresh_evaluation():
     # every recorded figure equals one computed from scratch at the same state
-    from mixedflow.analysis import mixed_volume
+    from mixedflow.analysis import fit_sphere, mixed_volume
     from mixedflow.geometry import bundle_from_coeffs
 
     for n in (1, 2):
@@ -414,6 +414,10 @@ def test_records_match_fresh_evaluation():
                     assert rec.sup_G == float(np.max(np.abs(G)))
                     assert rec.kappa_min == min(float(np.min(x)) for x in kappa)
                     assert rec.kappa_max == max(float(np.max(x)) for x in kappa)
+                    # the fit and the curvature range borrow the problem's
+                    # workspace and give the bits of fresh buffers
+                    assert rec.sphere_residual_sup == float(np.max(np.abs(fit_sphere(rho)[1])))
+                    assert rec.sup_rho == rho.sup_abs()
 
 
 def _count_bundles(monkeypatch):
@@ -512,6 +516,28 @@ def test_velocity_evaluation_allocates_only_G_and_its_analysis(L):
         if not tracing:
             tracemalloc.stop()
     assert peak <= 2 * np.empty(prob.grid.shape).nbytes
+
+
+@pytest.mark.parametrize("L", (16, 24, 64))
+def test_diagnostics_allocation_budget(L):
+    # once warm, a record computes its curvature range and its sphere fit in
+    # the problem's workspace: its peak allocation is the record's field,
+    # the fresh G and the speed and volume temporaries
+    prob = FlowProblem(FlowConfig(n=2, L_max=L))
+    c = random_band_field(prob.grid, 1.0, 0.05, 2, 6, 3).coeffs.copy()
+    prob.diagnostics(0.0, c)
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        prob.diagnostics(0.0, c)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak <= 6 * np.empty(prob.grid.shape).nbytes
 
 
 @pytest.mark.parametrize("n", (1, 2))
