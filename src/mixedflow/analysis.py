@@ -53,13 +53,13 @@ def mixed_volume(rho: RadialField, k: int, bundle: CurvatureBundle | None = None
     measure is (n + 1) * mixed_volume(rho, 0).  On a sphere of radius r these
     reduce to |S^n| r^{n-k} / (n+1).  A caller that already holds the
     curvature bundle of rho passes it as bundle, and it is used in place of a
-    new one; k = -1 reads only rho.values.
+    new one; k = -1 reads only the radius, the bundle's or R + rho.values.
     """
     n = rho.grid.n
     if not -1 <= k <= n - 1:
         raise ValueError(f"k must lie in [-1, {n - 1}], got {k}")
     if k == -1:
-        r = rho.R + rho.values
+        r = rho.R + rho.values if bundle is None else bundle.radius
         check_radius(r)
         return rho.grid.integrate(r ** (n + 1)) / (n + 1)
     if bundle is None:

@@ -123,10 +123,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except MixedFlowError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (MixedFlowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -150,13 +150,14 @@ class FlowProblem:
     """Precomputed engine for one configuration: grid, tables, linear rates.
 
     `step` advances coefficients with the configured integrator, and `run`
-    drives it.  Every curvature bundle the problem evaluates is computed
-    into one workspace built here, so a bundle's arrays hold only until the
-    next evaluation on the same problem.  A diagnostics record reuses the
-    workspace once its bundle is consumed (G, h and V taken): the
-    curvature range and then the sphere fit write into the bundle's arrays.
-    The G that velocity_values returns is a fresh array and keeps its
-    values.
+    drives it.  Every evaluation, of a stage or a record, goes through
+    velocity_values, and nothing is kept from one to the next.  Its bundle
+    is computed into one workspace built here, so a bundle's arrays hold
+    only until the next evaluation on the same problem.  A diagnostics
+    record reuses the workspace once its bundle is consumed (G, h and V
+    taken): the curvature range and then the sphere fit write into the
+    bundle's arrays.  The G that velocity_values returns is a fresh array
+    and keeps its values.
     """
 
     def __init__(self, config: FlowConfig):
@@ -168,28 +169,17 @@ class FlowProblem:
         diag[ell == 0] = 0.0
         diag.flags.writeable = False
         self.linear_diag = diag
-        # (coefficient bytes, G, h) left by the last diagnostics record; the
-        # next velocity evaluation takes it once if its coefficients match.
-        # Only G and h are kept: holding the whole bundle costs more than it saves.
-        self._handoff = None
         self._work = BundleWorkspace(self.grid)
 
     # -- velocity -----------------------------------------------------------
 
-    def velocity_values(self, coeffs: np.ndarray) -> tuple[np.ndarray, float]:
-        """Grid values of G together with the constraint constant h."""
-        handoff, self._handoff = self._handoff, None
-        # Keyed on the bytes, not the array: callers may change a vector in place.
-        if handoff is not None and handoff[0] == np.asarray(coeffs).tobytes():
-            return handoff[1], handoff[2]
-        return self._velocity(bundle_from_coeffs(self.grid, self.config.R, coeffs, self._work))
-
-    def _velocity(self, bundle: CurvatureBundle) -> tuple[np.ndarray, float]:
-        """G and h of a bundle computed into this problem's workspace.
+    def velocity_values(self, coeffs: np.ndarray) -> tuple[np.ndarray, float, CurvatureBundle]:
+        """Grid values of G, the constraint constant h and the bundle they come from.
 
         The constraint weight and F * weight go into the workspace's scratch
         array, which the bundle leaves free; G is fresh.
         """
+        bundle = bundle_from_coeffs(self.grid, self.config.R, coeffs, self._work)
         F = eval_speed(self.config.speed, bundle.E)
         weight = np.multiply(bundle.E[self.config.k + 1], bundle.mu, out=self._work.scratch)
         den = self.grid.integrate(weight)
@@ -201,21 +191,21 @@ class FlowProblem:
         G *= bundle.graph_factor
         if not np.all(np.isfinite(G)):
             raise AdmissibilityError("velocity field contains non-finite values")
-        return G, h
+        return G, h, bundle
 
     def g_coeffs(self, coeffs: np.ndarray) -> np.ndarray:
         """Velocity in coefficient space, truncated to the band limit."""
-        G, _ = self.velocity_values(coeffs)
-        return self.grid.analyze(G)
+        return self.grid.analyze(self.velocity_values(coeffs)[0])
 
     # -- stepping -------------------------------------------------------------
 
-    def step(self, coeffs: np.ndarray, dt: float) -> np.ndarray:
+    def step(self, coeffs: np.ndarray, dt: float, g0: np.ndarray | None = None) -> np.ndarray:
         """Coefficients one step of length dt later, under the configured integrator.
 
-        rk4 first checks dt against the parabolic bound.  A dt above it, a
-        failed velocity evaluation or a non-finite result raises
-        StepRejectedError with a suggested smaller dt.
+        g0, the velocity at coeffs in coefficient space if known, replaces
+        the first stage's evaluation.  rk4 first checks dt against the
+        parabolic bound.  A dt above it, a failed velocity evaluation or a
+        non-finite result raises StepRejectedError with a suggested smaller dt.
         """
         rk4 = self.config.integrator == "rk4"
         bound = self._rk4_bound
@@ -223,14 +213,13 @@ class FlowProblem:
             raise StepRejectedError(
                 f"dt={dt:.3e} exceeds the parabolic bound {bound:.3e}", suggested_dt=bound)
         try:
+            g = self.g_coeffs(coeffs) if g0 is None else g0
             if rk4:
-                k1 = self.g_coeffs(coeffs)
-                k2 = self.g_coeffs(coeffs + 0.5 * dt * k1)
+                k2 = self.g_coeffs(coeffs + 0.5 * dt * g)
                 k3 = self.g_coeffs(coeffs + 0.5 * dt * k2)
                 k4 = self.g_coeffs(coeffs + dt * k3)
-                out = coeffs + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                out = coeffs + (dt / 6.0) * (g + 2.0 * k2 + 2.0 * k3 + k4)
             else:
-                g = self.g_coeffs(coeffs)
                 d = self.linear_diag
                 out = (coeffs + dt * (g - d * coeffs)) / (1.0 - dt * d)
         except _STAGE_ERRORS as exc:
@@ -241,39 +230,44 @@ class FlowProblem:
 
     # -- diagnostics ------------------------------------------------------------
 
-    def diagnostics(self, t: float, coeffs: np.ndarray) -> DiagnosticsRecord:
+    def diagnostics(self, t: float, coeffs: np.ndarray) -> tuple[DiagnosticsRecord, np.ndarray]:
+        """The record of the state coeffs at time t, and its velocity g in coefficient space.
+
+        One velocity evaluation serves both.  The record's field is r - R from the bundle's
+        radius r, exact (Sterbenz) wherever the sphere fit runs, so the fit reads r itself.
+        """
         # Imported here: analysis depends on this module at import time.
         from .analysis import fit_sphere, mixed_volume
 
-        rho = RadialField(self.grid, self.config.R, coeffs=coeffs)
-        bundle = bundle_from_coeffs(self.grid, self.config.R, coeffs, self._work)
-        G, h = self._velocity(bundle)
-        self._handoff = (coeffs.tobytes(), G, h)
+        R = self.config.R
+        G, h, bundle = self.velocity_values(coeffs)
+        rho = RadialField(self.grid, R, values=np.subtract(bundle.radius, R,
+                                                           out=self._work.scratch))
         V = mixed_volume(rho, self.config.k, bundle=bundle)
         # With G, h and V taken, the bundle is consumed: its curvature range
         # and then the sphere fit reuse the workspace.  kappa is largest first.
         kappa = principal_curvatures(bundle, self._work.kappa_buffers)
         kmin = float(np.min(kappa[-1]))
         kmax = float(np.max(kappa[0]))
-        energies = self.grid.mode_energies(coeffs)
         try:
             _, residual = fit_sphere(rho, self._work)
             res_sup = float(np.max(np.abs(residual, out=residual)))
         except MixedFlowError:
             res_sup = float("nan")
-        return DiagnosticsRecord(
+        record = DiagnosticsRecord(
             t=t,
             h_k=h,
             V=V,
             sup_G=float(np.max(np.abs(G))),
             sup_rho=rho.sup_abs(),
             sphere_residual_sup=res_sup,
-            mode_energy=energies,
+            mode_energy=self.grid.mode_energies(coeffs),
             center_norm=float(np.sqrt(np.sum(coeffs[self.grid.degrees <= 1] ** 2))),
             kappa_min=kmin,
             kappa_max=kmax,
             coeffs=coeffs.copy(),
         )
+        return record, self.grid.analyze(G)
 
 
 def run(config: FlowConfig, rho0: RadialField, problem: FlowProblem) -> FlowRun:
@@ -285,7 +279,8 @@ def run(config: FlowConfig, rho0: RadialField, problem: FlowProblem) -> FlowRun:
     one is shortened to end at T.
     Diagnostics are recorded at t = 0, every `cadence` steps, and at the
     final state.  Each record evaluates the curvature and velocity of its
-    state once and hands the velocity to the step that starts from it.
+    state once and returns the velocity, which the step that starts from
+    that state takes as its first stage.
     An initial field whose band-limited state is not a graph, or on which
     the velocity cannot be evaluated, is rejected with AdmissibilityError
     by its t = 0 record, before any step.
@@ -302,7 +297,7 @@ def run(config: FlowConfig, rho0: RadialField, problem: FlowProblem) -> FlowRun:
     whole = n_steps - config.T / dt <= 1e-9
     coeffs = rho0.coeffs.copy()
     try:
-        rec = problem.diagnostics(0.0, coeffs)
+        rec, g = problem.diagnostics(0.0, coeffs)
     except _STAGE_ERRORS as exc:
         raise AdmissibilityError(f"initial field is outside the flow's domain: {exc}") from exc
     records = [rec]
@@ -310,18 +305,15 @@ def run(config: FlowConfig, rho0: RadialField, problem: FlowProblem) -> FlowRun:
     if rec.sup_G <= _SUP_G_CONVERGED:
         status = "converged"
         n_steps = 0
-    step_no = 0
     try:
-        while step_no < n_steps:
-            step_no += 1
-            if step_no < n_steps or whole:
-                coeffs = problem.step(coeffs, dt)
-            else:
-                coeffs = problem.step(coeffs, config.T - (n_steps - 1) * dt)
+        for step_no in range(1, n_steps + 1):
+            step_dt = dt if step_no < n_steps or whole else config.T - (n_steps - 1) * dt
+            coeffs = problem.step(coeffs, step_dt, g0=g)
+            g = None
             # The last step ends at T, also when n_steps * dt is T only to 1e-9.
             t = config.T if step_no == n_steps else step_no * dt
             if step_no % config.cadence == 0 or step_no == n_steps:
-                rec = problem.diagnostics(t, coeffs)
+                rec, g = problem.diagnostics(t, coeffs)
                 records.append(rec)
                 if rec.sup_G <= _SUP_G_CONVERGED:
                     status = "converged"

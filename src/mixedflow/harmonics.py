@@ -483,6 +483,7 @@ class RadialField:
             self.values = grid._field(values).copy()
             self._coeffs = None
         self.values.flags.writeable = False
+        self._sup_abs = None
 
     @property
     def coeffs(self) -> np.ndarray:
@@ -495,7 +496,9 @@ class RadialField:
         return self.R + float(np.min(self.values))
 
     def sup_abs(self) -> float:
-        return float(np.max(np.abs(self.values)))
+        if self._sup_abs is None:  # values are read-only, so it is taken once
+            self._sup_abs = float(np.max(np.abs(self.values)))
+        return self._sup_abs
 
     def __repr__(self) -> str:
         return f"RadialField(R={self.R}, sup|rho|={self.sup_abs():.3e}, {self.grid!r})"

@@ -309,7 +309,11 @@ def parse_config_text(text: str) -> ParsedConfig:
 
 def parse_config(path: str) -> ParsedConfig:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_config_text(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path} is not UTF-8 text: {exc}") from exc
+    return parse_config_text(text)
 
 
 def config_echo(parsed: ParsedConfig) -> list[str]:
@@ -400,7 +404,10 @@ def read_snapshot(path: str) -> FlowState:
     positive and every value finite.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
+        try:
+            lines = [ln.rstrip("\n") for ln in fh]
+        except UnicodeDecodeError as exc:
+            raise SnapshotError(f"{path} is not UTF-8 text: {exc}") from exc
     try:
         n = int(_header_value(lines, 1, "n"))
         R = float(_header_value(lines, 2, "R"))

@@ -45,7 +45,7 @@ def test_01_spheres_are_stationary():
                 for c in (-0.3 * R, 0.0, 0.5 * R):
                     rho = RadialField(prob.grid, R,
                                       values=np.full(prob.grid.shape, c))
-                    G, _ = prob.velocity_values(rho.coeffs)
+                    G, _, _ = prob.velocity_values(rho.coeffs)
                     ratio = float(np.max(np.abs(G))) / (1e-10 * F0)
                     if ratio > worst:
                         worst = ratio
@@ -97,8 +97,8 @@ def test_03_linearization_by_central_differences():
         lin = prob.linear_diag * u
         errs = []
         for eps in eps_list:
-            Gp, _ = prob.velocity_values(eps * u)
-            Gm, _ = prob.velocity_values(-eps * u)
+            Gp, _, _ = prob.velocity_values(eps * u)
+            Gm, _, _ = prob.velocity_values(-eps * u)
             quot = prob.grid.analyze(Gp - Gm) / (2.0 * eps)
             errs.append(float(np.max(np.abs(quot - lin))))
         slopes.append(float(np.polyfit(np.log(eps_list), np.log(errs), 1)[0]))

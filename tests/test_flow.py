@@ -48,7 +48,7 @@ def test_spheres_stationary_all_speeds():
                 cfg = FlowConfig(n=n, R=R, k=k, speed=speed, L_max=16)
                 prob = FlowProblem(cfg)
                 for c in (-0.3 * R, 0.0, 0.5 * R):
-                    G, h = prob.velocity_values(const_coeffs(prob.grid, c))
+                    G, h, _ = prob.velocity_values(const_coeffs(prob.grid, c))
                     assert np.max(np.abs(G)) <= 1e-11 * reference_speed(speed)
                     # the constraint value on a round sphere is F itself
                     kap = 1.0 / (R + c)
@@ -67,7 +67,7 @@ def test_spheres_stationary_at_every_band_limit(L):
                    for c in (-0.3, 0.2, 0.5)}
         spheres["off-center"] = sphere_from_coords((0.05, 0.15, -0.1, 0.08), prob.grid, 1.0)
         for name, rho in spheres.items():
-            G, _ = prob.velocity_values(rho.coeffs)
+            G, _, _ = prob.velocity_values(rho.coeffs)
             assert np.max(np.abs(G)) <= tol, (k, name)
 
 
@@ -107,7 +107,7 @@ def test_linearization_consistency():
         lin = prob.linear_diag * u
         errs = []
         for eps in (1e-3, 5e-4, 2.5e-4):
-            G_eps, _ = prob.velocity_values(eps * u)
+            G_eps, _, _ = prob.velocity_values(eps * u)
             quot = prob.grid.analyze(G_eps) / eps
             errs.append(np.max(np.abs(quot - lin)))
         # one-sided quotients converge linearly: the ratio halves within 20%
@@ -392,7 +392,8 @@ def _short_run_config(n, k, integrator, cadence=1):
 
 
 def test_records_match_fresh_evaluation():
-    # every recorded figure equals one computed from scratch at the same state
+    # every recorded figure equals one computed from scratch at the same
+    # state, with the record's field taken as the bundle's radius minus R
     from mixedflow.analysis import fit_sphere, mixed_volume
     from mixedflow.geometry import bundle_from_coeffs
 
@@ -406,18 +407,21 @@ def test_records_match_fresh_evaluation():
                 assert len(out.records) == 7
                 for rec in out.records:
                     fresh = FlowProblem(cfg)
-                    G, h = fresh.velocity_values(rec.coeffs)
-                    rho = RadialField(prob.grid, 1.0, coeffs=rec.coeffs)
-                    kappa = bundle_from_coeffs(prob.grid, 1.0, rec.coeffs).kappa
+                    G, h, _ = fresh.velocity_values(rec.coeffs)
+                    bundle = bundle_from_coeffs(prob.grid, 1.0, rec.coeffs)
+                    rho = RadialField(prob.grid, 1.0, values=bundle.radius - 1.0)
                     assert rec.h_k == h
-                    assert rec.V == mixed_volume(rho, k)
+                    assert rec.V == mixed_volume(rho, k, bundle=bundle)
                     assert rec.sup_G == float(np.max(np.abs(G)))
-                    assert rec.kappa_min == min(float(np.min(x)) for x in kappa)
-                    assert rec.kappa_max == max(float(np.max(x)) for x in kappa)
+                    assert rec.kappa_min == min(float(np.min(x)) for x in bundle.kappa)
+                    assert rec.kappa_max == max(float(np.max(x)) for x in bundle.kappa)
                     # the fit and the curvature range borrow the problem's
                     # workspace and give the bits of fresh buffers
                     assert rec.sphere_residual_sup == float(np.max(np.abs(fit_sphere(rho)[1])))
                     assert rec.sup_rho == rho.sup_abs()
+                    # the bundle's field is the synthesized one up to roundoff (R = 1)
+                    synthesized = RadialField(prob.grid, 1.0, coeffs=rec.coeffs)
+                    assert np.max(np.abs(rho.values - synthesized.values)) <= 4e-16
 
 
 def _count_bundles(monkeypatch):
@@ -449,24 +453,34 @@ def test_one_bundle_per_state(monkeypatch):
             assert len(calls) == evals_per_step * 6 + 1
 
 
-def test_handoff_needs_equal_coefficients(monkeypatch):
-    cfg = _short_run_config(2, 0, "imex")
+@pytest.mark.parametrize("integrator", ("imex", "rk4"))
+@pytest.mark.parametrize("n", (1, 2))
+def test_step_takes_the_first_stage_velocity(monkeypatch, n, integrator):
+    # a given g0 stands in for the first stage's evaluation, bit for bit
+    cfg = _short_run_config(n, 0, integrator)
     prob = FlowProblem(cfg)
     c = random_band_field(prob.grid, 1.0, 0.05, 2, 5, 3).coeffs.copy()
-    prob.diagnostics(0.0, c)
-    # changed in place after the record: a fresh evaluation, not the record's
-    c[prob.grid.flat_index(3, 2)] += 1e-3
-    G, h = prob.velocity_values(c)
-    G_new, h_new = FlowProblem(cfg).velocity_values(c)
-    assert np.array_equal(G, G_new) and h == h_new
-    # equal coefficients take the record's velocity once, then evaluate again
+    g0 = prob.g_coeffs(c)
     calls = _count_bundles(monkeypatch)
-    rec = prob.diagnostics(0.0, c)
-    prob.velocity_values(c)
-    assert len(calls) == 1
-    G, h = prob.velocity_values(c)
-    assert len(calls) == 2
-    assert np.array_equal(G, G_new) and h == h_new == rec.h_k
+    evaluated = prob.step(c, 1e-3)
+    evaluations = len(calls)
+    calls.clear()
+    given = prob.step(c, 1e-3, g0=g0)
+    assert evaluated.tobytes() == given.tobytes()
+    assert len(calls) == evaluations - 1
+
+
+@pytest.mark.parametrize("integrator", ("imex", "rk4"))
+def test_record_cadence_leaves_the_trajectory_unchanged(integrator):
+    # a record's velocity enters the next step with the bits of a fresh stage
+    ends = []
+    for cadence in (1, 10 ** 9):
+        cfg = _short_run_config(2, 0, integrator, cadence)
+        prob = FlowProblem(cfg)
+        out = run(cfg, random_band_field(prob.grid, 1.0, 0.05, 2, 5, 3), problem=prob)
+        assert out.status == "reached_T"
+        ends.append(out.final.rho.coeffs.tobytes())
+    assert ends[0] == ends[1]
 
 
 # -- workspace: allocations and lifetimes --------------------------------------------
@@ -546,15 +560,16 @@ def test_returned_velocity_survives_later_evaluations(n):
     prob = FlowProblem(cfg)
     c1, c2, c3 = (random_band_field(prob.grid, 1.0, 0.05, 2, 6, seed).coeffs.copy()
                   for seed in (1, 2, 3))
-    G, _ = prob.velocity_values(c1)
+    G, _, _ = prob.velocity_values(c1)
     kept = G.copy()
     prob.velocity_values(c2)
     prob.g_coeffs(c3)
     prob.diagnostics(0.0, c2)
     assert G.tobytes() == kept.tobytes()
-    # the record's G, handed to the next evaluation of its coefficients, too
-    G, _ = prob.velocity_values(c2)
-    kept = G.copy()
+    # a record's velocity, in coefficient space, too
+    _, g = prob.diagnostics(0.0, c2)
+    kept = g.copy()
     prob.velocity_values(c3)
+    prob.step(c1, 1e-4)
     prob.diagnostics(0.0, c1)
-    assert G.tobytes() == kept.tobytes()
+    assert g.tobytes() == kept.tobytes() == prob.g_coeffs(c2).tobytes()

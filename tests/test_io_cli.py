@@ -479,6 +479,14 @@ def test_cli_input_errors(tmp_path, capsys):
     assert "error:" in err and "k = 5 is outside [-1, 0] for n = 1" in err
     assert main(["preset", "stationarity", "--set", "oops"]) == 2
     assert "--set expects key=value" in capsys.readouterr().err
+    # a directory, or bytes that are not UTF-8, in place of a config or a snapshot
+    undecodable = tmp_path / "latin1.txt"
+    undecodable.write_bytes(b"n = 2\nR = 1\xe9\n")
+    for command, flag in (("run", "--config"), ("fit-sphere", "--snapshot")):
+        for path in (tmp_path, undecodable):
+            assert main([command, flag, str(path)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and "Traceback" not in err
 
 
 def test_cli_run_failure_writes_records(tmp_path, monkeypatch, capsys):
