@@ -51,16 +51,17 @@ def mixed_volume(rho: RadialField, k: int, bundle: CurvatureBundle | None = None
     k = -1 is the enclosed volume; 0 <= k <= n-1 is the E_k-weighted surface
     integral with the conventional binomial normalization, so the surface
     measure is (n + 1) * mixed_volume(rho, 0).  On a sphere of radius r these
-    reduce to |S^n| r^{n-k} / (n+1).  A caller that already holds the
-    curvature bundle of rho passes it as bundle, and it is used in place of a
-    new one; k = -1 reads only the radius, the bundle's or R + rho.values.
+    reduce to |S^n| r^{n-k} / (n+1).  A caller holding the curvature bundle
+    of rho passes it, in place of a new one; k = -1 reads only the radius:
+    the bundle's, checked when it was built, or R + rho.values, checked here.
     """
     n = rho.grid.n
     if not -1 <= k <= n - 1:
         raise ValueError(f"k must lie in [-1, {n - 1}], got {k}")
     if k == -1:
         r = rho.R + rho.values if bundle is None else bundle.radius
-        check_radius(r)
+        if bundle is None:
+            check_radius(r)
         return rho.grid.integrate(r ** (n + 1)) / (n + 1)
     if bundle is None:
         bundle = bundle_from_coeffs(rho.grid, rho.R, rho.coeffs)

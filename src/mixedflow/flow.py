@@ -18,7 +18,7 @@ first-order scheme that treats that diagonal implicitly and the remainder
 explicitly, which is what makes the stiff high modes harmless at desk-scale
 resolutions.  Every velocity evaluation re-truncates to the band limit, so
 quadratic interactions that the oversampled grid resolves are projected
-back exactly.
+back exactly.  `run` analyses a record's velocity only for a step from it.
 """
 
 from __future__ import annotations
@@ -156,8 +156,8 @@ class FlowProblem:
     only until the next evaluation on the same problem.  A diagnostics
     record reuses the workspace once its bundle is consumed (G, h and V
     taken): the curvature range and then the sphere fit write into the
-    bundle's arrays.  The G that velocity_values returns is a fresh array
-    and keeps its values.
+    bundle's arrays.  The G that velocity_values returns, and so the one
+    that diagnostics returns, is a fresh array and keeps its values.
     """
 
     def __init__(self, config: FlowConfig):
@@ -231,7 +231,7 @@ class FlowProblem:
     # -- diagnostics ------------------------------------------------------------
 
     def diagnostics(self, t: float, coeffs: np.ndarray) -> tuple[DiagnosticsRecord, np.ndarray]:
-        """The record of the state coeffs at time t, and its velocity g in coefficient space.
+        """The record of the state coeffs at time t, and the grid values G of its velocity.
 
         One velocity evaluation serves both.  The record's field is r - R from the bundle's
         radius r, exact (Sterbenz) wherever the sphere fit runs, so the fit reads r itself.
@@ -267,7 +267,7 @@ class FlowProblem:
             kappa_max=kmax,
             coeffs=coeffs.copy(),
         )
-        return record, self.grid.analyze(G)
+        return record, G
 
 
 def run(config: FlowConfig, rho0: RadialField, problem: FlowProblem) -> FlowRun:
@@ -279,8 +279,8 @@ def run(config: FlowConfig, rho0: RadialField, problem: FlowProblem) -> FlowRun:
     one is shortened to end at T.
     Diagnostics are recorded at t = 0, every `cadence` steps, and at the
     final state.  Each record evaluates the curvature and velocity of its
-    state once and returns the velocity, which the step that starts from
-    that state takes as its first stage.
+    state once and returns the velocity's grid values; when a step starts
+    from that state, it is analysed into that step's first stage.
     An initial field whose band-limited state is not a graph, or on which
     the velocity cannot be evaluated, is rejected with AdmissibilityError
     by its t = 0 record, before any step.
@@ -297,7 +297,7 @@ def run(config: FlowConfig, rho0: RadialField, problem: FlowProblem) -> FlowRun:
     whole = n_steps - config.T / dt <= 1e-9
     coeffs = rho0.coeffs.copy()
     try:
-        rec, g = problem.diagnostics(0.0, coeffs)
+        rec, G = problem.diagnostics(0.0, coeffs)
     except _STAGE_ERRORS as exc:
         raise AdmissibilityError(f"initial field is outside the flow's domain: {exc}") from exc
     records = [rec]
@@ -308,12 +308,13 @@ def run(config: FlowConfig, rho0: RadialField, problem: FlowProblem) -> FlowRun:
     try:
         for step_no in range(1, n_steps + 1):
             step_dt = dt if step_no < n_steps or whole else config.T - (n_steps - 1) * dt
-            coeffs = problem.step(coeffs, step_dt, g0=g)
-            g = None
+            g0 = None if G is None else problem.grid.analyze(G)
+            G = None
+            coeffs = problem.step(coeffs, step_dt, g0=g0)
             # The last step ends at T, also when n_steps * dt is T only to 1e-9.
             t = config.T if step_no == n_steps else step_no * dt
             if step_no % config.cadence == 0 or step_no == n_steps:
-                rec, g = problem.diagnostics(t, coeffs)
+                rec, G = problem.diagnostics(t, coeffs)
                 records.append(rec)
                 if rec.sup_G <= _SUP_G_CONVERGED:
                     status = "converged"

@@ -12,11 +12,11 @@ shape operator g^-1 h:
     E_2 = det(g^-1 h) = (H11 H22 - H12^2) / (w2 det g),
 
 with H = den * h, which is polynomial in r and its derivatives.  Speeds
-read only E, so the principal curvatures are formed on demand by
-principal_curvatures: the shape-operator entries from the stored g, H and
-den * det g, then the quadratic formula, with the discriminant clamped at
-zero against roundoff at umbilic points.  It writes into five given
-arrays; CurvatureBundle.kappa calls it on first access with fresh ones.
+read only E, so the principal curvatures are formed only when asked for,
+by principal_curvatures, their one name: the shape-operator entries from
+the stored g, H and den * det g, then the quadratic formula, with the
+discriminant clamped at zero against roundoff at umbilic points.  It
+writes into five given arrays, or fresh ones.
 
 A bundle is computed with out= ufunc calls into a BundleWorkspace, in the
 operation order of the formulas above, so that a caller evaluating many
@@ -26,14 +26,13 @@ workspace hold until the next bundle is computed into the same workspace,
 or until the caller reuses the workspace once it has consumed the bundle,
 as a diagnostics record does for its curvature range and sphere fit (the
 workspace's kappa_buffers and fit_buffers).  So copy what must outlive
-that, and read kappa before it (kappa's own arrays are fresh).  Without a
-workspace each bundle gets a fresh one and owns its arrays.
+that, or form the principal curvatures before it.  Without a workspace
+each bundle gets a fresh one and owns its arrays.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -47,11 +46,11 @@ class CurvatureBundle:
     E holds the elementary symmetric functions E_0 = 1 through E_n, mu the
     area element relative to the reference sphere measure, and graph_factor
     the length distortion sqrt(1 + |grad rho|^2 / r^2) relating normal speed
-    to radial speed.  shape_operator holds what the principal curvatures
-    kappa (n arrays, largest first) are computed from on first access:
-    (kappa_1,) for n = 1; for n = 2 the fundamental forms and the common
-    denominator of the shape operator, (g11, g12, g22, H11, H12, H22,
-    den * det g) with H = den * h (see the module docstring).
+    to radial speed.  shape_operator holds what principal_curvatures forms
+    the principal curvatures (n arrays, largest first) from: (kappa_1,) for
+    n = 1; for n = 2 the fundamental forms and the common denominator of
+    the shape operator, (g11, g12, g22, H11, H12, H22, den * det g) with
+    H = den * h (see the module docstring).
     """
 
     E: tuple[np.ndarray, ...]
@@ -59,10 +58,6 @@ class CurvatureBundle:
     graph_factor: np.ndarray
     radius: np.ndarray
     shape_operator: tuple[np.ndarray, ...]
-
-    @cached_property
-    def kappa(self) -> tuple[np.ndarray, ...]:
-        return principal_curvatures(self)
 
 
 def principal_curvatures(bundle: CurvatureBundle,
@@ -170,8 +165,8 @@ def bundle_from_coeffs(grid, R: float, coeffs: np.ndarray,
     """Curvature and measure data of the graph r = R + rho, rho given by its coefficients.
 
     With `work` every field is written into that workspace and holds only
-    until the next bundle computed into it, and kappa must be read before
-    then.  Without `work` a fresh workspace is built, and the arrays
+    until the next bundle computed into it; form its principal curvatures
+    before then.  Without `work` a fresh workspace is built, and the arrays
     belong to this bundle alone.  Both give the same bits.
     """
     if work is None:

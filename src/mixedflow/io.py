@@ -76,6 +76,8 @@ class InitSpec:
                 f"init parameters must be finite, got {self.describe().partition(':')[2]!r}")
         if self.kind == "random" and self.params[2] < 0:
             raise ConfigError(f"random init seed must be non-negative, got {self.params[2]}")
+        if self.kind == "random" and self.params[1] < 2:
+            raise ConfigError(f"random init degree {self.params[1]} is below 2, its band's start")
 
     def describe(self) -> str:
         casts = _init_casts(self.kind, len(self.params))

@@ -17,7 +17,7 @@ from mixedflow.analysis import (
     stable_decay_rate,
 )
 from mixedflow.flow import FlowConfig, FlowProblem, run
-from mixedflow.geometry import bundle_from_coeffs
+from mixedflow.geometry import bundle_from_coeffs, principal_curvatures
 from mixedflow.harmonics import RadialField, build_grid
 from mixedflow.io import random_band_field
 from mixedflow.presets import run_experiment
@@ -68,8 +68,8 @@ def test_02_curvature_against_mesh_oracle():
     PH = np.ones((grid.shape[0], 1)) * grid.phi[None, :]
     rho = RadialField(grid, 1.0, values=r_fn(TH, PH) - 1.0)
     b = bundle_from_coeffs(grid, 1.0, rho.coeffs)
-    k_lo = np.minimum(b.kappa[0], b.kappa[1])
-    k_hi = np.maximum(b.kappa[0], b.kappa[1])
+    k_lo = np.minimum(*principal_curvatures(b))
+    k_hi = np.maximum(*principal_curvatures(b))
     o_lo, o_hi = mesh_principal_curvatures(r_fn, TH, PH)
     kerr = max(float(np.max(np.abs(k_lo - o_lo))),
                float(np.max(np.abs(k_hi - o_hi))))

@@ -39,8 +39,10 @@ def test_benchmark_smoke_repetition(tmp_path, workload):
 
 @pytest.mark.parametrize("workload", WORKLOADS)
 def test_benchmark_traced_smoke_repetition(tmp_path, workload):
-    # the traced run reads a span of every entry point it wraps, and every
-    # curvature bundle of the run is built by one velocity evaluation
+    # the traced run reads a span of every entry point it wraps, every
+    # curvature bundle of the run is built by one velocity evaluation, and
+    # every velocity but the final record's is analysed for the step it starts
     exact = _smoke_repetition(tmp_path, workload, "--trace")["exact"]
     assert exact["flow.velocity_values.calls"] == exact["geometry.bundle.calls"]
+    assert exact["harmonics.analyze.calls"] == exact["flow.velocity_values.calls"] - 1
     assert exact["geometry.bundles_per_state"] == 1.0

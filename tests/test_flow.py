@@ -395,7 +395,7 @@ def test_records_match_fresh_evaluation():
     # every recorded figure equals one computed from scratch at the same
     # state, with the record's field taken as the bundle's radius minus R
     from mixedflow.analysis import fit_sphere, mixed_volume
-    from mixedflow.geometry import bundle_from_coeffs
+    from mixedflow.geometry import bundle_from_coeffs, principal_curvatures
 
     for n in (1, 2):
         for k in range(-1, n):
@@ -413,8 +413,9 @@ def test_records_match_fresh_evaluation():
                     assert rec.h_k == h
                     assert rec.V == mixed_volume(rho, k, bundle=bundle)
                     assert rec.sup_G == float(np.max(np.abs(G)))
-                    assert rec.kappa_min == min(float(np.min(x)) for x in bundle.kappa)
-                    assert rec.kappa_max == max(float(np.max(x)) for x in bundle.kappa)
+                    kappa = principal_curvatures(bundle)
+                    assert rec.kappa_min == min(float(np.min(x)) for x in kappa)
+                    assert rec.kappa_max == max(float(np.max(x)) for x in kappa)
                     # the fit and the curvature range borrow the problem's
                     # workspace and give the bits of fresh buffers
                     assert rec.sphere_residual_sup == float(np.max(np.abs(fit_sphere(rho)[1])))
@@ -566,10 +567,30 @@ def test_returned_velocity_survives_later_evaluations(n):
     prob.g_coeffs(c3)
     prob.diagnostics(0.0, c2)
     assert G.tobytes() == kept.tobytes()
-    # a record's velocity, in coefficient space, too
-    _, g = prob.diagnostics(0.0, c2)
-    kept = g.copy()
+    # a record's velocity, on the grid, too
+    _, G = prob.diagnostics(0.0, c2)
+    kept = G.copy()
     prob.velocity_values(c3)
     prob.step(c1, 1e-4)
     prob.diagnostics(0.0, c1)
-    assert g.tobytes() == kept.tobytes() == prob.g_coeffs(c2).tobytes()
+    assert G.tobytes() == kept.tobytes() == prob.velocity_values(c2)[0].tobytes()
+
+
+@pytest.mark.parametrize("n", (1, 2))
+def test_record_volume_checks_its_radius_once(monkeypatch, n):
+    # building the bundle checks the radius, so the k = -1 volume of a
+    # record's field reads the bundle's radius without a second check
+    from mixedflow import analysis
+    from mixedflow.geometry import bundle_from_coeffs
+
+    prob = FlowProblem(FlowConfig(n=n, R=1.0, k=-1, L_max=12))
+    c = random_band_field(prob.grid, 1.0, 0.05, 2, 6, 3).coeffs.copy()
+    bundle = bundle_from_coeffs(prob.grid, 1.0, c)
+    rho = RadialField(prob.grid, 1.0, values=bundle.radius - 1.0)
+    plain = analysis.mixed_volume(rho, -1)
+
+    def refuse(r):
+        raise AssertionError("radius checked again")
+
+    monkeypatch.setattr(analysis, "check_radius", refuse)
+    assert analysis.mixed_volume(rho, -1, bundle=bundle) == plain

@@ -7,7 +7,7 @@ import pytest
 
 from mixedflow.analysis import mixed_volume
 from mixedflow.errors import AdmissibilityError
-from mixedflow.geometry import BundleWorkspace, bundle_from_coeffs
+from mixedflow.geometry import BundleWorkspace, bundle_from_coeffs, principal_curvatures
 from mixedflow.harmonics import RadialField, build_grid
 from conftest import band_coeffs
 from oracles import (
@@ -33,7 +33,7 @@ def test_umbilic_identity_spheres(grid1, grid2):
         for R in (1.0, 2.0):
             for c in (-0.3 * R, 0.0, 0.5 * R):
                 b = bundle_from_coeffs(grid, R, const_field(grid, R, c).coeffs)
-                for kap in b.kappa:
+                for kap in principal_curvatures(b):
                     assert np.max(np.abs(kap - 1.0 / (R + c))) <= 1e-11
 
 
@@ -44,14 +44,14 @@ def test_offset_sphere_umbilic(grid2):
     z = np.array([0.1, 0.05, -0.03, 0.08])
     rho = sphere_from_coords(z, grid2, 1.0)
     b = bundle_from_coeffs(rho.grid, rho.R, rho.coeffs)
-    for kap in b.kappa:
+    for kap in principal_curvatures(b):
         assert np.max(np.abs(kap - 1.0 / 1.1)) <= 1e-11
 
 
 def test_el_consistency(grid2, rng):
     rho = RadialField(grid2, 1.0, coeffs=band_coeffs(grid2, rng, l_lo=0, l_hi=8, scale=0.02))
     b = bundle_from_coeffs(rho.grid, rho.R, rho.coeffs)
-    k1, k2 = b.kappa
+    k1, k2 = principal_curvatures(b)
     assert np.max(np.abs(b.E[1] - (k1 + k2))) <= 1e-12 * np.max(np.abs(b.E[1]))
     e2 = ((k1 + k2) ** 2 - (k1 ** 2 + k2 ** 2)) / 2.0
     assert np.max(np.abs(b.E[2] - e2)) <= 1e-12 * max(1.0, np.max(np.abs(e2)))
@@ -59,11 +59,11 @@ def test_el_consistency(grid2, rng):
 
 
 def test_curvature_functions_match_kappa_across_band_limits(grid2_band, rng):
-    # E comes from closed forms, kappa from the shape operator formed on access
+    # E comes from closed forms, kappa from the shape operator by principal_curvatures
     for _ in range(3):
         c = band_coeffs(grid2_band, rng, l_lo=0, l_hi=12, scale=0.02)
         b = bundle_from_coeffs(grid2_band, 1.0, c)
-        k1, k2 = b.kappa
+        k1, k2 = principal_curvatures(b)
         assert np.max(np.abs(b.E[1] - (k1 + k2))) <= 1e-12 * np.max(np.abs(b.E[1]))
         assert np.max(np.abs(b.E[2] - k1 * k2)) <= 1e-12 * np.max(np.abs(b.E[2]))
 
@@ -76,7 +76,7 @@ def test_scaling_covariance(grid2, grid1, rng):
         V_base = mixed_volume(RadialField(grid, 1.0, coeffs=c), -1)
         for s in (0.5, 2.0):
             scaled = bundle_from_coeffs(grid, s, s * c)
-            for kap_s, kap in zip(scaled.kappa, base.kappa):
+            for kap_s, kap in zip(principal_curvatures(scaled), principal_curvatures(base)):
                 assert np.max(np.abs(kap_s * s - kap)) <= 1e-9 * np.max(np.abs(kap))
             for l in range(n + 1):
                 assert np.max(np.abs(scaled.E[l] * s ** l - base.E[l])) \
@@ -92,7 +92,7 @@ def test_rotation_equivariance(grid2, rng):
     vals = RadialField(grid2, 1.0, coeffs=c).values
     b = bundle_from_coeffs(grid2, 1.0, grid2.analyze(vals))
     b_shift = bundle_from_coeffs(grid2, 1.0, grid2.analyze(np.roll(vals, 1, axis=1)))
-    for kap, kap_s in zip(b.kappa, b_shift.kappa):
+    for kap, kap_s in zip(principal_curvatures(b), principal_curvatures(b_shift)):
         assert np.max(np.abs(np.roll(kap, 1, axis=1) - kap_s)) <= 1e-10
 
 
@@ -104,7 +104,7 @@ def test_circle_curvature_oracle(grid1):
     rho = RadialField(grid1, 1.0, values=r_fn(grid1.theta) - 1.0)
     b = bundle_from_coeffs(rho.grid, rho.R, rho.coeffs)
     oracle = circle_curvature(r_fn, grid1.theta)
-    assert np.max(np.abs(b.kappa[0] - oracle)) < 1e-7
+    assert np.max(np.abs(principal_curvatures(b)[0] - oracle)) < 1e-7
 
 
 def test_surface_curvature_oracle():
@@ -115,8 +115,9 @@ def test_surface_curvature_oracle():
     # sin^3 cos cos(3p) is a degree-4 harmonic combination, representable at L=8
     rho = RadialField(grid, 1.0, values=r_fn_np(TH, PH) - 1.0)
     b = bundle_from_coeffs(rho.grid, rho.R, rho.coeffs)
-    k_lo = np.minimum(b.kappa[0], b.kappa[1])
-    k_hi = np.maximum(b.kappa[0], b.kappa[1])
+    k1, k2 = principal_curvatures(b)
+    k_lo = np.minimum(k1, k2)
+    k_hi = np.maximum(k1, k2)
     o_lo, o_hi = mesh_principal_curvatures(r_fn_np, TH, PH, h=1e-2)
     assert np.max(np.abs(k_lo - o_lo)) < 1e-6
     assert np.max(np.abs(k_hi - o_hi)) < 1e-6
@@ -203,9 +204,11 @@ def test_bundle_matches_allocating_reference(n, L):
         c = band_coeffs(grid, rng, l_hi=12, scale=scale)
         ref = bundle_reference(grid.synthesize_derivs(c), R, sin_theta, x)
         for b in (bundle_from_coeffs(grid, R, c), bundle_from_coeffs(grid, R, c, work)):
-            for name in ("E", "shape_operator", "kappa"):
-                assert len(getattr(b, name)) == len(ref[name])
-                for got, want in zip(getattr(b, name), ref[name]):
+            fields = {"E": b.E, "shape_operator": b.shape_operator,
+                      "kappa": principal_curvatures(b)}
+            for name, arrays in fields.items():
+                assert len(arrays) == len(ref[name])
+                for got, want in zip(arrays, ref[name]):
                     assert _same_bits(got, want), name
             for name in ("mu", "graph_factor", "radius"):
                 assert _same_bits(getattr(b, name), ref[name]), name

@@ -85,6 +85,7 @@ def test_parse_full_config():
     ("n = 1\nk = 5\n", "line 2: k = 5 is outside [-1, 0] for n = 1"),
     ("L_max = 8\ninit = harmonic:9,1,1e-4\n", "line 2: init degree 9 exceeds L_max=8"),
     ("L_max = 8\ninit = random:0.05,12,42\n", "line 2: init degree 12 exceeds L_max=8"),
+    ("L_max = 8\ninit = random:0.1,1,42\n", "line 2: random init degree 1 is below 2"),
     ("init = blob:1\n", "line 1: unknown init kind 'blob'"),
     ("init = harmonic:2\n", "line 1: bad init parameters"),
     ("init = const\n", "line 1: init needs the form kind:params"),
