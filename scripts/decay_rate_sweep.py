@@ -12,8 +12,8 @@ import sys
 
 import numpy as np
 
-from mixedflow.analysis import fit_decay_rate, stable_decay_rate
-from mixedflow.flow import FlowConfig, FlowProblem, run
+from mixedflow.analysis import fit_decay_rate
+from mixedflow.flow import FlowConfig, FlowProblem, run, stable_decay_rate
 from mixedflow.harmonics import RadialField
 from mixedflow.speeds import SpeedSpec
 

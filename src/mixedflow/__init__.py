@@ -31,17 +31,17 @@ from .flow import (
     FlowProblem,
     FlowRun,
     FlowState,
+    SpectrumReport,
     cfl_timestep,
     default_timestep,
+    numerical_jacobian,
     run,
     stable_decay_rate,
 )
 from .analysis import (
-    SpectrumReport,
     fit_decay_rate,
     fit_sphere,
     mixed_volume,
-    numerical_jacobian,
     project_center_coords,
     sphere_from_coords,
 )

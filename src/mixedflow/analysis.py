@@ -1,4 +1,4 @@
-"""Verification instruments: conserved quantities, spectra, sphere fitting.
+"""Field instruments: conserved quantities, sphere fitting, decay-rate fits.
 
 The sphere family is parametrized by n+2 numbers z = (z0, z1, ..., z_{n+1}):
 center sum(z_p omega_p) and radius R + z0, written as a height function over
@@ -21,23 +21,13 @@ allocates nothing grid-sized, cheap enough to fit every diagnostics record.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AdmissibilityError, DecayFitError, FitConvergenceError, SpectrumRangeError
-from .flow import FlowConfig, FlowProblem, stable_decay_rate
+from .errors import AdmissibilityError, DecayFitError, FitConvergenceError
 from .geometry import BundleWorkspace, CurvatureBundle, bundle_from_coeffs, check_radius
-from .harmonics import (
-    SPHERE_AREA,
-    Grid,
-    RadialField,
-    harmonic_multiplicity,
-    total_coefficients,
-)
+from .harmonics import SPHERE_AREA, Grid, RadialField
 
-_JACOBIAN_STEP = 1e-5  # relative to R
-_JACOBIAN_MAX_DIM = 400
 _FIT_MAX_ITER = 50
 _FIT_STEP_TOL = 1e-12  # relative to R
 _DECAY_FIT_WINDOW = 0.5  # trailing fraction of the time interval fit_decay_rate uses
@@ -67,85 +57,6 @@ def mixed_volume(rho: RadialField, k: int, bundle: CurvatureBundle | None = None
         bundle = bundle_from_coeffs(rho.grid, rho.R, rho.coeffs)
     total = rho.R ** n * rho.grid.integrate(bundle.E[k] * bundle.mu)
     return total / ((n + 1) * math.comb(n, k))
-
-
-# -- spectrum -----------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SpectrumRow:
-    l: int
-    lambda_analytic: float
-    multiplicity: int
-    lambda_numeric: float
-    offdiag_max: float
-
-
-@dataclass(frozen=True)
-class SpectrumReport:
-    rows: list[SpectrumRow]
-    center_dimension: int
-    lambda_max_abs: float
-    zero_multiplicity_numeric: int
-    symmetry_defect: float
-    max_offdiagonal: float
-
-    def csv_lines(self) -> list[str]:
-        lines = ["l,lambda_analytic,lambda_numeric,multiplicity,offdiag_max"]
-        for row in self.rows:
-            lines.append(f"{row.l},{row.lambda_analytic!r},{row.lambda_numeric!r},"
-                         f"{row.multiplicity},{row.offdiag_max!r}")
-        return lines
-
-
-def numerical_jacobian(config: FlowConfig, l_max: int) -> tuple[np.ndarray, SpectrumReport]:
-    """Central-difference Jacobian of the velocity map at the round sphere.
-
-    Columns are one-coefficient perturbations of size 1e-5 R; the matrix is
-    restricted to degrees <= l_max (1 <= l_max <= L_max, at most 400 columns),
-    which occupy the leading block of the flat layout.  Each report row puts a
-    degree's analytic eigenvalue beside the mean of its diagonal entries and
-    its worst off-diagonal entry; the report adds the near-null dimension.
-    """
-    if not 1 <= l_max <= config.L_max:
-        raise SpectrumRangeError(
-            f"l_max={l_max} is outside [1, {config.L_max}], the configured band limit")
-    D = total_coefficients(l_max, config.n)
-    if D > _JACOBIAN_MAX_DIM:
-        raise SpectrumRangeError(
-            f"Jacobian dimension {D} at l_max={l_max} is above the supported {_JACOBIAN_MAX_DIM}")
-    prob = FlowProblem(config)
-    h = _JACOBIAN_STEP * config.R
-    J = np.empty((D, D))
-    e = np.zeros(prob.grid.size)
-    for j in range(D):
-        e[j] = h
-        gp = prob.g_coeffs(e)
-        e[j] = -h
-        gm = prob.g_coeffs(e)
-        e[j] = 0.0
-        J[:, j] = (gp[:D] - gm[:D]) / (2.0 * h)
-
-    degrees = prob.grid.degrees[:D]
-    offmask = ~np.eye(D, dtype=bool)
-    rows = []
-    for l in range(l_max + 1):
-        sel = degrees == l
-        rows.append(SpectrumRow(
-            l=l, lambda_analytic=0.0 if l <= 1 else -stable_decay_rate(config.speed, l),
-            multiplicity=harmonic_multiplicity(l, config.n),
-            lambda_numeric=float(np.mean(np.diag(J)[sel])),
-            offdiag_max=float(np.max(np.abs(J[:, sel][offmask[:, sel]])))))
-    lam_max = max(abs(row.lambda_analytic) for row in rows)
-    sym = float(np.max(np.abs(J - J.T)))
-    eigs = np.linalg.eigvalsh(0.5 * (J + J.T))
-    zero_mult = int(np.sum(np.abs(eigs) <= 1e-6 * max(lam_max, 1.0)))
-    report = SpectrumReport(rows=rows, center_dimension=config.n + 2,
-                            lambda_max_abs=lam_max,
-                            zero_multiplicity_numeric=zero_mult,
-                            symmetry_defect=sym,
-                            max_offdiagonal=float(np.max(np.abs(J[offmask]))))
-    return J, report
 
 
 # -- sphere fitting -----------------------------------------------------------

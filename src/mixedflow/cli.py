@@ -18,8 +18,9 @@ import sys
 
 import numpy as np
 
-from .analysis import fit_sphere, numerical_jacobian
+from .analysis import fit_sphere
 from .errors import MixedFlowError
+from .flow import numerical_jacobian
 from .io import parse_config, read_snapshot, resolve_out_dir, run_to_files, write_lines
 from .presets import PRESET_NAMES, run_experiment
 

@@ -19,6 +19,7 @@ explicitly, which is what makes the stiff high modes harmless at desk-scale
 resolutions.  Every velocity evaluation re-truncates to the band limit, so
 quadratic interactions that the oversampled grid resolves are projected
 back exactly.  `run` analyses a record's velocity only for a step from it.
+`numerical_jacobian` checks that linearization by central differences.
 """
 
 from __future__ import annotations
@@ -28,10 +29,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (AdmissibilityError, ConstraintDegenerateError, MixedFlowError, SpeedError,
-                     StepRejectedError)
+from . import analysis
+from .errors import (AdmissibilityError, ConstraintDegenerateError, MixedFlowError,
+                     SpectrumRangeError, SpeedError, StepRejectedError)
 from .geometry import BundleWorkspace, CurvatureBundle, bundle_from_coeffs, principal_curvatures
-from .harmonics import L_MAX_MAX, L_MAX_MIN, RadialField, build_grid
+from .harmonics import (L_MAX_MAX, L_MAX_MIN, RadialField, build_grid, harmonic_multiplicity,
+                        total_coefficients)
 from .speeds import SpeedSpec, eval_speed, umbilic_derivative
 
 _INTEGRATORS = ("imex", "rk4")
@@ -41,6 +44,8 @@ _CFL_SLACK = 1e-12  # relative slack of every check of an rk4 dt against that li
 _SUP_G_CONVERGED = 1e-10  # a record with sup |G| at most this ends the run as converged
 # Failures of a velocity evaluation that `step` reports as a rejected step.
 _STAGE_ERRORS = (AdmissibilityError, ConstraintDegenerateError, SpeedError)
+_JACOBIAN_STEP = 1e-5  # relative to R
+_JACOBIAN_MAX_DIM = 400
 
 
 @dataclass(frozen=True)
@@ -236,21 +241,18 @@ class FlowProblem:
         One velocity evaluation serves both.  The record's field is r - R from the bundle's
         radius r, exact (Sterbenz) wherever the sphere fit runs, so the fit reads r itself.
         """
-        # Imported here: analysis depends on this module at import time.
-        from .analysis import fit_sphere, mixed_volume
-
         R = self.config.R
         G, h, bundle = self.velocity_values(coeffs)
         rho = RadialField(self.grid, R, values=np.subtract(bundle.radius, R,
                                                            out=self._work.scratch))
-        V = mixed_volume(rho, self.config.k, bundle=bundle)
+        V = analysis.mixed_volume(rho, self.config.k, bundle=bundle)
         # With G, h and V taken, the bundle is consumed: its curvature range
         # and then the sphere fit reuse the workspace.  kappa is largest first.
         kappa = principal_curvatures(bundle, self._work.kappa_buffers)
         kmin = float(np.min(kappa[-1]))
         kmax = float(np.max(kappa[0]))
         try:
-            _, residual = fit_sphere(rho, self._work)
+            _, residual = analysis.fit_sphere(rho, self._work)
             res_sup = float(np.max(np.abs(residual, out=residual)))
         except MixedFlowError:
             res_sup = float("nan")
@@ -324,3 +326,79 @@ def run(config: FlowConfig, rho0: RadialField, problem: FlowProblem) -> FlowRun:
     last = records[-1]
     final = FlowState(t=last.t, rho=RadialField(problem.grid, config.R, coeffs=last.coeffs))
     return FlowRun(status=status, records=records, final=final, config=config, error=error)
+
+
+@dataclass(frozen=True)
+class SpectrumRow:
+    l: int
+    lambda_analytic: float
+    multiplicity: int
+    lambda_numeric: float
+    offdiag_max: float
+
+
+@dataclass(frozen=True)
+class SpectrumReport:
+    rows: list[SpectrumRow]
+    center_dimension: int
+    lambda_max_abs: float
+    zero_multiplicity_numeric: int
+    symmetry_defect: float
+    max_offdiagonal: float
+
+    def csv_lines(self) -> list[str]:
+        lines = ["l,lambda_analytic,lambda_numeric,multiplicity,offdiag_max"]
+        for row in self.rows:
+            lines.append(f"{row.l},{row.lambda_analytic!r},{row.lambda_numeric!r},"
+                         f"{row.multiplicity},{row.offdiag_max!r}")
+        return lines
+
+
+def numerical_jacobian(config: FlowConfig, l_max: int) -> tuple[np.ndarray, SpectrumReport]:
+    """Central-difference Jacobian of the velocity map at the round sphere.
+
+    Columns are one-coefficient perturbations of size 1e-5 R; the matrix is
+    restricted to degrees <= l_max (1 <= l_max <= L_max, at most 400 columns),
+    which occupy the leading block of the flat layout.  Each report row puts a
+    degree's analytic eigenvalue beside the mean of its diagonal entries and
+    its worst off-diagonal entry; the report adds the near-null dimension.
+    """
+    if not 1 <= l_max <= config.L_max:
+        raise SpectrumRangeError(
+            f"l_max={l_max} is outside [1, {config.L_max}], the configured band limit")
+    D = total_coefficients(l_max, config.n)
+    if D > _JACOBIAN_MAX_DIM:
+        raise SpectrumRangeError(
+            f"Jacobian dimension {D} at l_max={l_max} is above the supported {_JACOBIAN_MAX_DIM}")
+    prob = FlowProblem(config)
+    h = _JACOBIAN_STEP * config.R
+    J = np.empty((D, D))
+    e = np.zeros(prob.grid.size)
+    for j in range(D):
+        e[j] = h
+        gp = prob.g_coeffs(e)
+        e[j] = -h
+        gm = prob.g_coeffs(e)
+        e[j] = 0.0
+        J[:, j] = (gp[:D] - gm[:D]) / (2.0 * h)
+
+    degrees = prob.grid.degrees[:D]
+    offmask = ~np.eye(D, dtype=bool)
+    rows = []
+    for l in range(l_max + 1):
+        sel = degrees == l
+        rows.append(SpectrumRow(
+            l=l, lambda_analytic=0.0 if l <= 1 else -stable_decay_rate(config.speed, l),
+            multiplicity=harmonic_multiplicity(l, config.n),
+            lambda_numeric=float(np.mean(np.diag(J)[sel])),
+            offdiag_max=float(np.max(np.abs(J[:, sel][offmask[:, sel]])))))
+    lam_max = max(abs(row.lambda_analytic) for row in rows)
+    sym = float(np.max(np.abs(J - J.T)))
+    eigs = np.linalg.eigvalsh(0.5 * (J + J.T))
+    zero_mult = int(np.sum(np.abs(eigs) <= 1e-6 * max(lam_max, 1.0)))
+    report = SpectrumReport(rows=rows, center_dimension=config.n + 2,
+                            lambda_max_abs=lam_max,
+                            zero_multiplicity_numeric=zero_mult,
+                            symmetry_defect=sym,
+                            max_offdiagonal=float(np.max(np.abs(J[offmask]))))
+    return J, report

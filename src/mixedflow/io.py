@@ -381,10 +381,10 @@ def write_snapshot(state: FlowState, path: str) -> None:
         f"L_max = {grid.L_max}",
         f"t = {state.t:.17g}",
     ]
-    coeffs = rho.coeffs
+    coeffs = iter(rho.coeffs)  # degree-major: the flat order is the (l, p) order
     for l in range(grid.L_max + 1):
         for p in range(1, harmonic_multiplicity(l, grid.n) + 1):
-            lines.append(f"{l} {p} {coeffs[grid.flat_index(l, p)]:.17g}")
+            lines.append(f"{l} {p} {next(coeffs):.17g}")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -15,9 +15,9 @@ from typing import Callable
 
 import numpy as np
 
-from .analysis import fit_decay_rate, fit_sphere, numerical_jacobian, stable_decay_rate
+from .analysis import fit_decay_rate, fit_sphere
 from .errors import ConfigError, DecayFitError, FitConvergenceError
-from .flow import FlowRun
+from .flow import FlowRun, numerical_jacobian, stable_decay_rate
 from .harmonics import SPHERE_AREA, Grid, RadialField
 from .io import (
     ParsedConfig,
@@ -108,8 +108,16 @@ def _checks_stationarity(parsed: ParsedConfig, out: FlowRun) -> list[CheckResult
     return [_check_le("sup_G_on_sphere", sup, tol)]
 
 
-def _checks_linear_decay(parsed: ParsedConfig, out: FlowRun) -> list[CheckResult]:
+def _decay_degree(parsed: ParsedConfig) -> int:
+    """The degree linear-decay fits: a harmonic init's, else 2; 0 and 1 do not decay."""
     l = parsed.init.params[0] if parsed.init.kind == "harmonic" else 2
+    if l < 2:
+        raise ConfigError(f"linear-decay needs an init degree of at least 2, got {l}")
+    return l
+
+
+def _checks_linear_decay(parsed: ParsedConfig, out: FlowRun) -> list[CheckResult]:
+    l = _decay_degree(parsed)
     target = stable_decay_rate(out.config.speed, l)
     ts = [r.t for r in out.records]
     amps = [math.sqrt(r.mode_energy[l]) for r in out.records]
@@ -205,6 +213,8 @@ def run_experiment(name: str, overrides: dict[str, str] | None = None,
     """
     overrides = {k.strip(): v.strip() for k, v in (overrides or {}).items()}
     parsed = _preset_config(name, overrides)
+    if name == "linear-decay":
+        _decay_degree(parsed)  # refused before anything is written
     build_init, init_label = _INIT_OVERRIDES.get(name, (None, None))
     if "init" in overrides:
         build_init = init_label = None

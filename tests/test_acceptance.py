@@ -12,11 +12,9 @@ from mixedflow.analysis import (
     fit_decay_rate,
     fit_sphere,
     mixed_volume,
-    numerical_jacobian,
     sphere_from_coords,
-    stable_decay_rate,
 )
-from mixedflow.flow import FlowConfig, FlowProblem, run
+from mixedflow.flow import FlowConfig, FlowProblem, numerical_jacobian, run, stable_decay_rate
 from mixedflow.geometry import bundle_from_coeffs, principal_curvatures
 from mixedflow.harmonics import RadialField, build_grid
 from mixedflow.io import random_band_field

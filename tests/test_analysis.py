@@ -7,13 +7,11 @@ from mixedflow.analysis import (
     fit_decay_rate,
     fit_sphere,
     mixed_volume,
-    numerical_jacobian,
     project_center_coords,
     sphere_from_coords,
-    stable_decay_rate,
 )
 from mixedflow.errors import AdmissibilityError, DecayFitError, SpectrumRangeError
-from mixedflow.flow import FlowConfig
+from mixedflow.flow import FlowConfig, numerical_jacobian, stable_decay_rate
 from mixedflow.geometry import BundleWorkspace, bundle_from_coeffs
 from mixedflow.harmonics import SPHERE_AREA, RadialField
 from mixedflow.io import random_band_field

@@ -14,6 +14,7 @@ from mixedflow.flow import (
     FlowProblem,
     cfl_timestep,
     default_timestep,
+    numerical_jacobian,
     run,
 )
 from mixedflow.harmonics import RadialField
@@ -126,8 +127,6 @@ def test_linear_diag_scales_harmonic(grid2):
 
 
 def test_linearized_matches_jacobian_diagonal():
-    from mixedflow.analysis import numerical_jacobian
-
     cfg = FlowConfig(n=2, R=1.0, k=-1, L_max=6)
     J, report = numerical_jacobian(cfg, l_max=6)
     diag = FlowProblem(cfg).linear_diag[: J.shape[0]]

@@ -1,16 +1,19 @@
 """No import goes unused in the package, the tests or the scripts, at module
-level or inside a function, and every entry point the benchmark's tracer
-wraps still exists."""
+level or inside a function; the package's submodules import each other
+without a cycle; and every entry point the benchmark's tracer wraps still
+exists."""
 
 import ast
+import graphlib
 import importlib.util
 from pathlib import Path
 
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "mixedflow"
 # The package's __init__ imports are its public API, read by its users.
-FILES = sorted(p for p in (*(ROOT / "src" / "mixedflow").glob("*.py"),
+FILES = sorted(p for p in (*PACKAGE.glob("*.py"),
                            *(ROOT / "tests").glob("*.py"), *(ROOT / "scripts").glob("*.py"))
                if p.name != "__init__.py")
 _FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
@@ -66,6 +69,46 @@ def test_checker_flags_an_unused_import_in_a_function():
 @pytest.mark.parametrize("path", FILES, ids=[str(p.relative_to(ROOT)) for p in FILES])
 def test_no_unused_module_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def sibling_imports(source: str, siblings: set[str]) -> set[str]:
+    """Submodules in `siblings` that a package submodule imports, at any depth:
+    `from .x import ...`, `from . import x` and their absolute forms."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            parts = (node.module or "").split(".")
+            if node.level == 0 and parts[0] == "mixedflow":
+                parts = parts[1:]
+            elif node.level != 1:
+                continue
+            names = [parts[0]] if parts and parts[0] else [a.name for a in node.names]
+        elif isinstance(node, ast.Import):
+            names = [a.name.split(".")[1] for a in node.names
+                     if a.name.startswith("mixedflow.")]
+        else:
+            continue
+        found.update(name for name in names if name in siblings)
+    return found
+
+
+def test_checker_finds_sibling_imports():
+    source = ("from . import a, __version__\nfrom .b.c import d\nimport mixedflow.e\n"
+              "def f():\n    if x:\n        from mixedflow.g import h\n"
+              "from .. import i\nimport numpy\n")
+    assert sibling_imports(source, {"a", "b", "e", "g", "i"}) == {"a", "b", "e", "g"}
+
+
+def test_package_imports_are_acyclic():
+    # the layering errors -> harmonics/geometry/speeds -> analysis -> flow -> io
+    # -> presets -> cli holds only while no submodule imports one above it
+    modules = {p.stem: p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"}
+    graph = {name: sibling_imports(path.read_text(encoding="utf-8"), set(modules) - {name})
+             for name, path in modules.items()}
+    try:
+        graphlib.TopologicalSorter(graph).prepare()
+    except graphlib.CycleError as exc:
+        pytest.fail(f"submodules import each other in a cycle: {' -> '.join(exc.args[1])}")
 
 
 def test_benchmark_entry_points_resolve():

@@ -280,17 +280,18 @@ def test_init_spec_checks_itself(kind, params, fragment):
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(seed=st.integers(0, 2 ** 31 - 1))
 def test_snapshot_round_trip_exact(tmp_path, seed):
-    grid = build_grid(2, 8, 2.0)
-    rng = np.random.default_rng(seed)
-    coeffs = 1e-2 * rng.standard_normal(grid.size)
-    state = FlowState(t=float(rng.uniform(0.0, 5.0)),
-                      rho=RadialField(grid, 1.25, coeffs=coeffs))
-    path = tmp_path / f"s{seed}.snapshot"
-    write_snapshot(state, str(path))
-    back = read_snapshot(str(path))
-    assert back.t == state.t
-    assert back.rho.R == 1.25
-    assert np.array_equal(back.rho.coeffs, coeffs)
+    for n in (1, 2):
+        grid = build_grid(n, 8, 2.0)
+        rng = np.random.default_rng(seed)
+        coeffs = 1e-2 * rng.standard_normal(grid.size)
+        state = FlowState(t=float(rng.uniform(0.0, 5.0)),
+                          rho=RadialField(grid, 1.25, coeffs=coeffs))
+        path = tmp_path / f"s{seed}_n{n}.snapshot"
+        write_snapshot(state, str(path))
+        back = read_snapshot(str(path))
+        assert back.t == state.t
+        assert back.rho.R == 1.25
+        assert np.array_equal(back.rho.coeffs, coeffs)
 
 
 def test_snapshot_sparse_matches_harmonic_init(tmp_path):
@@ -592,6 +593,17 @@ def test_cli_preset_rejected_initial_field_makes_no_directory(tmp_path, monkeypa
     monkeypatch.setenv("MIXEDFLOW_OUT", str(tmp_path / "out"))
     assert main(["preset", "stationarity", "--set", "init=const:-2"]) == 2
     assert "error: " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("degree", [0, 1])
+def test_cli_linear_decay_refuses_a_neutral_degree(tmp_path, monkeypatch, capsys, degree):
+    # degrees 0 and 1 have no decay rate to check: refused before the run
+    monkeypatch.setenv("MIXEDFLOW_OUT", str(tmp_path / "out"))
+    argv = ["preset", "linear-decay", "--set", f"init=harmonic:{degree},1,1e-4", "--set", "dt=1e-3"]
+    assert main(argv) == 2
+    assert (f"error: linear-decay needs an init degree of at least 2, got {degree}"
+            in capsys.readouterr().err)
     assert not (tmp_path / "out").exists()
 
 
