@@ -1,9 +1,12 @@
 #!/usr/bin/env python3
 """Run every preset into out/<name>/ and print a pass/fail table.
 
+Ends with the process's peak resident memory over the whole pass.
+
 Usage: python scripts/run_all_presets.py [out_root]
 """
 
+import resource
 import sys
 import time
 
@@ -25,9 +28,12 @@ def main() -> int:
             failures.append(name)
     if failures:
         print("failed presets: " + ", ".join(failures))
-        return 1
-    print("all presets passed")
-    return 0
+    else:
+        print("all presets passed")
+    # ru_maxrss is in KB on Linux.
+    peak_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    print(f"peak RSS {peak_kb / 1024:.1f} MB")
+    return 1 if failures else 0
 
 
 if __name__ == "__main__":

@@ -102,8 +102,14 @@ class FlowState:
     rho: RadialField
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DiagnosticsRecord:
+    """Figures of one recorded state: scalars and the (L_max + 1) degree energies.
+
+    A record keeps no coefficients; a run's only coefficient state is its
+    `FlowRun.final`, so a record costs O(L_max) memory, not O(L_max^2).
+    """
+
     t: float
     h_k: float
     V: float
@@ -114,12 +120,15 @@ class DiagnosticsRecord:
     center_norm: float
     kappa_min: float
     kappa_max: float
-    coeffs: np.ndarray
 
 
 @dataclass(frozen=True)
 class FlowRun:
-    """Outcome of `run`: status is reached_T, converged or failed."""
+    """Outcome of `run`: status is reached_T, converged or failed.
+
+    `final` is the state of the last record and the run's only coefficient
+    state; the records hold figures only.
+    """
 
     status: str
     records: list[DiagnosticsRecord]
@@ -240,6 +249,8 @@ class FlowProblem:
 
         One velocity evaluation serves both.  The record's field is r - R from the bundle's
         radius r, exact (Sterbenz) wherever the sphere fit runs, so the fit reads r itself.
+        The record keeps no reference to coeffs: its mode energies and center norm are
+        read from them here.
         """
         R = self.config.R
         G, h, bundle = self.velocity_values(coeffs)
@@ -264,10 +275,10 @@ class FlowProblem:
             sup_rho=rho.sup_abs(),
             sphere_residual_sup=res_sup,
             mode_energy=self.grid.mode_energies(coeffs),
-            center_norm=float(np.sqrt(np.sum(coeffs[self.grid.degrees <= 1] ** 2))),
+            # Degree-major layout: degrees 0 and 1 are the first n + 2 coefficients.
+            center_norm=float(np.sqrt(np.sum(coeffs[:self.grid.n + 2] ** 2))),
             kappa_min=kmin,
             kappa_max=kmax,
-            coeffs=coeffs.copy(),
         )
         return record, G
 
@@ -289,6 +300,9 @@ def run(config: FlowConfig, rho0: RadialField, problem: FlowProblem) -> FlowRun:
     A rejected step, or a later state whose record cannot be evaluated,
     ends the run with status "failed": it keeps the records so far, its
     final state is the last recorded one and `error` holds the cause.
+    Records keep no coefficients: the run holds the coefficients of its
+    latest record, which `step` never writes to, and `final` is built
+    from them.
     """
     if problem.config != config:
         raise ValueError("problem was built for a different configuration")
@@ -302,7 +316,7 @@ def run(config: FlowConfig, rho0: RadialField, problem: FlowProblem) -> FlowRun:
         rec, G = problem.diagnostics(0.0, coeffs)
     except _STAGE_ERRORS as exc:
         raise AdmissibilityError(f"initial field is outside the flow's domain: {exc}") from exc
-    records = [rec]
+    records, recorded = [rec], coeffs
     status, error = "reached_T", None
     if rec.sup_G <= _SUP_G_CONVERGED:
         status = "converged"
@@ -318,13 +332,13 @@ def run(config: FlowConfig, rho0: RadialField, problem: FlowProblem) -> FlowRun:
             if step_no % config.cadence == 0 or step_no == n_steps:
                 rec, G = problem.diagnostics(t, coeffs)
                 records.append(rec)
+                recorded = coeffs
                 if rec.sup_G <= _SUP_G_CONVERGED:
                     status = "converged"
                     break
     except (StepRejectedError, *_STAGE_ERRORS) as exc:
         status, error = "failed", exc
-    last = records[-1]
-    final = FlowState(t=last.t, rho=RadialField(problem.grid, config.R, coeffs=last.coeffs))
+    final = FlowState(t=records[-1].t, rho=RadialField(problem.grid, config.R, coeffs=recorded))
     return FlowRun(status=status, records=records, final=final, config=config, error=error)
 
 

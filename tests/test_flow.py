@@ -2,7 +2,7 @@
 
 import math
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -10,6 +10,7 @@ import pytest
 from mixedflow.analysis import sphere_from_coords
 from mixedflow.errors import AdmissibilityError, SpeedError, StepRejectedError
 from mixedflow.flow import (
+    DiagnosticsRecord,
     FlowConfig,
     FlowProblem,
     cfl_timestep,
@@ -360,26 +361,54 @@ def test_run_ends_at_T_when_steps_are_whole_to_tolerance():
     assert out.final.t == 0.3
 
 
-def _failing_run(integrator):
+def _replayed_states(cfg, prob, rho0, count):
+    """The states of a run's first `count` records, replayed with `FlowProblem.step`.
+
+    Only whole steps of the default dt: a run's first `count` records must
+    come before its last, possibly shortened, step.  The replay is bit-equal
+    to the run, whose steps take each record's velocity as their first stage.
+    """
+    dt = default_timestep(cfg)
+    c = rho0.coeffs.copy()
+    states, step_no = [c], 0
+    while len(states) < count:
+        step_no += 1
+        c = prob.step(c, dt)
+        if step_no % cfg.cadence == 0:
+            states.append(c)
+    return states
+
+
+def _failing_run(integrator, cadence=1):
     # E_2 at amplitude 0.2 drives the graph out of the admissible cone
     speed = SpeedSpec("elementary", n=2, R=1.0, l=2)
     cfg = FlowConfig(n=2, R=1.0, speed=speed, integrator=integrator, T=0.2, L_max=12,
-                     cadence=1)
+                     cadence=cadence)
     prob = FlowProblem(cfg)
-    return run(cfg, random_band_field(prob.grid, 1.0, 0.2, 2, 8, 3), problem=prob)
+    rho0 = random_band_field(prob.grid, 1.0, 0.2, 2, 8, 3)
+    return cfg, prob, rho0, run(cfg, rho0, problem=prob)
 
 
-@pytest.mark.parametrize("integrator,error", [("rk4", StepRejectedError),
-                                              ("imex", AdmissibilityError)])
-def test_failed_run_keeps_records(integrator, error):
+@pytest.mark.parametrize("integrator,cadence,error", [
+    pytest.param("rk4", 1, StepRejectedError, id="rk4-StepRejectedError"),
+    pytest.param("imex", 1, AdmissibilityError, id="imex-AdmissibilityError"),
+    pytest.param("rk4", 3, StepRejectedError, id="rk4-cadence3-StepRejectedError"),
+    pytest.param("imex", 3, StepRejectedError, id="imex-cadence3-StepRejectedError")])
+def test_failed_run_keeps_records(integrator, cadence, error):
     # rk4 rejects a step whose stage leaves the cone; imex takes the step
-    # and the record of the state it reaches cannot be evaluated
-    out = _failing_run(integrator)
+    # and the record of the state it reaches cannot be evaluated.  At
+    # cadence 3 the run has stepped past its last record when it fails
+    # (rk4 by one step, imex by two, whose next step is then rejected), so
+    # only the recorded state is a correct final state.
+    cfg, prob, rho0, out = _failing_run(integrator, cadence)
     assert out.status == "failed"
     assert isinstance(out.error, error)
     assert len(out.records) > 1 and out.records[-1].t < 0.2
     assert out.final.t == out.records[-1].t
-    assert np.array_equal(out.final.rho.coeffs, out.records[-1].coeffs)
+    states = _replayed_states(cfg, prob, rho0, len(out.records))
+    assert [prob.diagnostics(rec.t, c)[0].sup_G for rec, c in zip(out.records, states)] \
+        == [rec.sup_G for rec in out.records]
+    assert np.array_equal(out.final.rho.coeffs, states[-1])
 
 
 # -- one evaluation per state ------------------------------------------------------
@@ -404,10 +433,11 @@ def test_records_match_fresh_evaluation():
                 rho0 = random_band_field(prob.grid, 1.0, 0.05, 2, 5, 3)
                 out = run(cfg, rho0, problem=prob)
                 assert len(out.records) == 7
-                for rec in out.records:
+                states = _replayed_states(cfg, FlowProblem(cfg), rho0, 7)
+                for rec, coeffs in zip(out.records, states):
                     fresh = FlowProblem(cfg)
-                    G, h, _ = fresh.velocity_values(rec.coeffs)
-                    bundle = bundle_from_coeffs(prob.grid, 1.0, rec.coeffs)
+                    G, h, _ = fresh.velocity_values(coeffs)
+                    bundle = bundle_from_coeffs(prob.grid, 1.0, coeffs)
                     rho = RadialField(prob.grid, 1.0, values=bundle.radius - 1.0)
                     assert rec.h_k == h
                     assert rec.V == mixed_volume(rho, k, bundle=bundle)
@@ -420,7 +450,7 @@ def test_records_match_fresh_evaluation():
                     assert rec.sphere_residual_sup == float(np.max(np.abs(fit_sphere(rho)[1])))
                     assert rec.sup_rho == rho.sup_abs()
                     # the bundle's field is the synthesized one up to roundoff (R = 1)
-                    synthesized = RadialField(prob.grid, 1.0, coeffs=rec.coeffs)
+                    synthesized = RadialField(prob.grid, 1.0, coeffs=coeffs)
                     assert np.max(np.abs(rho.values - synthesized.values)) <= 4e-16
 
 
@@ -552,6 +582,39 @@ def test_diagnostics_allocation_budget(L):
         if not tracing:
             tracemalloc.stop()
     assert peak <= 6 * np.empty(prob.grid.shape).nbytes
+
+
+def _bytes_per_record(L):
+    """Bytes a run's records retain per record: a cadence-1 run against a one-record one."""
+    held = {}
+    for cadence in (1, 10 ** 9):
+        cfg = FlowConfig(n=2, R=1.0, k=-1, dt=1e-4, T=4e-3, L_max=L, cadence=cadence)
+        prob = FlowProblem(cfg)
+        rho0 = random_band_field(prob.grid, 1.0, 0.05, 2, 6, 3)
+        run(cfg, rho0, problem=prob)
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            out = run(cfg, rho0, problem=prob)
+            held[cadence] = (tracemalloc.get_traced_memory()[0] - base, len(out.records))
+            del out
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+    (dense, n_dense), (sparse, n_sparse) = held[1], held[10 ** 9]
+    assert n_dense == 41 and n_sparse == 2
+    return (dense - sparse) / (n_dense - n_sparse)
+
+
+def test_records_hold_no_coefficient_state():
+    # a record is its scalars and its L_max + 1 mode energies: from L = 8 to
+    # 24 the (L + 1)^2 coefficients grow 7.7x and the mode energies 2.8x,
+    # so the bytes a run keeps per record must stay under twice their L = 8 value
+    small, large = _bytes_per_record(8), _bytes_per_record(24)
+    assert 0 < small and large < 2 * small
+    assert "coeffs" not in {field.name for field in fields(DiagnosticsRecord)}
 
 
 @pytest.mark.parametrize("n", (1, 2))
