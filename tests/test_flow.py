@@ -585,7 +585,7 @@ def test_diagnostics_allocation_budget(L):
 
 
 def _bytes_per_record(L):
-    """Bytes a run's records retain per record: a cadence-1 run against a one-record one."""
+    """Bytes a run's records retain per record: cadence 1 against records at t = 0 and T only."""
     held = {}
     for cadence in (1, 10 ** 9):
         cfg = FlowConfig(n=2, R=1.0, k=-1, dt=1e-4, T=4e-3, L_max=L, cadence=cadence)
