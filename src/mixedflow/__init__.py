@@ -53,6 +53,7 @@ from .io import (
     random_band_field,
     read_snapshot,
     run_to_files,
+    spectrum_to_file,
     write_snapshot,
 )
 from .presets import ExperimentResult, run_experiment

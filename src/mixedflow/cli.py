@@ -4,6 +4,7 @@ Subcommands:
   run         integrate a config file, write run.csv and a final snapshot
   preset      run a named experiment and its pass/fail checks
   spectrum    numerical Jacobian at the round sphere, written as spectrum.csv
+              by io.spectrum_to_file, the routine the spectrum preset runs
   fit-sphere  nearest-sphere coordinates of a snapshot
 
 MIXEDFLOW_OUT overrides the configured output directory.  Exit codes:
@@ -20,8 +21,7 @@ import numpy as np
 
 from .analysis import fit_sphere
 from .errors import MixedFlowError
-from .flow import numerical_jacobian
-from .io import parse_config, read_snapshot, resolve_out_dir, run_to_files, write_lines
+from .io import parse_config, read_snapshot, run_to_files, spectrum_to_file
 from .presets import PRESET_NAMES, run_experiment
 
 
@@ -64,11 +64,7 @@ def _cmd_preset(args) -> int:
 
 def _cmd_spectrum(args) -> int:
     parsed = parse_config(args.config)
-    cfg = parsed.config
-    _, report = numerical_jacobian(cfg, l_max=args.lmax)
-    target = resolve_out_dir(parsed.out_dir)
-    path = f"{target}/spectrum.csv"
-    write_lines(path, report.csv_lines())
+    report, path = spectrum_to_file(parsed, args.lmax, parsed.out_dir)
     print(f"lambda_max_abs = {report.lambda_max_abs!r}")
     print(f"max_offdiagonal = {report.max_offdiagonal!r}")
     print(f"symmetry_defect = {report.symmetry_defect!r}")

@@ -217,10 +217,14 @@ class FlowProblem:
         """Coefficients one step of length dt later, under the configured integrator.
 
         g0, the velocity at coeffs in coefficient space if known, replaces
-        the first stage's evaluation.  rk4 first checks dt against the
-        parabolic bound.  A dt above it, a failed velocity evaluation or a
-        non-finite result raises StepRejectedError with a suggested smaller dt.
+        the first stage's evaluation.  A dt that is not positive and finite
+        is a ValueError, raised before any evaluation: no smaller dt cures it.
+        rk4 then checks dt against the parabolic bound.  A dt above it, a
+        failed velocity evaluation or a non-finite result raises
+        StepRejectedError with a suggested smaller dt.
         """
+        if not 0.0 < dt < math.inf:
+            raise ValueError(f"dt must be positive and finite, got {dt!r}")
         rk4 = self.config.integrator == "rk4"
         bound = self._rk4_bound
         if rk4 and dt > bound * (1.0 + _CFL_SLACK):

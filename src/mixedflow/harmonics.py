@@ -282,9 +282,14 @@ class Grid:
         return l * l + p - 1
 
     def _pad(self, coeffs: np.ndarray) -> np.ndarray:
+        """Coefficients as a full-length float vector, refused unless one-dimensional and
+        at most full length: a full-length one comes back as it is (no copy), a
+        shorter one is zero-padded into a fresh array."""
         c = np.asarray(coeffs, dtype=float)
         if c.ndim != 1:
             raise DegreeOverflowError("coefficient vector must be one-dimensional")
+        if c.size == self.size:
+            return c
         if c.size > self.size:
             raise DegreeOverflowError(
                 f"{c.size} coefficients exceed the {self.size} representable at L_max={self.L_max}")
@@ -302,8 +307,7 @@ class Grid:
         they are."""
         if out is None:
             out = np.zeros(self._container_shape)
-        c = np.asarray(coeffs, dtype=float)
-        out.reshape(-1)[self._slot] = c if c.shape == (self.size,) else self._pad(c)
+        out.reshape(-1)[self._slot] = self._pad(coeffs)
         return out
 
     def _field(self, values: np.ndarray) -> np.ndarray:
@@ -476,7 +480,7 @@ class RadialField:
         self.grid = grid
         self.R = float(R)
         if coeffs is not None:
-            self._coeffs = grid._pad(coeffs)
+            self._coeffs = grid._pad(coeffs).copy()  # _pad may return the caller's array
             self._coeffs.flags.writeable = False
             self.values = grid.synthesize(self._coeffs)
         else:

@@ -1,4 +1,4 @@
-"""Experiment configuration files, snapshots, and CSV emission.
+"""Experiment configuration files, snapshots, and run.csv / spectrum.csv emission.
 
 Config files are line-based `key = value` text.  Blank lines and lines
 starting with `#` are ignored.  Recognized keys:
@@ -32,7 +32,8 @@ import numpy as np
 
 from .analysis import sphere_from_coords
 from .errors import ConfigError, SnapshotError, SpeedError
-from .flow import FlowConfig, FlowProblem, FlowRun, FlowState, default_timestep, run
+from .flow import (FlowConfig, FlowProblem, FlowRun, FlowState, SpectrumReport, default_timestep,
+                   numerical_jacobian, run)
 from .harmonics import (SPHERE_AREA, Grid, RadialField, build_grid, harmonic_multiplicity,
                         total_coefficients)
 from .speeds import SPEED_PARAMS, SpeedSpec, format_number, format_param
@@ -366,6 +367,18 @@ def run_to_files(parsed: ParsedConfig, out_dir: str,
     write_lines(csv_path, run_csv_lines(out.records, [*head, *run_meta(parsed, prob.grid), *tail]))
     write_snapshot(out.final, snap_path)
     return out, (csv_path, snap_path)
+
+
+def spectrum_to_file(parsed: ParsedConfig, l_max: int, out_dir: str) -> tuple[SpectrumReport, str]:
+    """Numerical Jacobian of a parsed config at degrees <= l_max, written as spectrum.csv.
+
+    The Jacobian is built first, so an l_max it refuses (SpectrumRangeError)
+    writes nothing; out_dir is then resolved and made.  Returns (report, path).
+    """
+    _, report = numerical_jacobian(parsed.config, l_max)
+    path = f"{resolve_out_dir(out_dir)}/spectrum.csv"
+    write_lines(path, report.csv_lines())
+    return report, path
 
 
 # -- snapshots ------------------------------------------------------------------

@@ -1,10 +1,13 @@
 """Named experiments with built-in pass/fail expectations.
 
-Each preset fixes a full flow configuration, deterministic initial data,
-and the checks its summary reports.  Settings use the same key = value
-grammar as config files, so command-line overrides go through the same
-validation; the zero-modes preset builds its initial data directly (a small
-constant plus degree-1 combination is not a single grammar item).
+Each preset is one `_PRESETS` entry: its full flow configuration, as
+settings in the key = value grammar of config files, so command-line
+overrides go through the same validation; the checks its summary reports;
+and, for zero-modes, initial data built directly (a small constant plus
+degree-1 combination is not a single grammar item).  The spectrum preset
+runs no flow: it writes spectrum.csv through `io.spectrum_to_file`, the
+routine behind `mixedflow spectrum`, at its own L_max, and checks the
+returned report.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import numpy as np
 
 from .analysis import fit_decay_rate, fit_sphere
 from .errors import ConfigError, DecayFitError, FitConvergenceError
-from .flow import FlowRun, numerical_jacobian, stable_decay_rate
+from .flow import FlowRun, SpectrumReport, stable_decay_rate
 from .harmonics import SPHERE_AREA, Grid, RadialField
 from .io import (
     ParsedConfig,
@@ -25,6 +28,7 @@ from .io import (
     parse_config_text,
     resolve_out_dir,
     run_to_files,
+    spectrum_to_file,
     write_lines,
 )
 from .speeds import reference_speed
@@ -64,39 +68,6 @@ def _zero_mode_init(grid: Grid, R: float) -> RadialField:
     if grid.n == 2:
         combo = combo + 0.2 * omega[2]
     return RadialField(grid, R, values=1e-3 * R * combo)
-
-
-_PRESET_SETTINGS: dict[str, str] = {
-    "stationarity": "n = 2\nR = 1\nk = -1\nspeed = mean\nintegrator = imex\n"
-                    "T = 0.05\nL_max = 16\ninit = const:0.2\ncadence = 1",
-    "linear-decay": "n = 2\nR = 1\nk = -1\nspeed = mean\nintegrator = imex\n"
-                    "dt = 1e-4\nT = 1\nL_max = 8\ninit = harmonic:2,1,1e-4\ncadence = 10",
-    "zero-modes": "n = 2\nR = 1\nk = -1\nspeed = mean\nintegrator = imex\n"
-                  "dt = 1e-3\nT = 2\nL_max = 8\ncadence = 10",
-    "conservation": "n = 2\nR = 1\nk = 0\nspeed = mean\nintegrator = rk4\n"
-                    "dt = 1e-4\nT = 0.5\nL_max = 24\ninit = random:0.05,6,42\ncadence = 50",
-    "nonlinear-convergence": "n = 2\nR = 1\nk = -1\nspeed = mean\nintegrator = rk4\n"
-                             "dt = 1e-3\nT = 3\nL_max = 16\ninit = random:0.05,6,42\ncadence = 10",
-    "spectrum": "n = 2\nR = 1\nk = -1\nspeed = mean\nL_max = 8",
-}
-
-# Presets whose initial data is built directly, unless init is overridden:
-# (builder, summary label).
-_INIT_OVERRIDES = {"zero-modes": (_zero_mode_init, "zero-mode combination, amplitude 1e-3")}
-
-PRESET_NAMES = tuple(_PRESET_SETTINGS)
-
-
-def _preset_config(name: str, overrides: dict[str, str]) -> ParsedConfig:
-    """A preset's settings with the overrides applied, parsed and validated."""
-    if name not in _PRESET_SETTINGS:
-        raise ConfigError(f"unknown preset {name!r}; choose from {', '.join(PRESET_NAMES)}")
-    pairs: dict[str, str] = {}
-    for line in _PRESET_SETTINGS[name].splitlines():
-        key, _, value = line.partition("=")
-        pairs[key.strip()] = value.strip()
-    pairs.update(overrides)
-    return parse_config_text("\n".join(f"{k} = {v}" for k, v in pairs.items()))
 
 
 # -- expectations ---------------------------------------------------------------
@@ -165,38 +136,63 @@ def _checks_nonlinear(parsed: ParsedConfig, out: FlowRun) -> list[CheckResult]:
     ]
 
 
-def _spectrum_files(parsed: ParsedConfig, out_dir: str) -> tuple[list[CheckResult], tuple[str, ...], list[str]]:
-    cfg = parsed.config
-    J, report = numerical_jacobian(cfg, l_max=cfg.L_max)
+def _checks_spectrum(report: SpectrumReport) -> list[CheckResult]:
     lam = report.lambda_max_abs
-    diag_err = 0.0
-    for row in report.rows:
-        if row.l >= 2:
-            diag_err = max(diag_err, abs(row.lambda_numeric - row.lambda_analytic)
-                           / abs(row.lambda_analytic))
-        else:
-            diag_err = max(diag_err, abs(row.lambda_numeric) / lam)
-    checks = [
+    diag_err = max(0.0, *(abs(row.lambda_numeric - row.lambda_analytic) / abs(row.lambda_analytic)
+                          if row.l >= 2 else abs(row.lambda_numeric) / lam for row in report.rows))
+    return [
         _check_le("max_offdiagonal_over_lambda_max", report.max_offdiagonal / lam, 1e-6),
         _check_le("symmetry_defect_over_lambda_max", report.symmetry_defect / lam, 1e-7),
         _check_le("diagonal_relative_error", diag_err, 1e-6),
         _check_le("zero_multiplicity_error",
-                  abs(report.zero_multiplicity_numeric - (cfg.n + 2)), 0.0),
+                  abs(report.zero_multiplicity_numeric - report.center_dimension), 0.0),
     ]
-    path = f"{resolve_out_dir(out_dir)}/spectrum.csv"
-    write_lines(path, report.csv_lines())
-    lines = [f"lambda_max_abs = {lam!r}",
-             f"zero_multiplicity = {report.zero_multiplicity_numeric}"]
-    return checks, (path,), lines
 
 
-_CHECKS: dict[str, Callable[[ParsedConfig, FlowRun], list[CheckResult]]] = {
-    "stationarity": _checks_stationarity,
-    "linear-decay": _checks_linear_decay,
-    "zero-modes": _checks_zero_modes,
-    "conservation": _checks_conservation,
-    "nonlinear-convergence": _checks_nonlinear,
+@dataclass(frozen=True)
+class _Preset:
+    """One named experiment: its settings text, the checks of its run (None
+    for the spectrum preset, which checks its report) and, unless init is
+    overridden, a direct builder of its initial data with its summary label."""
+
+    settings: str
+    checks: Callable[[ParsedConfig, FlowRun], list[CheckResult]] | None
+    init: tuple[Callable[[Grid, float], RadialField], str] | None = None
+
+    def config(self, overrides: dict[str, str]) -> ParsedConfig:
+        """The settings with the overrides applied, parsed and validated."""
+        pairs: dict[str, str] = {}
+        for line in self.settings.splitlines():
+            key, _, value = line.partition("=")
+            pairs[key.strip()] = value.strip()
+        pairs.update(overrides)
+        return parse_config_text("\n".join(f"{k} = {v}" for k, v in pairs.items()))
+
+
+_PRESETS = {
+    "stationarity": _Preset(
+        "n = 2\nR = 1\nk = -1\nspeed = mean\nintegrator = imex\n"
+        "T = 0.05\nL_max = 16\ninit = const:0.2\ncadence = 1", _checks_stationarity),
+    "linear-decay": _Preset(
+        "n = 2\nR = 1\nk = -1\nspeed = mean\nintegrator = imex\n"
+        "dt = 1e-4\nT = 1\nL_max = 8\ninit = harmonic:2,1,1e-4\ncadence = 10",
+        _checks_linear_decay),
+    "zero-modes": _Preset(
+        "n = 2\nR = 1\nk = -1\nspeed = mean\nintegrator = imex\n"
+        "dt = 1e-3\nT = 2\nL_max = 8\ncadence = 10", _checks_zero_modes,
+        (_zero_mode_init, "zero-mode combination, amplitude 1e-3")),
+    "conservation": _Preset(
+        "n = 2\nR = 1\nk = 0\nspeed = mean\nintegrator = rk4\n"
+        "dt = 1e-4\nT = 0.5\nL_max = 24\ninit = random:0.05,6,42\ncadence = 50",
+        _checks_conservation),
+    "nonlinear-convergence": _Preset(
+        "n = 2\nR = 1\nk = -1\nspeed = mean\nintegrator = rk4\n"
+        "dt = 1e-3\nT = 3\nL_max = 16\ninit = random:0.05,6,42\ncadence = 10",
+        _checks_nonlinear),
+    "spectrum": _Preset("n = 2\nR = 1\nk = -1\nspeed = mean\nL_max = 8", None),
 }
+
+PRESET_NAMES = tuple(_PRESETS)
 
 
 def run_experiment(name: str, overrides: dict[str, str] | None = None,
@@ -212,25 +208,29 @@ def run_experiment(name: str, overrides: dict[str, str] | None = None,
     the fit's error instead of them.
     """
     overrides = {k.strip(): v.strip() for k, v in (overrides or {}).items()}
-    parsed = _preset_config(name, overrides)
+    preset = _PRESETS.get(name)
+    if preset is None:
+        raise ConfigError(f"unknown preset {name!r}; choose from {', '.join(PRESET_NAMES)}")
+    parsed = preset.config(overrides)
     if name == "linear-decay":
         _decay_degree(parsed)  # refused before anything is written
-    build_init, init_label = _INIT_OVERRIDES.get(name, (None, None))
-    if "init" in overrides:
-        build_init = init_label = None
+    build_init, init_label = (preset.init if preset.init and "init" not in overrides
+                              else (None, None))
     label_lines = () if init_label is None else (f"init_override = {init_label}",)
     requested = out_dir if out_dir is not None else parsed.out_dir
     extra_lines: list[str] = []
-    if name == "spectrum":
-        checks, files, extra_lines = _spectrum_files(parsed, requested)
-        status = "spectrum"
+    if preset.checks is None:
+        report, path = spectrum_to_file(parsed, parsed.config.L_max, requested)
+        checks, files, status = _checks_spectrum(report), (path,), "spectrum"
+        extra_lines = [f"lambda_max_abs = {report.lambda_max_abs!r}",
+                       f"zero_multiplicity = {report.zero_multiplicity_numeric}"]
     else:
         out, files = run_to_files(parsed, requested, build_init,
                                   head=(f"preset = {name}",), tail=label_lines)
         status = out.status
         if out.error is None:
             try:
-                checks = _CHECKS[name](parsed, out)
+                checks = preset.checks(parsed, out)
             except (DecayFitError, FitConvergenceError) as exc:
                 checks = [_check_le("checks_evaluated", math.nan, 0.0)]
                 extra_lines = [f"error = {exc}"]

@@ -13,7 +13,7 @@ from mixedflow.analysis import (
 from mixedflow.errors import AdmissibilityError, DecayFitError, SpectrumRangeError
 from mixedflow.flow import FlowConfig, numerical_jacobian, stable_decay_rate
 from mixedflow.geometry import BundleWorkspace, bundle_from_coeffs
-from mixedflow.harmonics import SPHERE_AREA, RadialField
+from mixedflow.harmonics import SPHERE_AREA, RadialField, build_grid
 from mixedflow.io import random_band_field
 from mixedflow.speeds import SpeedSpec
 from oracles import fit_sphere_reference, sphere_height_reference, unit_directions
@@ -145,6 +145,14 @@ def test_sphere_from_coords_exact_distance(grid2):
     dist = np.sqrt(sum((r * omega[i] - z[1 + i]) ** 2 for i in range(3)))
     assert np.max(np.abs(dist - (1.0 + z[0]))) <= 1e-12
 
+
+
+@pytest.mark.parametrize("n,count", [(2, 3), (2, 5), (1, 4)])
+def test_sphere_from_coords_refuses_wrong_coordinate_count(n, count):
+    grid = build_grid(n, 8)
+    with pytest.raises(ValueError) as info:
+        sphere_from_coords(np.zeros(count), grid, 1.0)
+    assert str(info.value) == f"expected {n + 2} coordinates, got {count}"
 
 def test_project_center_linear_chart(grid2):
     # exact on constants, quadratically accurate on true spheres

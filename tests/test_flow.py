@@ -18,7 +18,7 @@ from mixedflow.flow import (
     numerical_jacobian,
     run,
 )
-from mixedflow.harmonics import RadialField
+from mixedflow.harmonics import RadialField, build_grid
 from mixedflow.io import random_band_field
 from mixedflow.speeds import SpeedSpec, reference_speed
 from conftest import band_coeffs
@@ -195,6 +195,21 @@ def test_speed_failure_rejects_step():
         assert isinstance(info.value.__cause__, SpeedError)
 
 
+
+@pytest.mark.parametrize("integrator", ("imex", "rk4"))
+@pytest.mark.parametrize("dt", (-1e-3, 0.0, -0.0, math.nan, math.inf, -math.inf))
+def test_step_refuses_a_dt_that_is_not_positive_and_finite(monkeypatch, integrator, dt):
+    # no smaller dt cures such a dt, so it is refused as an input error, not
+    # a rejected step, and before any velocity evaluation
+    prob = FlowProblem(FlowConfig(n=2, R=1.0, integrator=integrator, L_max=8))
+    c0 = random_band_field(prob.grid, 1.0, 0.05, 2, 6, 1).coeffs
+    monkeypatch.setattr(prob, "velocity_values", lambda coeffs: pytest.fail("evaluated"))
+    for g0 in (None, np.zeros(prob.grid.size)):
+        with pytest.raises(ValueError) as info:
+            prob.step(c0, dt, g0=g0)
+        assert type(info.value) is ValueError
+        assert str(info.value) == f"dt must be positive and finite, got {dt!r}"
+
 def test_steppers_decay_degree_two():
     cfg = FlowConfig(n=2, R=1.0, k=-1, L_max=8)
     prob = FlowProblem(cfg)
@@ -308,6 +323,18 @@ def test_flow_config_validation():
         FlowConfig(n=1, speed=SpeedSpec("mean", n=2, R=1.0))
 
 
+
+@pytest.mark.parametrize("kwargs,message", [
+    ({"T": 0.0}, "T must be positive"),
+    ({"T": -1.0}, "T must be positive"),
+    ({"cadence": 0}, "cadence must be a positive step count"),
+    ({"cadence": -3}, "cadence must be a positive step count"),
+])
+def test_flow_config_refuses_end_time_and_cadence(kwargs, message):
+    with pytest.raises(ValueError) as info:
+        FlowConfig(**kwargs)
+    assert type(info.value) is ValueError and str(info.value) == message
+
 @pytest.mark.parametrize("field,value", [("T", math.nan), ("T", math.inf), ("dt", math.nan),
                                          ("dt", math.inf), ("R", math.nan), ("R", math.inf)])
 def test_flow_config_rejects_non_finite(field, value):
@@ -324,6 +351,17 @@ def test_run_rejects_problem_of_another_config():
     with pytest.raises(ValueError, match="problem was built for a different configuration"):
         run(cfg, rho0, problem=prob)
 
+
+
+def test_run_rejects_a_field_on_another_grid():
+    # an equal grid built separately is still another grid: the run would
+    # step coefficients whose tables it does not hold
+    cfg = FlowConfig(n=2, R=1.0, T=0.01, L_max=8)
+    prob = FlowProblem(cfg)
+    rho0 = random_band_field(build_grid(2, 8), 1.0, 0.05, 2, 6, 42)
+    with pytest.raises(ValueError) as info:
+        run(cfg, rho0, problem=prob)
+    assert str(info.value) == "initial field lives on a different grid"
 
 def test_run_determinism():
     cfg = FlowConfig(n=2, R=1.0, k=0, integrator="rk4", dt=1e-3, T=0.05,

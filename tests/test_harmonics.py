@@ -80,6 +80,17 @@ def test_degree_overflow(grid2_small):
         grid2_small.synthesize(too_long)
 
 
+
+@pytest.mark.parametrize("use", ["synthesize", "mode_energies", "field"])
+def test_two_dimensional_coefficients_are_refused(grid2_small, use):
+    coeffs = np.zeros((1, grid2_small.size))
+    call = {"synthesize": grid2_small.synthesize,
+            "mode_energies": grid2_small.mode_energies,
+            "field": lambda c: RadialField(grid2_small, 1.0, coeffs=c)}[use]
+    with pytest.raises(DegreeOverflowError) as info:
+        call(coeffs)
+    assert str(info.value) == "coefficient vector must be one-dimensional"
+
 # -- transforms ------------------------------------------------------------------
 
 
@@ -295,6 +306,24 @@ def test_mode_energies(grid2_small):
     assert e[3] == 0.25 and e[5] == 4.0
     assert abs(np.sum(e) - 4.25) < 1e-15
 
+
+
+def test_pad_passes_full_vectors_through_and_pads_shorter_ones(grid2_small):
+    full = np.arange(grid2_small.size, dtype=float)
+    assert grid2_small._pad(full) is full
+    short = grid2_small._pad(full[:9])
+    assert short.shape == (grid2_small.size,) and short.flags.writeable
+    assert np.array_equal(short[:9], full[:9]) and not np.any(short[9:])
+
+
+@pytest.mark.parametrize("size", ("full", "short"))
+def test_radial_field_keeps_its_own_coefficients(grid2_small, size):
+    c = np.zeros(grid2_small.size if size == "full" else 9)
+    c[4] = 0.1
+    f = RadialField(grid2_small, 1.0, coeffs=c)
+    assert c.flags.writeable and not f.coeffs.flags.writeable
+    c[4] = 0.2
+    assert f.coeffs[4] == 0.1
 
 def test_radial_field_lazy_coeffs(grid2_small):
     c = np.zeros(grid2_small.size)

@@ -28,7 +28,7 @@ from mixedflow.io import (
     run_meta,
     write_snapshot,
 )
-from mixedflow.presets import PRESET_NAMES, _preset_config
+from mixedflow.presets import _PRESETS, PRESET_NAMES, run_experiment
 from mixedflow.speeds import SPEED_PARAMS, SpeedSpec
 
 FULL_CONFIG = """\
@@ -145,7 +145,7 @@ def _echo_round_trips(parsed):
 @pytest.mark.parametrize("name,overrides", [
     *((name, {}) for name in PRESET_NAMES), ("zero-modes", {"n": "1", "L_max": "16"})])
 def test_preset_echo_round_trips(name, overrides):
-    _echo_round_trips(_preset_config(name, overrides))
+    _echo_round_trips(_PRESETS[name].config(overrides))
 
 
 def test_echo_keeps_full_precision():
@@ -326,6 +326,26 @@ def test_snapshot_errors(tmp_path, text, fragment):
         read_snapshot(str(path))
     assert fragment in str(info.value)
 
+
+
+_UNREADABLE_SNAPSHOTS = [
+    ("n = two\nR = 1\nL_max = 8\nt = 0\n",
+     "bad header value: invalid literal for int() with base 10: 'two'"),
+    ("n = 3\nR = 1\nL_max = 8\nt = 0\n",
+     "cannot build grid from header: "
+     "only circle (n=1) and sphere (n=2) grids are supported, got n=3"),
+    ("n = 2\nR = 1\nL_max = 8\nt = 0\n2 1 abc\n",
+     "line 5: could not convert string to float: 'abc'"),
+]
+
+
+@pytest.mark.parametrize("text,message", _UNREADABLE_SNAPSHOTS)
+def test_snapshot_refusals_name_their_cause(tmp_path, text, message):
+    path = tmp_path / "bad.snapshot"
+    path.write_text(text)
+    with pytest.raises(SnapshotError) as info:
+        read_snapshot(str(path))
+    assert str(info.value) == message
 
 # -- run.csv ----------------------------------------------------------------------
 
@@ -560,6 +580,30 @@ def test_cli_fit_sphere_rejects_non_finite_snapshot(tmp_path, capsys):
     assert main(["fit-sphere", "--snapshot", str(path)]) == 2
     assert "error: line 5: coefficient (2, 1) is not finite" in capsys.readouterr().err
 
+
+
+@pytest.mark.parametrize("text,message", _UNREADABLE_SNAPSHOTS)
+def test_cli_fit_sphere_unreadable_snapshot_is_input_error(tmp_path, capsys, text, message):
+    path = tmp_path / "bad.snapshot"
+    path.write_text(text)
+    assert main(["fit-sphere", "--snapshot", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {message}\n"
+
+
+def test_unknown_preset_is_refused_before_anything_is_written(tmp_path):
+    with pytest.raises(ConfigError) as info:
+        run_experiment("nope", out_dir=str(tmp_path / "out"))
+    assert str(info.value) == (
+        "unknown preset 'nope'; choose from stationarity, linear-decay, zero-modes, "
+        "conservation, nonlinear-convergence, spectrum")
+    assert not (tmp_path / "out").exists()
+
+
+def test_speed_parameter_without_value_is_refused():
+    with pytest.raises(ConfigError) as info:
+        parse_config_text("n = 2\nspeed = power_mean m\n")
+    assert str(info.value) == "line 2: bad speed parameter 'm'"
 
 @pytest.mark.parametrize("line,fragment", [
     ("T = nan", "T must be finite, got nan"),

@@ -115,6 +115,16 @@ def test_admissibility_rejected():
         SpeedSpec("power_mean", n=2, R=1.0, m=1, beta=2.0, l=2)
 
 
+
+@pytest.mark.parametrize("n,R,message", [
+    (3, 1.0, "speeds are defined for n in {1, 2}, got 3"),
+    (2, 0.0, "reference radius must be positive, got 0.0"),
+])
+def test_speed_refuses_dimension_and_radius(n, R, message):
+    with pytest.raises(SpeedError) as info:
+        SpeedSpec("mean", n=n, R=R)
+    assert str(info.value) == message
+
 def test_power_mean_negative_base():
     # non-integer powers need positive curvature means pointwise
     spec = SpeedSpec("power_mean", n=2, R=1.0, m=1, beta=0.5)
