@@ -29,9 +29,12 @@ def _parse_overrides(items: list[str]) -> dict[str, str]:
     out: dict[str, str] = {}
     for item in items:
         key, sep, value = item.partition("=")
-        if not sep or not key.strip():
+        key = key.strip()
+        if not sep or not key:
             raise MixedFlowError(f"--set expects key=value, got {item!r}")
-        out[key.strip()] = value.strip()
+        if key in out:
+            raise MixedFlowError(f"--set key {key!r} given twice")
+        out[key] = value.strip()
     return out
 
 

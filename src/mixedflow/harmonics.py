@@ -65,11 +65,12 @@ def _legendre_table(L: int, x: np.ndarray) -> np.ndarray:
     and degrees l <= L + 1.
 
     Returns one array of shape (L+1, L+2, len(x)) indexed [m, l, node], zero
-    for m > l, written in place in that layout.  Normalization: the integral
-    of P[0, l]^2 over x in [-1, 1] equals 1/(2*pi), and orders m >= 1 carry
-    the real basis's extra sqrt(2), so that the assembled real harmonics are
-    unit vectors on the sphere.  Stable three-term recurrences in l, run for
-    all orders m at once.
+    for m > l, written in place in that layout; the zero triangle is never
+    written, so its untouched pages need not be resident.  Normalization:
+    the integral of P[0, l]^2 over x in [-1, 1] equals 1/(2*pi), and orders
+    m >= 1 carry the real basis's extra sqrt(2), so that the assembled real
+    harmonics are unit vectors on the sphere.  Stable three-term recurrences
+    in l, run for all orders m at once.
     """
     x = np.asarray(x, dtype=float)
     s = np.sqrt(np.clip(1.0 - x * x, 0.0, None))
@@ -87,7 +88,8 @@ def _legendre_table(L: int, x: np.ndarray) -> np.ndarray:
         a = np.sqrt((4.0 * l * l - 1.0) / (l * l - mm * mm))[:, None]
         b = np.sqrt(((l - 1.0) ** 2 - mm * mm) / (4.0 * (l - 1.0) ** 2 - 1.0))[:, None]
         P[:l - 1, l] = a * (x * P[:l - 1, l - 1] - b * P[:l - 1, l - 2])
-    P[1:] *= math.sqrt(2.0)
+    for order in range(1, L + 1):  # the zero m > l triangle stays unwritten
+        P[order, order:] *= math.sqrt(2.0)
     return P
 
 

@@ -8,12 +8,13 @@ starting with `#` are ignored.  Recognized keys:
 A key the file leaves out takes FlowConfig's default; init defaults to
 `const:0` and out_dir to the working directory.
 
-Speed values follow `mean`, `power_mean m=1 beta=2`, or `elementary l=2`.
-Initial data follows `const:c`, `harmonic:l,p,amp`, `random:amp,lmax,seed`,
-or `sphere:z0,z1,...`, every value finite.  Unknown or repeated keys, and
-any malformed value or parameter a kind does not take, are rejected with the
-line number.  Header echoes print ints with `str`, floats in short `:g` form
-when that parses back exactly, else in full (repr), so they parse back.
+Speed values follow `mean`, `power_mean m=1 beta=2`, or `elementary l=2`,
+the grammar that `SpeedSpec.parse` reads.  Initial data follows `const:c`,
+`harmonic:l,p,amp`, `random:amp,lmax,seed`, or `sphere:z0,z1,...`, every
+value finite.  Unknown or repeated keys, and any malformed value or
+parameter a kind does not take, are rejected with the line number.  Header
+echoes print ints with `str`, floats in short `:g` form when that parses
+back exactly, else in full (repr), so they parse back.
 
 Snapshots are plain text: four header lines (n, R, L_max, t) followed by
 one `l p value` line per stored coefficient, 17 significant digits, which
@@ -26,7 +27,7 @@ import math
 import numbers
 import os
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -36,7 +37,7 @@ from .flow import (FlowConfig, FlowProblem, FlowRun, FlowState, SpectrumReport, 
                    numerical_jacobian, run)
 from .harmonics import (SPHERE_AREA, Grid, RadialField, build_grid, harmonic_multiplicity,
                         total_coefficients)
-from .speeds import SPEED_PARAMS, SpeedSpec, format_number, format_param
+from .speeds import SpeedSpec, format_number, format_param
 
 # Config key -> cast of its text; speed and init are parsed further below.
 _CASTS = {"n": int, "R": float, "k": int, "speed": str, "integrator": str, "dt": float,
@@ -222,28 +223,6 @@ class ParsedConfig:
     out_dir: str
 
 
-def _parse_speed(value: str, n: int, R: float, lineno: int) -> SpeedSpec:
-    kind, *items = value.split()
-    if kind not in SPEED_PARAMS:
-        raise ConfigError(f"line {lineno}: unknown speed kind {kind!r}")
-    casts = SPEED_PARAMS[kind]
-    kwargs: dict = {}
-    for item in items:
-        key, sep, raw = item.partition("=")
-        if not sep:
-            raise ConfigError(f"line {lineno}: bad speed parameter {item!r}")
-        if key not in casts:
-            raise ConfigError(f"line {lineno}: unknown speed parameter {key!r} for {kind}")
-        try:
-            kwargs[key] = casts[key](raw)
-        except ValueError as exc:
-            raise ConfigError(f"line {lineno}: bad speed parameter value {raw!r}") from exc
-    try:
-        return SpeedSpec(kind, n=n, R=R, **kwargs)
-    except SpeedError as exc:
-        raise ConfigError(f"line {lineno}: {exc}") from exc
-
-
 def _parse_init(value: str, lineno: int) -> InitSpec:
     kind, sep, rest = value.partition(":")
     if not sep:
@@ -295,7 +274,10 @@ def parse_config_text(text: str) -> ParsedConfig:
         raise ConfigError(
             f"line {raw['k'][1]}: k = {values['k']} is outside [-1, {n - 1}] for n = {n}")
     if "speed" in values:
-        values["speed"] = _parse_speed(values["speed"], n, R, raw["speed"][1])
+        try:
+            values["speed"] = SpeedSpec.parse(values["speed"], n, R)
+        except SpeedError as exc:
+            raise ConfigError(f"line {raw['speed'][1]}: {exc}") from exc
     init = (_parse_init(values.pop("init"), raw["init"][1]) if "init" in values
             else InitSpec("const", (0.0,)))
     try:
@@ -386,20 +368,20 @@ def spectrum_to_file(parsed: ParsedConfig, l_max: int, out_dir: str) -> tuple[Sp
 
 def write_snapshot(state: FlowState, path: str) -> None:
     """Store a flow state as text; exact round trip of every coefficient."""
+    write_lines(path, _snapshot_lines(state))
+
+
+def _snapshot_lines(state: FlowState):
     rho = state.rho
     grid = rho.grid
-    lines = [
-        f"n = {grid.n}",
-        f"R = {rho.R:.17g}",
-        f"L_max = {grid.L_max}",
-        f"t = {state.t:.17g}",
-    ]
+    yield f"n = {grid.n}"
+    yield f"R = {rho.R:.17g}"
+    yield f"L_max = {grid.L_max}"
+    yield f"t = {state.t:.17g}"
     coeffs = iter(rho.coeffs)  # degree-major: the flat order is the (l, p) order
     for l in range(grid.L_max + 1):
         for p in range(1, harmonic_multiplicity(l, grid.n) + 1):
-            lines.append(f"{l} {p} {next(coeffs):.17g}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+            yield f"{l} {p} {next(coeffs):.17g}"
 
 
 def _header_value(lines: list[str], lineno: int, key: str) -> str:
@@ -478,9 +460,11 @@ def run_csv_lines(records, meta: list[str]) -> list[str]:
     return lines
 
 
-def write_lines(path: str, lines: list[str]) -> None:
+def write_lines(path: str, lines: Iterable[str]) -> None:
+    """Write each line, newline-terminated, without joining them into one text first."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        for line in lines:
+            fh.write(f"{line}\n")
 
 
 def resolve_out_dir(requested: str) -> str:

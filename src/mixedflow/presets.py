@@ -160,11 +160,17 @@ class _Preset:
     init: tuple[Callable[[Grid, float], RadialField], str] | None = None
 
     def config(self, overrides: dict[str, str]) -> ParsedConfig:
-        """The settings with the overrides applied, parsed and validated."""
+        """The settings with the overrides applied, parsed and validated.
+
+        ConfigError for an override whose key or value holds a line break,
+        which would make it more than one line of config text."""
         pairs: dict[str, str] = {}
         for line in self.settings.splitlines():
             key, _, value = line.partition("=")
             pairs[key.strip()] = value.strip()
+        for key, value in overrides.items():
+            if len(f"{key} = {value}".splitlines()) != 1:
+                raise ConfigError(f"override {key!r} holds a line break")
         pairs.update(overrides)
         return parse_config_text("\n".join(f"{k} = {v}" for k, v in pairs.items()))
 

@@ -29,7 +29,7 @@ from mixedflow.io import (
     write_snapshot,
 )
 from mixedflow.presets import _PRESETS, PRESET_NAMES, run_experiment
-from mixedflow.speeds import SPEED_PARAMS, SpeedSpec
+from mixedflow.speeds import SPEED_KINDS, SpeedSpec
 
 FULL_CONFIG = """\
 # demo configuration
@@ -163,7 +163,7 @@ def test_echo_keeps_full_precision():
 def test_speed_kinds_round_trip_through_their_echo():
     _echo_round_trips(parse_config_text("speed = elementary l=2\n"))
     samples = {"mean": {}, "power_mean": {"m": 2, "beta": 1.23456789}, "elementary": {"l": 2}}
-    for kind in SPEED_PARAMS:
+    for kind in SPEED_KINDS:
         s = SpeedSpec(kind, n=2, R=1.0, **samples[kind])
         assert parse_config_text(f"speed = {s.describe()}").config.speed == s
 
@@ -509,6 +509,27 @@ def test_cli_input_errors(tmp_path, capsys):
             assert main([command, flag, str(path)]) == 2
             err = capsys.readouterr().err
             assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_cli_set_refuses_a_repeated_key(tmp_path, monkeypatch, capsys):
+    # as a config file does: the second T used to win silently
+    monkeypatch.setenv("MIXEDFLOW_OUT", str(tmp_path))
+    assert main(["preset", "stationarity", "--set", "T=2e-4", "--set", " T =4e-4"]) == 2
+    assert capsys.readouterr().err == "error: --set key 'T' given twice\n"
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("item,key", [("T=2e-4\ndt=1e-4", "T"), ("T=2e-4\rdt=1e-4", "T"),
+                                      ("T\ndt=1e-4", "T\ndt")])
+def test_override_with_a_line_break_is_refused(tmp_path, monkeypatch, capsys, item, key):
+    # joined into config text, the break would set dt, which no override named
+    monkeypatch.setenv("MIXEDFLOW_OUT", str(tmp_path))
+    assert main(["preset", "stationarity", "--set", item]) == 2
+    assert capsys.readouterr().err == f"error: override {key!r} holds a line break\n"
+    value = item.partition("=")[2]
+    with pytest.raises(ConfigError, match=f"^override {re.escape(repr(key))} holds a line break$"):
+        run_experiment("stationarity", {key: value}, out_dir=str(tmp_path))
+    assert not any(tmp_path.iterdir())
 
 
 def test_cli_run_failure_writes_records(tmp_path, monkeypatch, capsys):

@@ -1,5 +1,6 @@
 """Speed-function tests: symmetry, umbilic derivatives, admissibility."""
 
+import itertools
 import math
 
 import numpy as np
@@ -7,20 +8,21 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mixedflow.errors import SpeedError
+from mixedflow.flow import FlowConfig, numerical_jacobian
 from mixedflow.geometry import bundle_from_coeffs
-from mixedflow.speeds import SpeedSpec, eval_speed, reference_speed, umbilic_derivative
+from mixedflow.harmonics import build_grid
+from mixedflow.speeds import SPEED_KINDS, SpeedSpec, eval_speed, reference_speed, umbilic_derivative
 from oracles import elementary_symmetric, speed_at, umbilic_difference
 
 
 def all_speeds(n, R=1.0):
-    speeds = [SpeedSpec("mean", n=n, R=R),
-              SpeedSpec("power_mean", n=n, R=R, m=1, beta=2.0),
-              SpeedSpec("power_mean", n=n, R=R, m=1, beta=0.5),
-              SpeedSpec("elementary", n=n, R=R, l=1)]
-    if n == 2:
-        speeds.append(SpeedSpec("elementary", n=n, R=R, l=2))
-        speeds.append(SpeedSpec("power_mean", n=n, R=R, m=2, beta=1.0))
-    return speeds
+    """Every SPEED_KINDS entry, each int parameter (an order) at every value from the
+    entry's lowest order to n, each float parameter at 0.5, 1 and 2."""
+    return [SpeedSpec(kind, n=n, R=R, **dict(zip(entry.params, values)))
+            for kind, entry in SPEED_KINDS.items()
+            for values in itertools.product(*(
+                range(entry.min_order, n + 1) if cast is int else (0.5, 1.0, 2.0)
+                for cast in entry.params.values()))]
 
 
 def speed_kappa(spec, kappa):
@@ -136,3 +138,19 @@ def test_describe_strings():
     assert SpeedSpec("mean", n=2, R=1.0).describe() == "mean"
     assert SpeedSpec("power_mean", n=2, R=1.0, m=1, beta=2.0).describe() == "power_mean m=1 beta=2"
     assert SpeedSpec("elementary", n=2, R=1.0, l=2).describe() == "elementary l=2"
+
+
+@pytest.mark.parametrize("k", (-1, 0))
+@pytest.mark.parametrize("spec", [spec for n in (1, 2) for spec in all_speeds(n, R=1.3)],
+                         ids=lambda spec: f"n{spec.n}-{spec.describe().replace(' ', '-')}")
+def test_jacobian_diagonal_is_the_closed_form_derivative(spec, k):
+    # ACCEPTANCE 4 for every table entry: the velocity's Jacobian at the sphere
+    # is -F'(l-1)(l+n)/R^2 on degree l, with F' the entry's closed form, and
+    # vanishes on the n + 2 directions of constants and degree 1
+    cfg = FlowConfig(n=spec.n, R=spec.R, k=k, speed=spec, L_max=8)
+    J, rep = numerical_jacobian(cfg, l_max=4)
+    degrees = build_grid(spec.n, 8).degrees[:J.shape[0]]
+    l = degrees[degrees >= 2]
+    target = -umbilic_derivative(spec) * (l - 1.0) * (l + spec.n) / spec.R ** 2
+    assert np.max(np.abs(np.diag(J)[degrees >= 2] - target) / np.abs(target)) <= 1e-6
+    assert rep.zero_multiplicity_numeric == spec.n + 2
