@@ -46,7 +46,7 @@ class SpectrumRangeError(MixedFlowError):
 
 
 class ConfigError(MixedFlowError):
-    """Malformed experiment configuration; message carries the offending line number."""
+    """Malformed experiment configuration; message names its source: line, override or preset."""
 
 
 class SnapshotError(MixedFlowError):

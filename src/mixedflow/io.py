@@ -11,10 +11,13 @@ A key the file leaves out takes FlowConfig's default; init defaults to
 Speed values follow `mean`, `power_mean m=1 beta=2`, or `elementary l=2`,
 the grammar that `SpeedSpec.parse` reads.  Initial data follows `const:c`,
 `harmonic:l,p,amp`, `random:amp,lmax,seed`, or `sphere:z0,z1,...`, every
-value finite.  Unknown or repeated keys, and any malformed value or
-parameter a kind does not take, are rejected with the line number.  Header
-echoes print ints with `str`, floats in short `:g` form when that parses
-back exactly, else in full (repr), so they parse back.
+value finite.  `parse_config_text` splits the lines and refuses a repeated
+key; `parse_config_items` reads the key -> (value, source) items of a file
+or of a preset and its overrides.  Unknown keys, and any malformed value
+or parameter a kind does not take, are rejected with their source:
+`line N`, `override KEY` or `preset`.  Header echoes print ints with
+`str`, floats in short `:g` form when that parses back exactly, else in
+full (repr), so they parse back.
 
 Snapshots are plain text: four header lines (n, R, L_max, t) followed by
 one `l p value` line per stored coefficient, 17 significant digits, which
@@ -223,24 +226,24 @@ class ParsedConfig:
     out_dir: str
 
 
-def _parse_init(value: str, lineno: int) -> InitSpec:
+def _parse_init(value: str, source: str) -> InitSpec:
     kind, sep, rest = value.partition(":")
     if not sep:
-        raise ConfigError(f"line {lineno}: init needs the form kind:params")
+        raise ConfigError(f"{source}: init needs the form kind:params")
     items = rest.split(",")
     try:
         casts = _init_casts(kind, len(items))
         params = tuple(cast(item) for cast, item in zip(casts, items, strict=True))
         return InitSpec(kind, params)
     except ValueError as exc:
-        raise ConfigError(f"line {lineno}: bad init parameters {rest!r}") from exc
+        raise ConfigError(f"{source}: bad init parameters {rest!r}") from exc
     except ConfigError as exc:
-        raise ConfigError(f"line {lineno}: {exc}") from exc
+        raise ConfigError(f"{source}: {exc}") from exc
 
 
 def parse_config_text(text: str) -> ParsedConfig:
-    """Parse config text into a flow configuration plus initial data."""
-    raw: dict[str, tuple[str, int]] = {}
+    """Parse config text into a flow configuration plus initial data; errors name the line."""
+    items: dict[str, tuple[str, str]] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -249,46 +252,48 @@ def parse_config_text(text: str) -> ParsedConfig:
             raise ConfigError(f"line {lineno}: expected key = value, got {stripped!r}")
         key, _, value = stripped.partition("=")
         key = key.strip()
-        value = value.strip()
-        if key not in CONFIG_KEYS:
-            raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        if key in raw:
-            raise ConfigError(
-                f"line {lineno}: key {key!r} already set on line {raw[key][1]}")
-        if not value:
-            raise ConfigError(f"line {lineno}: missing value for {key!r}")
-        raw[key] = (value, lineno)
+        if key in items:
+            raise ConfigError(f"line {lineno}: key {key!r} already set on {items[key][1]}")
+        items[key] = (value.strip(), f"line {lineno}")
+    return parse_config_items(items)
 
+
+def parse_config_items(items: dict[str, tuple[str, str]]) -> ParsedConfig:
+    """Parse key -> (value text, source) items into a flow configuration plus initial data.
+
+    The source names where an item came from (`line 3`, `override T`,
+    `preset`) and starts every error about that item."""
     values = {}
-    for key, cast in _CASTS.items():
-        if key not in raw:
-            continue
-        value, lineno = raw[key]
+    for key, (value, source) in items.items():
+        if key not in _CASTS:
+            raise ConfigError(f"{source}: unknown key {key!r}")
+        if not value:
+            raise ConfigError(f"{source}: missing value for {key!r}")
         try:
-            values[key] = cast(value)
+            values[key] = _CASTS[key](value)
         except ValueError as exc:
-            raise ConfigError(f"line {lineno}: bad value for {key!r}: {value!r}") from exc
+            raise ConfigError(f"{source}: bad value for {key!r}: {value!r}") from exc
     out_dir = values.pop("out_dir", ".")
     n, R = values.get("n", FlowConfig.n), values.get("R", FlowConfig.R)
     if "k" in values and not -1 <= values["k"] <= n - 1:
         raise ConfigError(
-            f"line {raw['k'][1]}: k = {values['k']} is outside [-1, {n - 1}] for n = {n}")
+            f"{items['k'][1]}: k = {values['k']} is outside [-1, {n - 1}] for n = {n}")
     if "speed" in values:
         try:
             values["speed"] = SpeedSpec.parse(values["speed"], n, R)
         except SpeedError as exc:
-            raise ConfigError(f"line {raw['speed'][1]}: {exc}") from exc
-    init = (_parse_init(values.pop("init"), raw["init"][1]) if "init" in values
+            raise ConfigError(f"{items['speed'][1]}: {exc}") from exc
+    init = (_parse_init(values.pop("init"), items["init"][1]) if "init" in values
             else InitSpec("const", (0.0,)))
     try:
         config = FlowConfig(**values)
     except Exception as exc:
-        keys = ", ".join(f"{key}(line {v[1]})" for key, v in raw.items())
+        keys = ", ".join(f"{key}({source})" for key, (_, source) in items.items())
         raise ConfigError(f"inconsistent configuration [{keys}]: {exc}") from exc
     try:
         init._check_grid(config.L_max, config.n)
     except ConfigError as exc:
-        raise ConfigError(f"line {raw['init'][1]}: {exc}") from exc
+        raise ConfigError(f"{items['init'][1]}: {exc}") from exc
     return ParsedConfig(config=config, init=init, out_dir=out_dir)
 
 

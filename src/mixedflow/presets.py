@@ -1,8 +1,10 @@
 """Named experiments with built-in pass/fail expectations.
 
 Each preset is one `_PRESETS` entry: its full flow configuration, as
-settings in the key = value grammar of config files, so command-line
-overrides go through the same validation; the checks its summary reports;
+key -> value settings that `io.parse_config_items` reads with the
+command-line overrides, so both pass the checks of a config file's lines
+and an error names its source (`preset` or `override KEY`); the checks its
+summary reports;
 and, for zero-modes, initial data built directly (a small constant plus
 degree-1 combination is not a single grammar item).  The spectrum preset
 runs no flow: it writes spectrum.csv through `io.spectrum_to_file`, the
@@ -25,7 +27,7 @@ from .harmonics import SPHERE_AREA, Grid, RadialField
 from .io import (
     ParsedConfig,
     config_echo,
-    parse_config_text,
+    parse_config_items,
     resolve_out_dir,
     run_to_files,
     spectrum_to_file,
@@ -151,11 +153,11 @@ def _checks_spectrum(report: SpectrumReport) -> list[CheckResult]:
 
 @dataclass(frozen=True)
 class _Preset:
-    """One named experiment: its settings text, the checks of its run (None
-    for the spectrum preset, which checks its report) and, unless init is
+    """One named experiment: its settings (key -> value text), the checks of its run
+    (None for the spectrum preset, which checks its report) and, unless init is
     overridden, a direct builder of its initial data with its summary label."""
 
-    settings: str
+    settings: dict[str, str]
     checks: Callable[[ParsedConfig, FlowRun], list[CheckResult]] | None
     init: tuple[Callable[[Grid, float], RadialField], str] | None = None
 
@@ -163,39 +165,32 @@ class _Preset:
         """The settings with the overrides applied, parsed and validated.
 
         ConfigError for an override whose key or value holds a line break,
-        which would make it more than one line of config text."""
-        pairs: dict[str, str] = {}
-        for line in self.settings.splitlines():
-            key, _, value = line.partition("=")
-            pairs[key.strip()] = value.strip()
+        which no config file line can hold."""
         for key, value in overrides.items():
-            if len(f"{key} = {value}".splitlines()) != 1:
+            if "".join((key + value).splitlines()) != key + value:
                 raise ConfigError(f"override {key!r} holds a line break")
-        pairs.update(overrides)
-        return parse_config_text("\n".join(f"{k} = {v}" for k, v in pairs.items()))
+        return parse_config_items({**{k: (v, "preset") for k, v in self.settings.items()},
+                                   **{k: (v, f"override {k}") for k, v in overrides.items()}})
 
 
 _PRESETS = {
     "stationarity": _Preset(
-        "n = 2\nR = 1\nk = -1\nspeed = mean\nintegrator = imex\n"
-        "T = 0.05\nL_max = 16\ninit = const:0.2\ncadence = 1", _checks_stationarity),
+        dict(n="2", R="1", k="-1", speed="mean", integrator="imex", T="0.05", L_max="16",
+             init="const:0.2", cadence="1"), _checks_stationarity),
     "linear-decay": _Preset(
-        "n = 2\nR = 1\nk = -1\nspeed = mean\nintegrator = imex\n"
-        "dt = 1e-4\nT = 1\nL_max = 8\ninit = harmonic:2,1,1e-4\ncadence = 10",
-        _checks_linear_decay),
+        dict(n="2", R="1", k="-1", speed="mean", integrator="imex", dt="1e-4", T="1",
+             L_max="8", init="harmonic:2,1,1e-4", cadence="10"), _checks_linear_decay),
     "zero-modes": _Preset(
-        "n = 2\nR = 1\nk = -1\nspeed = mean\nintegrator = imex\n"
-        "dt = 1e-3\nT = 2\nL_max = 8\ncadence = 10", _checks_zero_modes,
+        dict(n="2", R="1", k="-1", speed="mean", integrator="imex", dt="1e-3", T="2",
+             L_max="8", cadence="10"), _checks_zero_modes,
         (_zero_mode_init, "zero-mode combination, amplitude 1e-3")),
     "conservation": _Preset(
-        "n = 2\nR = 1\nk = 0\nspeed = mean\nintegrator = rk4\n"
-        "dt = 1e-4\nT = 0.5\nL_max = 24\ninit = random:0.05,6,42\ncadence = 50",
-        _checks_conservation),
+        dict(n="2", R="1", k="0", speed="mean", integrator="rk4", dt="1e-4", T="0.5",
+             L_max="24", init="random:0.05,6,42", cadence="50"), _checks_conservation),
     "nonlinear-convergence": _Preset(
-        "n = 2\nR = 1\nk = -1\nspeed = mean\nintegrator = rk4\n"
-        "dt = 1e-3\nT = 3\nL_max = 16\ninit = random:0.05,6,42\ncadence = 10",
-        _checks_nonlinear),
-    "spectrum": _Preset("n = 2\nR = 1\nk = -1\nspeed = mean\nL_max = 8", None),
+        dict(n="2", R="1", k="-1", speed="mean", integrator="rk4", dt="1e-3", T="3",
+             L_max="16", init="random:0.05,6,42", cadence="10"), _checks_nonlinear),
+    "spectrum": _Preset(dict(n="2", R="1", k="-1", speed="mean", L_max="8"), None),
 }
 
 PRESET_NAMES = tuple(_PRESETS)

@@ -112,7 +112,10 @@ class SpeedSpec:
     @classmethod
     def parse(cls, text: str, n: int, R: float) -> SpeedSpec:
         """The speed that `describe` writes as text: its kind, then name=value per parameter."""
-        name, *items = text.split()
+        words = text.split()
+        if not words:
+            raise SpeedError(f"speed text {text!r} names no kind")
+        name, *items = words
         casts = _kind(name).params
         kwargs: dict = {}
         for item in items:
@@ -121,6 +124,8 @@ class SpeedSpec:
                 raise SpeedError(f"bad speed parameter {item!r}")
             if key not in casts:
                 raise SpeedError(f"unknown speed parameter {key!r} for {name}")
+            if key in kwargs:
+                raise SpeedError(f"speed parameter {key!r} given twice")
             try:
                 kwargs[key] = casts[key](raw)
             except ValueError as exc:

@@ -101,6 +101,7 @@ def test_parse_full_config():
      "line 1: unknown speed parameter 'l' for power_mean"),
     ("R = 0.001\nspeed = power_mean m=1 beta=1000\n",
      "line 2: F' of speed power_mean m=1 beta=1000 at the reference sphere is inf"),
+    ("n = 2\nspeed = power_mean m=2 m=1 beta=2\n", "line 2: speed parameter 'm' given twice"),
 ])
 def test_parse_errors_carry_line_numbers(text, fragment):
     with pytest.raises(ConfigError) as info:
@@ -529,6 +530,24 @@ def test_override_with_a_line_break_is_refused(tmp_path, monkeypatch, capsys, it
     value = item.partition("=")[2]
     with pytest.raises(ConfigError, match=f"^override {re.escape(repr(key))} holds a line break$"):
         run_experiment("stationarity", {key: value}, out_dir=str(tmp_path))
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("name,overrides,message", [
+    ("stationarity", {"T": "abc"}, "override T: bad value for 'T': 'abc'"),
+    ("stationarity", {"foo": "1"}, "override foo: unknown key 'foo'"),
+    ("conservation", {"L_max": "4"}, "preset: init degree 6 exceeds L_max=4"),
+])
+def test_preset_config_errors_name_their_source(tmp_path, monkeypatch, capsys,
+                                                name, overrides, message):
+    # an override or a preset setting is no line of a file: the error names it instead
+    monkeypatch.setenv("MIXEDFLOW_OUT", str(tmp_path))
+    argv = ["preset", name, *(arg for k, v in overrides.items() for arg in ("--set", f"{k}={v}"))]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    with pytest.raises(ConfigError) as info:
+        run_experiment(name, overrides, out_dir=str(tmp_path))
+    assert str(info.value) == message and "line" not in message
     assert not any(tmp_path.iterdir())
 
 

@@ -1,5 +1,5 @@
-"""The study scripts still import: every public name they use exists.  compare_runs also
-runs on two small trees."""
+"""The study scripts still import: every public name they use exists.  code_lines also
+counts a small source, and compare_runs runs on two small trees."""
 
 import importlib.util
 from pathlib import Path
@@ -21,6 +21,28 @@ def _load(path):
 @pytest.mark.parametrize("path", SCRIPTS, ids=[p.stem for p in SCRIPTS])
 def test_script_imports(path):
     assert callable(_load(path).main)
+
+
+def test_code_lines_counts_only_lines_with_code(tmp_path, capsys):
+    code_lines = _load(SCRIPT_DIR / "code_lines.py")
+    source = ('"""Module docstring,\n\nthree lines."""\n'
+              "# a comment\n"
+              "\n"
+              "def f(x):\n"
+              "    '''Function docstring.'''\n"
+              "    return (x +  # trailing comment\n"
+              "            1)\n"
+              "\n"
+              "TEXT = '''not a docstring,\n"
+              "two lines'''\n")
+    assert code_lines.code_lines(source) == 5
+    (tmp_path / "pkg").mkdir()
+    (tmp_path / "pkg" / "a.py").write_text(source)
+    (tmp_path / "b.py").write_text("x = 1\n")
+    assert code_lines.main([str(tmp_path / "pkg"), str(tmp_path / "b.py")]) == 0
+    assert capsys.readouterr().out.split() == [
+        "5", str(tmp_path / "pkg" / "a.py"), "1", str(tmp_path / "b.py"), "6", "total"]
+    assert code_lines.main([]) == 2
 
 
 def _write_tree(root, V1):

@@ -140,6 +140,19 @@ def test_describe_strings():
     assert SpeedSpec("elementary", n=2, R=1.0, l=2).describe() == "elementary l=2"
 
 
+@pytest.mark.parametrize("text,message", [
+    ("power_mean m=2 m=1 beta=2", "speed parameter 'm' given twice"),
+    ("power_mean m=1 beta=2 beta=2", "speed parameter 'beta' given twice"),
+    ("", "speed text '' names no kind"),
+    (" \t ", "speed text ' \\t ' names no kind"),
+])
+def test_speed_parse_refuses_a_repeated_parameter_and_blank_text(text, message):
+    # refused as a repeated config key is; blank text is a SpeedError like any bad speed
+    with pytest.raises(SpeedError) as info:
+        SpeedSpec.parse(text, 2, 1.0)
+    assert str(info.value) == message
+
+
 @pytest.mark.parametrize("k", (-1, 0))
 @pytest.mark.parametrize("spec", [spec for n in (1, 2) for spec in all_speeds(n, R=1.3)],
                          ids=lambda spec: f"n{spec.n}-{spec.describe().replace(' ', '-')}")
