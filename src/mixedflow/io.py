@@ -9,13 +9,22 @@ A key the file leaves out takes FlowConfig's default; init defaults to
 `const:0` and out_dir to the working directory.
 
 Speed values follow `mean`, `power_mean m=1 beta=2`, or `elementary l=2`,
-the grammar that `SpeedSpec.parse` reads.  Initial data follows `const:c`,
-`harmonic:l,p,amp`, `random:amp,lmax,seed`, or `sphere:z0,z1,...`, every
-value finite.  `parse_config_text` splits the lines and refuses a repeated
-key; `parse_config_items` reads the key -> (value, source) items of a file
-or of a preset and its overrides.  Unknown keys, and any malformed value
-or parameter a kind does not take, are rejected with their source:
-`line N`, `override KEY` or `preset`.  Header echoes print ints with
+the grammar that `SpeedSpec.parse` reads.  Initial data is `kind:params`,
+every parameter finite:
+
+    const:c                the constant c, from its one exact coefficient
+    harmonic:l,p,amp       amp times the degree-l, order-p harmonic
+    random:amp,lmax,seed   seeded degrees 2..lmax, scaled to sup norm amp
+    sphere:z0,z1,...       the sphere of radius R + z0 centred at sum z_i e_i
+    zero_modes:amp         amp R (0.4 + 0.5 w_1 - 0.3 w_2 [+ 0.2 w_3 when n = 2])
+
+where w_i are the direction components, so zero_modes holds degrees 0 and 1
+only.  `parse_config_text` splits the lines and refuses a repeated key;
+`parse_config_items` reads the key -> (value, source) items of a file or of
+a preset and its overrides.  Unknown keys, and any malformed value or
+parameter a kind does not take, are rejected with their source: `line N`,
+`override KEY` or `preset`; a value FlowConfig refuses, with the first key
+in CONFIG_KEYS order that brings the refusal.  Header echoes print ints with
 `str`, floats in short `:g` form when that parses back exactly, else in
 full (repr), so they parse back.
 
@@ -42,19 +51,19 @@ from .harmonics import (SPHERE_AREA, Grid, RadialField, build_grid, harmonic_mul
                         total_coefficients)
 from .speeds import SpeedSpec, format_number, format_param
 
-# Config key -> cast of its text; speed and init are parsed further below.
-_CASTS = {"n": int, "R": float, "k": int, "speed": str, "integrator": str, "dt": float,
-          "T": float, "L_max": int, "init": str, "out_dir": str, "cadence": int}
+# Config key -> cast of its text; speed and init are parsed further below.  The flow
+# keys come in the order `_sourced` seeks a refusal's source in: the problem's keys
+# before the stepping's, so a dt above the rk4 bound blames dt, not L_max.
+_CASTS = {"n": int, "R": float, "k": int, "speed": str, "L_max": int, "T": float,
+          "cadence": int, "integrator": str, "dt": float, "init": str, "out_dir": str}
 CONFIG_KEYS = tuple(_CASTS)
 
 # Init kind -> casts of its comma-separated parameters; None: any number of floats.
 _INIT_CASTS = {"const": (float,), "harmonic": (int, int, float), "random": (float, int, int),
-               "sphere": None}
+               "sphere": None, "zero_modes": (float,)}
 
 RUN_COLUMNS = ("t", "h_k", "V", "sup_G", "sup_rho", "sphere_residual_sup",
-               "mode_energy_l2", "mode_energy_l3", "mode_energy_l4",
-               "mode_energy_l5", "mode_energy_l6", "mode_energy_l7",
-               "mode_energy_l8")
+               *(f"mode_energy_l{l}" for l in range(2, 9)))
 
 
 def _init_casts(kind: str, count: int) -> tuple:
@@ -121,6 +130,12 @@ class InitSpec:
         if self.kind == "random":
             amp, lmax, seed = self.params
             return random_band_field(grid, R, amp, 2, lmax, seed)
+        if self.kind == "zero_modes":
+            omega = grid.directions()
+            combo = 0.4 * np.ones(grid.shape) + 0.5 * omega[0] - 0.3 * omega[1]
+            if grid.n == 2:
+                combo = combo + 0.2 * omega[2]
+            return RadialField(grid, R, values=self.params[0] * R * combo)
         return sphere_from_coords(np.asarray(self.params), grid, R)
 
 
@@ -274,27 +289,46 @@ def parse_config_items(items: dict[str, tuple[str, str]]) -> ParsedConfig:
         except ValueError as exc:
             raise ConfigError(f"{source}: bad value for {key!r}: {value!r}") from exc
     out_dir = values.pop("out_dir", ".")
+    # n and R are refused from their own items before k and the speed read them, in
+    # the words of the speed when one is given (it reads them first), else of FlowConfig.
+    _sourced((lambda n=FlowConfig.n, R=FlowConfig.R: SpeedSpec("mean", n, R)) if "speed" in values
+            else FlowConfig, {key: values[key] for key in ("n", "R") if key in values}, items)
     n, R = values.get("n", FlowConfig.n), values.get("R", FlowConfig.R)
     if "k" in values and not -1 <= values["k"] <= n - 1:
         raise ConfigError(
             f"{items['k'][1]}: k = {values['k']} is outside [-1, {n - 1}] for n = {n}")
     if "speed" in values:
-        try:
-            values["speed"] = SpeedSpec.parse(values["speed"], n, R)
-        except SpeedError as exc:
-            raise ConfigError(f"{items['speed'][1]}: {exc}") from exc
+        values["speed"] = _sourced(lambda speed: SpeedSpec.parse(speed, n, R),
+                                  {"speed": values["speed"]}, items)
     init = (_parse_init(values.pop("init"), items["init"][1]) if "init" in values
             else InitSpec("const", (0.0,)))
-    try:
-        config = FlowConfig(**values)
-    except Exception as exc:
-        keys = ", ".join(f"{key}({source})" for key, (_, source) in items.items())
-        raise ConfigError(f"inconsistent configuration [{keys}]: {exc}") from exc
+    config = _sourced(FlowConfig, values, items)
     try:
         init._check_grid(config.L_max, config.n)
     except ConfigError as exc:
         raise ConfigError(f"{items['init'][1]}: {exc}") from exc
     return ParsedConfig(config=config, init=init, out_dir=out_dir)
+
+
+def _sourced(build: Callable, values: dict, items: dict[str, tuple[str, str]]):
+    """build(**values); a refusal becomes a ConfigError led by the source of its key.
+
+    That key is the first, in CONFIG_KEYS order, that gives the same refusal
+    together with the given keys before it: `n = 3` blames n, and
+    `integrator = rk4` with a `dt` above the bound blames dt."""
+    try:
+        return build(**values)
+    except (ArithmeticError, ValueError, SpeedError) as exc:
+        refusal = exc
+    given = {}
+    for key in (key for key in CONFIG_KEYS if key in values):
+        given[key] = values[key]
+        try:
+            build(**given)
+        except (ArithmeticError, ValueError, SpeedError) as exc:
+            if str(exc) == str(refusal):
+                break
+    raise ConfigError(f"{items[key][1]}: {refusal}") from refusal
 
 
 def parse_config(path: str) -> ParsedConfig:
@@ -334,24 +368,20 @@ def run_meta(parsed: ParsedConfig, grid: Grid) -> list[str]:
     return [f"version = {__version__}", f"grid = {gdesc}"] + config_echo(parsed)
 
 
-def run_to_files(parsed: ParsedConfig, out_dir: str,
-                 build_init: Callable[[Grid, float], RadialField] | None = None,
-                 head: tuple[str, ...] = (), tail: tuple[str, ...] = ()
+def run_to_files(parsed: ParsedConfig, out_dir: str, head: tuple[str, ...] = ()
                  ) -> tuple[FlowRun, tuple[str, str]]:
-    """Run a parsed config; write run.csv and final_state.snapshot into out_dir.
+    """Run a parsed config from its init; write run.csv and final_state.snapshot into out_dir.
 
-    out_dir is resolved and made only after the run returns.  The initial
-    field comes from `build_init` when given, else from the config's init.
-    The run.csv header is `head`, `run_meta`, then `tail`.  A failed run
-    writes its records so far and last recorded state.  Returns (run, paths).
+    out_dir is resolved and made only after the run returns.  The run.csv
+    header is `head`, then `run_meta`.  A failed run writes its records so
+    far and last recorded state.  Returns (run, paths).
     """
     cfg = parsed.config
     prob = FlowProblem(cfg)
-    rho0 = (build_init or parsed.init.build)(prob.grid, cfg.R)
-    out = run(cfg, rho0, problem=prob)
+    out = run(cfg, parsed.init.build(prob.grid, cfg.R), problem=prob)
     target = resolve_out_dir(out_dir)
     csv_path, snap_path = f"{target}/run.csv", f"{target}/final_state.snapshot"
-    write_lines(csv_path, run_csv_lines(out.records, [*head, *run_meta(parsed, prob.grid), *tail]))
+    write_lines(csv_path, run_csv_lines(out.records, [*head, *run_meta(parsed, prob.grid)]))
     write_snapshot(out.final, snap_path)
     return out, (csv_path, snap_path)
 

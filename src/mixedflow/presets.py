@@ -3,13 +3,12 @@
 Each preset is one `_PRESETS` entry: its full flow configuration, as
 key -> value settings that `io.parse_config_items` reads with the
 command-line overrides, so both pass the checks of a config file's lines
-and an error names its source (`preset` or `override KEY`); the checks its
-summary reports;
-and, for zero-modes, initial data built directly (a small constant plus
-degree-1 combination is not a single grammar item).  The spectrum preset
-runs no flow: it writes spectrum.csv through `io.spectrum_to_file`, the
-routine behind `mixedflow spectrum`, at its own L_max, and checks the
-returned report.
+and an error names its source (`preset` or `override KEY`); and the checks
+its summary reports.  Every preset's initial data is its `init` setting, so
+the config echo in its headers reruns it.  The spectrum preset runs no
+flow: it writes spectrum.csv through `io.spectrum_to_file`, the routine
+behind `mixedflow spectrum`, at its own L_max, and checks the returned
+report.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ import numpy as np
 from .analysis import fit_decay_rate, fit_sphere
 from .errors import ConfigError, DecayFitError, FitConvergenceError
 from .flow import FlowRun, SpectrumReport, stable_decay_rate
-from .harmonics import SPHERE_AREA, Grid, RadialField
+from .harmonics import SPHERE_AREA
 from .io import (
     ParsedConfig,
     config_echo,
@@ -62,14 +61,6 @@ class ExperimentResult:
 def _check_le(name: str, value: float, threshold: float) -> CheckResult:
     ok = bool(np.isfinite(value)) and value <= threshold
     return CheckResult(name, float(value), float(threshold), ok)
-
-
-def _zero_mode_init(grid: Grid, R: float) -> RadialField:
-    omega = grid.directions()
-    combo = 0.4 * np.ones(grid.shape) + 0.5 * omega[0] - 0.3 * omega[1]
-    if grid.n == 2:
-        combo = combo + 0.2 * omega[2]
-    return RadialField(grid, R, values=1e-3 * R * combo)
 
 
 # -- expectations ---------------------------------------------------------------
@@ -153,13 +144,11 @@ def _checks_spectrum(report: SpectrumReport) -> list[CheckResult]:
 
 @dataclass(frozen=True)
 class _Preset:
-    """One named experiment: its settings (key -> value text), the checks of its run
-    (None for the spectrum preset, which checks its report) and, unless init is
-    overridden, a direct builder of its initial data with its summary label."""
+    """One named experiment: its settings (key -> value text) and the checks of its run
+    (None for the spectrum preset, which checks its report)."""
 
     settings: dict[str, str]
     checks: Callable[[ParsedConfig, FlowRun], list[CheckResult]] | None
-    init: tuple[Callable[[Grid, float], RadialField], str] | None = None
 
     def config(self, overrides: dict[str, str]) -> ParsedConfig:
         """The settings with the overrides applied, parsed and validated.
@@ -182,8 +171,7 @@ _PRESETS = {
              L_max="8", init="harmonic:2,1,1e-4", cadence="10"), _checks_linear_decay),
     "zero-modes": _Preset(
         dict(n="2", R="1", k="-1", speed="mean", integrator="imex", dt="1e-3", T="2",
-             L_max="8", cadence="10"), _checks_zero_modes,
-        (_zero_mode_init, "zero-mode combination, amplitude 1e-3")),
+             L_max="8", init="zero_modes:0.001", cadence="10"), _checks_zero_modes),
     "conservation": _Preset(
         dict(n="2", R="1", k="0", speed="mean", integrator="rk4", dt="1e-4", T="0.5",
              L_max="24", init="random:0.05,6,42", cadence="50"), _checks_conservation),
@@ -215,9 +203,6 @@ def run_experiment(name: str, overrides: dict[str, str] | None = None,
     parsed = preset.config(overrides)
     if name == "linear-decay":
         _decay_degree(parsed)  # refused before anything is written
-    build_init, init_label = (preset.init if preset.init and "init" not in overrides
-                              else (None, None))
-    label_lines = () if init_label is None else (f"init_override = {init_label}",)
     requested = out_dir if out_dir is not None else parsed.out_dir
     extra_lines: list[str] = []
     if preset.checks is None:
@@ -226,8 +211,7 @@ def run_experiment(name: str, overrides: dict[str, str] | None = None,
         extra_lines = [f"lambda_max_abs = {report.lambda_max_abs!r}",
                        f"zero_multiplicity = {report.zero_multiplicity_numeric}"]
     else:
-        out, files = run_to_files(parsed, requested, build_init,
-                                  head=(f"preset = {name}",), tail=label_lines)
+        out, files = run_to_files(parsed, requested, head=(f"preset = {name}",))
         status = out.status
         if out.error is None:
             try:
@@ -239,7 +223,7 @@ def run_experiment(name: str, overrides: dict[str, str] | None = None,
             checks, extra_lines = [], [f"error = {out.error}"]
     target_dir = resolve_out_dir(requested)
     passed = status != "failed" and all(c.passed for c in checks)
-    summary = [f"preset = {name}", *config_echo(parsed), *label_lines,
+    summary = [f"preset = {name}", *config_echo(parsed),
                f"status = {status}", *extra_lines, *(c.line() for c in checks),
                f"overall = {'PASS' if passed else 'FAIL'}"]
     summary_path = f"{target_dir}/summary.txt"

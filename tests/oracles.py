@@ -373,3 +373,16 @@ def coefficient_layout_loop(L, n):
                 derivs_slot.append((c * (L + 1) + m) * (L + 2) + l)
     return (np.array(degrees, dtype=int), np.array(slot, dtype=int),
             np.array(derivs_slot, dtype=int) if n == 2 else None)
+
+
+def zero_mode_values(omega, R, amp=1e-3):
+    """Grid values amp R (0.4 + 0.5 w_1 - 0.3 w_2 [+ 0.2 w_3 on the sphere]) of the
+    zero-modes preset's initial data, from the direction components omega.
+
+    The builder the preset used before its data became the `zero_modes:amp`
+    init kind, kept operation for operation as the bitwise reference.
+    """
+    combo = 0.4 * np.ones(omega[0].shape) + 0.5 * omega[0] - 0.3 * omega[1]
+    if len(omega) == 3:
+        combo = combo + 0.2 * omega[2]
+    return amp * R * combo

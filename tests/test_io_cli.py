@@ -26,10 +26,12 @@ from mixedflow.io import (
     resolve_out_dir,
     run_csv_lines,
     run_meta,
+    run_to_files,
     write_snapshot,
 )
 from mixedflow.presets import _PRESETS, PRESET_NAMES, run_experiment
 from mixedflow.speeds import SPEED_KINDS, SpeedSpec
+from oracles import zero_mode_values
 
 FULL_CONFIG = """\
 # demo configuration
@@ -90,7 +92,16 @@ def test_parse_full_config():
     ("init = harmonic:2\n", "line 1: bad init parameters"),
     ("init = const\n", "line 1: init needs the form kind:params"),
     ("n = 2\ninit = sphere:0.1,0.2\n", "line 2: sphere init needs 4 coordinates, got 2"),
-    ("integrator = euler\n", "inconsistent configuration"),
+    ("integrator = euler\n", "line 1: integrator must be one of ('imex', 'rk4'), got 'euler'"),
+    ("integrator = rk4\ndt = 1\n", "line 2: rk4 dt=1.000e+00 exceeds the parabolic bound"),
+    ("dt = 1\nintegrator = rk4\n", "line 1: rk4 dt=1.000e+00 exceeds the parabolic bound"),
+    ("integrator = rk4\ndt = 1e-3\nL_max = 64\n",
+     "line 2: rk4 dt=1.000e-03 exceeds the parabolic bound 1.202e-04"),
+    ("n = 3\n", "line 1: n must be 1 or 2, got 3"),
+    ("n = 3\nspeed = mean\n", "line 1: speeds are defined for n in {1, 2}, got 3"),
+    ("n = 3\nk = 5\n", "line 1: n must be 1 or 2, got 3"),
+    ("R = -1\nspeed = mean\n", "line 1: reference radius must be positive, got -1.0"),
+    ("n = 2\nT = 0\ncadence = 0\n", "line 2: T must be positive"),
     ("init = const:nan\n", "line 1: init parameters must be finite, got 'nan'"),
     ("n = 2\ninit = harmonic:2,1,nan\n", "line 2: init parameters must be finite"),
     ("init = random:inf,6,1\n", "line 1: init parameters must be finite"),
@@ -254,11 +265,23 @@ def test_init_build_checks_the_grid(grid2_small, kind, params, message):
         InitSpec(kind, params).build(grid2_small, 1.0)
 
 
+@pytest.mark.parametrize("n,L_max", [(1, 16), (2, 8)])
+def test_init_zero_modes_matches_its_reference(n, L_max):
+    grid = build_grid(n, L_max)
+    for R in (1.0, 1.7):
+        rho = InitSpec("zero_modes", (1e-3,)).build(grid, R)
+        expect = RadialField(grid, R, values=zero_mode_values(grid.directions(), R))
+        assert rho.coeffs.tobytes() == expect.coeffs.tobytes()
+        # degrees 0 and 1 only: the neutral centre subspace
+        assert np.max(np.abs(rho.coeffs[grid.degrees >= 2])) <= 1e-15
+
+
 def test_init_describe_round_trip():
     for spec in (InitSpec("const", (0.2,)),
                  InitSpec("harmonic", (2, 1, 1e-4)),
                  InitSpec("random", (0.05, 6, 42)),
-                 InitSpec("sphere", (0.1, 0.0, 0.02, -0.01))):
+                 InitSpec("sphere", (0.1, 0.0, 0.02, -0.01)),
+                 InitSpec("zero_modes", (1e-3,))):
         parsed = parse_config_text(f"init = {spec.describe()}\n")
         assert parsed.init == spec
 
@@ -267,6 +290,8 @@ def test_init_describe_round_trip():
     ("blob", (1.0,), "unknown init kind 'blob'"),
     ("const", (0.1, 0.2), "init kind const takes 1 parameters, got 2"),
     ("harmonic", (2, 1, float("nan")), "init parameters must be finite, got '2,1,nan'"),
+    ("zero_modes", (1e-3, 2.0), "init kind zero_modes takes 1 parameters, got 2"),
+    ("zero_modes", (float("inf"),), "init parameters must be finite, got 'inf'"),
 ])
 def test_init_spec_checks_itself(kind, params, fragment):
     with pytest.raises(ConfigError) as info:
@@ -537,6 +562,9 @@ def test_override_with_a_line_break_is_refused(tmp_path, monkeypatch, capsys, it
     ("stationarity", {"T": "abc"}, "override T: bad value for 'T': 'abc'"),
     ("stationarity", {"foo": "1"}, "override foo: unknown key 'foo'"),
     ("conservation", {"L_max": "4"}, "preset: init degree 6 exceeds L_max=4"),
+    ("stationarity", {"L_max": "3"}, "override L_max: L_max must lie in [4, 64], got 3"),
+    ("conservation", {"dt": "1"}, "override dt: rk4 dt=1.000e+00 exceeds the parabolic bound"
+                                  " 8.333e-04"),
 ])
 def test_preset_config_errors_name_their_source(tmp_path, monkeypatch, capsys,
                                                 name, overrides, message):
@@ -549,6 +577,26 @@ def test_preset_config_errors_name_their_source(tmp_path, monkeypatch, capsys,
         run_experiment(name, overrides, out_dir=str(tmp_path))
     assert str(info.value) == message and "line" not in message
     assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("name", [name for name in PRESET_NAMES if _PRESETS[name].checks])
+def test_flow_preset_reruns_from_its_header(tmp_path, monkeypatch, name):
+    # the key lines a preset echoes into run.csv state its whole run: parsed
+    # as a config, they give the same rows and final state.  T is cut to a
+    # tenth to keep the test short; the header echoes it like any setting.
+    monkeypatch.delenv("MIXEDFLOW_OUT", raising=False)
+    T = float(_PRESETS[name].settings["T"]) / 10
+    preset = tmp_path / "preset"
+    run_experiment(name, {"T": repr(T)}, out_dir=str(preset))
+    lines = (preset / "run.csv").read_text(encoding="utf-8").splitlines()
+    echo = [line[2:] for line in lines if line.startswith("# ")
+            and line[2:].partition("=")[0].strip() not in ("preset", "version", "grid")]
+    _, (csv_path, snap_path) = run_to_files(parse_config_text("\n".join(echo)),
+                                            str(tmp_path / "rerun"))
+    rows = [line for line in Path(csv_path).read_text(encoding="utf-8").splitlines()
+            if not line.startswith("#")]
+    assert rows == [line for line in lines if not line.startswith("#")]
+    assert Path(snap_path).read_bytes() == (preset / "final_state.snapshot").read_bytes()
 
 
 def test_cli_run_failure_writes_records(tmp_path, monkeypatch, capsys):
