@@ -2,10 +2,12 @@
 """Run every preset into out/<name>/ and print a pass/fail table.
 
 Ends with the process's peak resident memory over the whole pass.
+MIXEDFLOW_OUT is cleared first: it would send every preset to one directory.
 
 Usage: python scripts/run_all_presets.py [out_root]
 """
 
+import os
 import resource
 import sys
 import time
@@ -15,6 +17,7 @@ from mixedflow.presets import PRESET_NAMES, run_experiment
 
 def main() -> int:
     out_root = sys.argv[1] if len(sys.argv) > 1 else "out"
+    os.environ.pop("MIXEDFLOW_OUT", None)
     failures = []
     for name in PRESET_NAMES:
         t0 = time.perf_counter()

@@ -85,11 +85,15 @@ class FlowConfig:
             object.__setattr__(self, "speed", SpeedSpec("mean", n=self.n, R=self.R))
         if self.speed.n != self.n or self.speed.R != self.R:
             raise ValueError("speed was built for a different dimension or radius")
+        try:
+            bound, dt = cfl_timestep(self), default_timestep(self)
+        except OverflowError:  # R ** 2 is beyond the float range
+            bound = dt = math.inf
+        if not (0.0 < bound < math.inf and 0.0 < dt < math.inf):
+            raise ValueError(f"R={self.R!r} gives no positive finite step bound")
         if self.integrator == "rk4" and self.dt is not None:
-            bound = cfl_timestep(self)
             if self.dt > bound * (1.0 + _CFL_SLACK):
                 raise ValueError(f"rk4 dt={self.dt:.3e} exceeds the parabolic bound {bound:.3e}")
-        dt = default_timestep(self)
         if not math.isfinite(self.T / dt):
             raise ValueError(f"T={self.T!r} over dt={dt!r} is not a finite number of steps")
 
@@ -106,6 +110,11 @@ class FlowState:
 class DiagnosticsRecord:
     """Figures of one recorded state: scalars and the (L_max + 1) degree energies.
 
+    Its fields, in order, are the columns of run.csv, which `io.csv_lines`
+    writes: a field added here is a column there.  mode_energy is written
+    at degrees 2..8, one column each.  center_norm is the norm of the
+    degree-0 and degree-1 coefficients, the neutral centre modes, and
+    kappa_min, kappa_max bound the principal curvatures over the nodes.
     A record keeps no coefficients; a run's only coefficient state is its
     `FlowRun.final`, so a record costs O(L_max) memory, not O(L_max^2).
     """
@@ -346,12 +355,14 @@ def run(config: FlowConfig, rho0: RadialField, problem: FlowProblem) -> FlowRun:
     return FlowRun(status=status, records=records, final=final, config=config, error=error)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class SpectrumRow:
+    """One degree of a spectrum report; its fields, in order, are the columns of spectrum.csv."""
+
     l: int
     lambda_analytic: float
-    multiplicity: int
     lambda_numeric: float
+    multiplicity: int
     offdiag_max: float
 
 
@@ -363,13 +374,6 @@ class SpectrumReport:
     zero_multiplicity_numeric: int
     symmetry_defect: float
     max_offdiagonal: float
-
-    def csv_lines(self) -> list[str]:
-        lines = ["l,lambda_analytic,lambda_numeric,multiplicity,offdiag_max"]
-        for row in self.rows:
-            lines.append(f"{row.l},{row.lambda_analytic!r},{row.lambda_numeric!r},"
-                         f"{row.multiplicity},{row.offdiag_max!r}")
-        return lines
 
 
 def numerical_jacobian(config: FlowConfig, l_max: int) -> tuple[np.ndarray, SpectrumReport]:

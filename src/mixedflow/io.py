@@ -1,4 +1,4 @@
-"""Experiment configuration files, snapshots, and run.csv / spectrum.csv emission.
+"""Experiment configuration files, snapshots, and the one CSV writer.
 
 Config files are line-based `key = value` text.  Blank lines and lines
 starting with `#` are ignored.  Recognized keys:
@@ -31,6 +31,12 @@ full (repr), so they parse back.
 Snapshots are plain text: four header lines (n, R, L_max, t) followed by
 one `l p value` line per stored coefficient, 17 significant digits, which
 round-trips float64 exactly.  Coefficients not listed are zero.
+
+`csv_lines` writes run.csv and spectrum.csv: their columns are the fields,
+in order, of their row types, flow's DiagnosticsRecord and SpectrumRow,
+and no list of columns is kept here.  An array field (mode_energy) is one
+column per degree 2..8.  Ints are written with str, floats as
+repr(float(v)).
 """
 
 from __future__ import annotations
@@ -38,6 +44,7 @@ from __future__ import annotations
 import math
 import numbers
 import os
+import typing
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
@@ -45,8 +52,8 @@ import numpy as np
 
 from .analysis import sphere_from_coords
 from .errors import ConfigError, SnapshotError, SpeedError
-from .flow import (FlowConfig, FlowProblem, FlowRun, FlowState, SpectrumReport, default_timestep,
-                   numerical_jacobian, run)
+from .flow import (DiagnosticsRecord, FlowConfig, FlowProblem, FlowRun, FlowState, SpectrumReport,
+                   default_timestep, numerical_jacobian, run)
 from .harmonics import (SPHERE_AREA, Grid, RadialField, build_grid, harmonic_multiplicity,
                         total_coefficients)
 from .speeds import SpeedSpec, format_number, format_param
@@ -61,9 +68,6 @@ CONFIG_KEYS = tuple(_CASTS)
 # Init kind -> casts of its comma-separated parameters; None: any number of floats.
 _INIT_CASTS = {"const": (float,), "harmonic": (int, int, float), "random": (float, int, int),
                "sphere": None, "zero_modes": (float,)}
-
-RUN_COLUMNS = ("t", "h_k", "V", "sup_G", "sup_rho", "sphere_residual_sup",
-               *(f"mode_energy_l{l}" for l in range(2, 9)))
 
 
 def _init_casts(kind: str, count: int) -> tuple:
@@ -394,7 +398,7 @@ def spectrum_to_file(parsed: ParsedConfig, l_max: int, out_dir: str) -> tuple[Sp
     """
     _, report = numerical_jacobian(parsed.config, l_max)
     path = f"{resolve_out_dir(out_dir)}/spectrum.csv"
-    write_lines(path, report.csv_lines())
+    write_lines(path, csv_lines(report.rows))
     return report, path
 
 
@@ -483,16 +487,43 @@ def read_snapshot(path: str) -> FlowState:
 # -- CSV ----------------------------------------------------------------------
 
 
+_CSV_DEGREES = range(2, 9)  # the degrees an array field is written at, one column each
+
+
+def csv_columns(row_type) -> tuple[str, ...]:
+    """The CSV columns of a dataclass row type: its fields in order, an array field
+    expanded to one column per written degree (`mode_energy_l2` .. `mode_energy_l8`)."""
+    return tuple(column for name, kind in typing.get_type_hints(row_type).items()
+                 for column in ([f"{name}_l{l}" for l in _CSV_DEGREES] if kind is np.ndarray
+                                else [name]))
+
+
+def _csv_cells(value, kind) -> list[str]:
+    if kind is np.ndarray:
+        return [repr(float(value[l])) if l < len(value) else "0.0" for l in _CSV_DEGREES]
+    return [str(value) if kind is int else repr(float(value))]
+
+
+def csv_lines(rows, meta: Iterable[str] = ()) -> list[str]:
+    """CSV text of a non-empty list of dataclass rows of one type, one string per line.
+
+    `# ` meta lines, the header of `csv_columns`, then one line per row: an
+    int field written with str, a float as repr(float(v)), which parses back
+    exactly, and an array field as one cell per written degree, 0.0 past
+    the array's end.
+    """
+    kinds = typing.get_type_hints(type(rows[0])).items()
+    lines = [f"# {m}" for m in meta] + [",".join(csv_columns(type(rows[0])))]
+    return lines + [",".join(cell for name, kind in kinds
+                             for cell in _csv_cells(getattr(row, name), kind)) for row in rows]
+
+
+RUN_COLUMNS = csv_columns(DiagnosticsRecord)
+
+
 def run_csv_lines(records, meta: list[str]) -> list[str]:
-    """run.csv content for a list of diagnostics records."""
-    lines = [f"# {m}" for m in meta]
-    lines.append(",".join(RUN_COLUMNS))
-    for r in records:
-        energies = [r.mode_energy[l] if l < len(r.mode_energy) else 0.0
-                    for l in range(2, 9)]
-        row = [r.t, r.h_k, r.V, r.sup_G, r.sup_rho, r.sphere_residual_sup, *energies]
-        lines.append(",".join(repr(float(v)) for v in row))
-    return lines
+    """run.csv content for a list of diagnostics records: their fields are its columns."""
+    return csv_lines(records, meta)
 
 
 def write_lines(path: str, lines: Iterable[str]) -> None:

@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from .analysis import fit_decay_rate, fit_sphere
-from .errors import ConfigError, DecayFitError, FitConvergenceError
+from .errors import AdmissibilityError, ConfigError, DecayFitError, FitConvergenceError
 from .flow import FlowRun, SpectrumReport, stable_decay_rate
 from .harmonics import SPHERE_AREA
 from .io import (
@@ -193,8 +193,9 @@ def run_experiment(name: str, overrides: dict[str, str] | None = None,
     rerunning a preset reproduces every file byte for byte.  A flow preset
     whose run failed writes its files, skips its checks and does not pass.
     One whose checks cannot be evaluated, because a decay-rate or sphere fit
-    fails on the run's records, writes a failed `checks_evaluated` check and
-    the fit's error instead of them.
+    fails on the run's records or final state (a sphere fit also refuses a
+    field too far from the reference sphere), writes a failed
+    `checks_evaluated` check and the fit's error instead of them.
     """
     overrides = {k.strip(): v.strip() for k, v in (overrides or {}).items()}
     preset = _PRESETS.get(name)
@@ -216,7 +217,7 @@ def run_experiment(name: str, overrides: dict[str, str] | None = None,
         if out.error is None:
             try:
                 checks = preset.checks(parsed, out)
-            except (DecayFitError, FitConvergenceError) as exc:
+            except (AdmissibilityError, DecayFitError, FitConvergenceError) as exc:
                 checks = [_check_le("checks_evaluated", math.nan, 0.0)]
                 extra_lines = [f"error = {exc}"]
         else:

@@ -14,7 +14,7 @@ from mixedflow.errors import AdmissibilityError, DecayFitError, SpectrumRangeErr
 from mixedflow.flow import FlowConfig, numerical_jacobian, stable_decay_rate
 from mixedflow.geometry import BundleWorkspace, bundle_from_coeffs
 from mixedflow.harmonics import SPHERE_AREA, RadialField, build_grid
-from mixedflow.io import random_band_field
+from mixedflow.io import csv_lines, random_band_field
 from mixedflow.speeds import SpeedSpec
 from oracles import fit_sphere_reference, sphere_height_reference, unit_directions
 
@@ -79,7 +79,7 @@ def test_analytic_spectrum_structure():
 
 def test_spectrum_csv_header():
     rep = numerical_jacobian(FlowConfig(n=2, R=1.0, k=-1), l_max=2)[1]
-    lines = rep.csv_lines()
+    lines = csv_lines(rep.rows)
     assert lines[0] == "l,lambda_analytic,lambda_numeric,multiplicity,offdiag_max"
     assert len(lines) == 4
 

@@ -1,7 +1,7 @@
 """Config parsing, snapshots, run.csv emission, and the command-line front end."""
 
 import re
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 from mixedflow.analysis import fit_sphere, sphere_from_coords
 from mixedflow.cli import main
 from mixedflow.errors import ConfigError, SnapshotError
-from mixedflow.flow import FlowConfig, FlowProblem, FlowState, default_timestep, run
+from mixedflow.flow import (DiagnosticsRecord, FlowConfig, FlowProblem, FlowState,
+                            default_timestep, run)
 from mixedflow.harmonics import RadialField, build_grid
 from mixedflow.io import (
     CONFIG_KEYS,
@@ -101,6 +102,10 @@ def test_parse_full_config():
     ("n = 3\nspeed = mean\n", "line 1: speeds are defined for n in {1, 2}, got 3"),
     ("n = 3\nk = 5\n", "line 1: n must be 1 or 2, got 3"),
     ("R = -1\nspeed = mean\n", "line 1: reference radius must be positive, got -1.0"),
+    ("R = 1e200\n", "line 1: R=1e+200 gives no positive finite step bound"),
+    ("n = 2\nR = 1e-200\n", "line 2: R=1e-200 gives no positive finite step bound"),
+    ("dt = 1e-3\nspeed = mean\nR = 1e200\n",
+     "line 3: R=1e+200 gives no positive finite step bound"),
     ("n = 2\nT = 0\ncadence = 0\n", "line 2: T must be positive"),
     ("init = const:nan\n", "line 1: init parameters must be finite, got 'nan'"),
     ("n = 2\ninit = harmonic:2,1,nan\n", "line 2: init parameters must be finite"),
@@ -408,6 +413,28 @@ def test_run_csv_layout():
     assert float(data[0].split(",")[2]) == out.records[0].V
 
 
+def test_run_columns_are_the_record_fields():
+    expanded = [[f"mode_energy_l{l}" for l in range(2, 9)] if f.name == "mode_energy"
+                else [f.name] for f in fields(DiagnosticsRecord)]
+    assert RUN_COLUMNS == tuple(column for group in expanded for column in group)
+    assert RUN_COLUMNS[-3:] == ("center_norm", "kappa_min", "kappa_max")
+
+
+def test_run_csv_cells_are_the_record_figures():
+    # every field of every record is a column, each cell its figure exactly
+    records = _tiny_run()[2].records
+    lines = run_csv_lines(records, ["x"])
+    assert lines[0] == "# x" and len(lines) == 2 + len(records)
+    for line, record in zip(lines[2:], records, strict=True):
+        row = dict(zip(lines[1].split(","), map(float, line.split(",")), strict=True))
+        for f in fields(DiagnosticsRecord):
+            if f.name == "mode_energy":
+                for l in range(2, 9):
+                    assert row[f"mode_energy_l{l}"] == record.mode_energy[l]
+            else:
+                assert row[f.name] == getattr(record, f.name)
+
+
 def test_run_csv_deterministic():
     a = run_csv_lines(_tiny_run()[2].records, ["x"])
     b = run_csv_lines(_tiny_run()[2].records, ["x"])
@@ -504,6 +531,20 @@ def test_cli_preset_failed_decay_fit(tmp_path, monkeypatch, capsys, name, overri
     assert "status = reached_T" in summary
     assert any(re.fullmatch(r"error = only \d samples in the fit window; need at least 10", line)
                for line in summary)
+    assert summary[-2:] == ["check checks_evaluated: value=nan <= threshold=0.0 -> FAIL",
+                            "overall = FAIL"]
+
+
+def test_cli_preset_refused_final_sphere_fit(tmp_path, monkeypatch, capsys):
+    # The run reaches T, but its final state is too far from the sphere to fit:
+    # the preset writes summary.txt with the fit's error and a failed check, and exits 1
+    monkeypatch.setenv("MIXEDFLOW_OUT", str(tmp_path))
+    assert main(["preset", "nonlinear-convergence", "--set", "init=zero_modes:0.7",
+                 "--set", "T=0.5"]) == 1
+    assert "failed checks: checks_evaluated" in capsys.readouterr().err
+    summary = (tmp_path / "summary.txt").read_text().splitlines()
+    assert "status = reached_T" in summary
+    assert "error = field is too far from the reference sphere to fit" in summary
     assert summary[-2:] == ["check checks_evaluated: value=nan <= threshold=0.0 -> FAIL",
                             "overall = FAIL"]
 

@@ -80,3 +80,18 @@ def test_compare_runs_reports_equal_and_differing_trees(tmp_path, capsys):
         "4 files, 3 not byte-identical",
     ]
     assert compare_runs.main([str(a)]) == 2
+
+
+def test_run_all_presets_keeps_one_directory_per_preset(tmp_path, monkeypatch, capsys):
+    # MIXEDFLOW_OUT would override every preset's out_dir; the script clears it.
+    run_all_presets = _load(SCRIPT_DIR / "run_all_presets.py")
+    monkeypatch.setattr(run_all_presets, "PRESET_NAMES", ("stationarity", "spectrum"))
+    monkeypatch.setattr("sys.argv", ["run_all_presets.py", str(tmp_path / "out")])
+    monkeypatch.setenv("MIXEDFLOW_OUT", str(tmp_path / "env"))
+    assert run_all_presets.main() == 0
+    table = capsys.readouterr().out
+    for name, files in (("stationarity", {"run.csv", "final_state.snapshot", "summary.txt"}),
+                        ("spectrum", {"spectrum.csv", "summary.txt"})):
+        assert {p.name for p in (tmp_path / "out" / name).iterdir()} == files
+        assert f"-> {tmp_path / 'out' / name}\n" in table
+    assert not (tmp_path / "env").exists()
