@@ -21,7 +21,7 @@ def main() -> int:
     failures = []
     for name in PRESET_NAMES:
         t0 = time.perf_counter()
-        result = run_experiment(name, out_dir=f"{out_root}/{name}")
+        result = run_experiment(name, {"out_dir": f"{out_root}/{name}"})
         dt = time.perf_counter() - t0
         status = "PASS" if result.passed else "FAIL"
         print(f"{name:24s} {status}  ({dt:6.1f}s)  -> {result.out_dir}")

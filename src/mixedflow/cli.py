@@ -7,9 +7,10 @@ Subcommands:
               by io.spectrum_to_file, the routine the spectrum preset runs
   fit-sphere  nearest-sphere coordinates of a snapshot
 
-MIXEDFLOW_OUT overrides the configured output directory.  Exit codes:
-0 success / all checks passed, 1 failed checks, a failed or an unfinished
-run, 2 usage or input errors.
+Files go into the config's out_dir, which a preset takes as `--set
+out_dir=DIR`; MIXEDFLOW_OUT overrides it.  Exit codes: 0 success / all
+checks passed, 1 failed checks, a failed or an unfinished run, 2 usage or
+input errors.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ def _parse_overrides(items: list[str]) -> dict[str, str]:
 
 def _cmd_run(args) -> int:
     parsed = parse_config(args.config)
-    out, (csv_path, snap_path) = run_to_files(parsed, parsed.out_dir)
+    out, (csv_path, snap_path) = run_to_files(parsed)
     last = out.records[-1]
     print(f"status = {out.status}")
     print(f"t = {last.t!r}  sup_G = {last.sup_G!r}  V = {last.V!r}")
@@ -67,7 +68,7 @@ def _cmd_preset(args) -> int:
 
 def _cmd_spectrum(args) -> int:
     parsed = parse_config(args.config)
-    report, path = spectrum_to_file(parsed, args.lmax, parsed.out_dir)
+    report, path = spectrum_to_file(parsed, args.lmax)
     print(f"lambda_max_abs = {report.lambda_max_abs!r}")
     print(f"max_offdiagonal = {report.max_offdiagonal!r}")
     print(f"symmetry_defect = {report.symmetry_defect!r}")

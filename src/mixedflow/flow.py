@@ -35,7 +35,7 @@ from .errors import (AdmissibilityError, ConstraintDegenerateError, MixedFlowErr
 from .geometry import BundleWorkspace, CurvatureBundle, bundle_from_coeffs, principal_curvatures
 from .harmonics import (L_MAX_MAX, L_MAX_MIN, RadialField, build_grid, harmonic_multiplicity,
                         total_coefficients)
-from .speeds import SpeedSpec, eval_speed, umbilic_derivative
+from .speeds import SpeedSpec, eval_speed, is_integer, umbilic_derivative
 
 _INTEGRATORS = ("imex", "rk4")
 # Fraction of the parabolic stability limit that the explicit integrator may use.
@@ -63,6 +63,9 @@ class FlowConfig:
     cadence: int = 10
 
     def __post_init__(self):
+        for name in ("n", "k", "L_max", "cadence"):
+            if not is_integer(value := getattr(self, name)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         for name in ("R", "T", "dt"):
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
@@ -72,7 +75,7 @@ class FlowConfig:
         if not L_MAX_MIN <= self.L_max <= L_MAX_MAX:
             raise ValueError(f"L_max must lie in [{L_MAX_MIN}, {L_MAX_MAX}], got {self.L_max}")
         if not -1 <= self.k <= self.n - 1:
-            raise ValueError(f"k must lie in [-1, {self.n - 1}], got {self.k}")
+            raise ValueError(f"k = {self.k} is outside [-1, {self.n - 1}] for n = {self.n}")
         if self.integrator not in _INTEGRATORS:
             raise ValueError(f"integrator must be one of {_INTEGRATORS}, got {self.integrator!r}")
         if self.dt is not None and self.dt <= 0:
@@ -142,7 +145,6 @@ class FlowRun:
     status: str
     records: list[DiagnosticsRecord]
     final: FlowState
-    config: FlowConfig
     error: MixedFlowError | None = None  # what ended a failed run
 
 
@@ -352,7 +354,7 @@ def run(config: FlowConfig, rho0: RadialField, problem: FlowProblem) -> FlowRun:
     except (StepRejectedError, *_STAGE_ERRORS) as exc:
         status, error = "failed", exc
     final = FlowState(t=records[-1].t, rho=RadialField(problem.grid, config.R, coeffs=recorded))
-    return FlowRun(status=status, records=records, final=final, config=config, error=error)
+    return FlowRun(status=status, records=records, final=final, error=error)
 
 
 @dataclass(frozen=True, kw_only=True)

@@ -24,9 +24,14 @@ only.  `parse_config_text` splits the lines and refuses a repeated key;
 a preset and its overrides.  Unknown keys, and any malformed value or
 parameter a kind does not take, are rejected with their source: `line N`,
 `override KEY` or `preset`; a value FlowConfig refuses, with the first key
-in CONFIG_KEYS order that brings the refusal.  Header echoes print ints with
-`str`, floats in short `:g` form when that parses back exactly, else in
-full (repr), so they parse back.
+in CONFIG_KEYS order that brings the refusal.  The speed is read at n and
+R once FlowConfig has checked them alone, so n and R are refused in
+FlowConfig's words whether or not a speed line follows; init, last in that
+order, is read once the flow keys have passed.  Header echoes
+print ints with `str`, floats in short `:g` form when that parses back
+exactly, else in full (repr), so they parse back.  A parsed config's
+out_dir is where `run_to_files` and `spectrum_to_file` write; the
+MIXEDFLOW_OUT environment variable overrides it (`resolve_out_dir`).
 
 Snapshots are plain text: four header lines (n, R, L_max, t) followed by
 one `l p value` line per stored coefficient, 17 significant digits, which
@@ -42,7 +47,6 @@ repr(float(v)).
 from __future__ import annotations
 
 import math
-import numbers
 import os
 import typing
 from dataclasses import dataclass
@@ -56,7 +60,7 @@ from .flow import (DiagnosticsRecord, FlowConfig, FlowProblem, FlowRun, FlowStat
                    default_timestep, numerical_jacobian, run)
 from .harmonics import (SPHERE_AREA, Grid, RadialField, build_grid, harmonic_multiplicity,
                         total_coefficients)
-from .speeds import SpeedSpec, format_number, format_param
+from .speeds import SpeedSpec, format_number, format_param, is_integer
 
 # Config key -> cast of its text; speed and init are parsed further below.  The flow
 # keys come in the order `_sourced` seeks a refusal's source in: the problem's keys
@@ -65,16 +69,17 @@ _CASTS = {"n": int, "R": float, "k": int, "speed": str, "L_max": int, "T": float
           "cadence": int, "integrator": str, "dt": float, "init": str, "out_dir": str}
 CONFIG_KEYS = tuple(_CASTS)
 
-# Init kind -> casts of its comma-separated parameters; None: any number of floats.
-_INIT_CASTS = {"const": (float,), "harmonic": (int, int, float), "random": (float, int, int),
-               "sphere": None, "zero_modes": (float,)}
+# Init kind -> name -> cast of its comma-separated parameters; None: any number of floats.
+_INIT_PARAMS = {"const": {"c": float}, "harmonic": {"l": int, "p": int, "amp": float},
+                "random": {"amp": float, "lmax": int, "seed": int}, "sphere": None,
+                "zero_modes": {"amp": float}}
 
 
-def _init_casts(kind: str, count: int) -> tuple:
-    """Casts of the count parameters of an init kind; ConfigError for an unknown kind."""
-    if kind not in _INIT_CASTS:
+def _init_params(kind: str, count: int) -> dict:
+    """Names and casts of the count parameters of an init kind; ConfigError for an unknown kind."""
+    if kind not in _INIT_PARAMS:
         raise ConfigError(f"unknown init kind {kind!r}")
-    return _INIT_CASTS[kind] or (float,) * count
+    return _INIT_PARAMS[kind] or {f"z{i}": float for i in range(count)}
 
 
 @dataclass(frozen=True)
@@ -85,10 +90,14 @@ class InitSpec:
     params: tuple
 
     def __post_init__(self):
-        casts = _init_casts(self.kind, len(self.params))
-        if len(self.params) != len(casts):
+        params = _init_params(self.kind, len(self.params))
+        if len(self.params) != len(params):
             raise ConfigError(
-                f"init kind {self.kind} takes {len(casts)} parameters, got {len(self.params)}")
+                f"init kind {self.kind} takes {len(params)} parameters, got {len(self.params)}")
+        for (name, cast), value in zip(params.items(), self.params):
+            if cast is int and not is_integer(value):
+                raise ConfigError(
+                    f"init {self.kind} parameter {name} must be an integer, got {value!r}")
         if not all(map(math.isfinite, self.params)):
             raise ConfigError(
                 f"init parameters must be finite, got {self.describe().partition(':')[2]!r}")
@@ -98,7 +107,7 @@ class InitSpec:
             raise ConfigError(f"random init degree {self.params[1]} is below 2, its band's start")
 
     def describe(self) -> str:
-        casts = _init_casts(self.kind, len(self.params))
+        casts = _init_params(self.kind, len(self.params)).values()
         return f"{self.kind}:" + ",".join(map(format_param, casts, self.params))
 
     def _check_grid(self, L_max: int, n: int) -> None:
@@ -200,7 +209,7 @@ def _uniform_draws(seed: int, count: int) -> np.ndarray:
     mapped to -1 + 2u.  ConfigError for a negative or non-integer seed,
     whose word split would never end or not be numpy's.
     """
-    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+    if not is_integer(seed) or seed < 0:
         raise ConfigError(f"random init seed must be a non-negative integer, got {seed!r}")
     w0, w1, w2, w3 = _seed_words(int(seed))
     inc = ((w2 << 64 | w3) << 1 | 1) & _M128
@@ -251,7 +260,7 @@ def _parse_init(value: str, source: str) -> InitSpec:
         raise ConfigError(f"{source}: init needs the form kind:params")
     items = rest.split(",")
     try:
-        casts = _init_casts(kind, len(items))
+        casts = _init_params(kind, len(items)).values()
         params = tuple(cast(item) for cast, item in zip(casts, items, strict=True))
         return InitSpec(kind, params)
     except ValueError as exc:
@@ -292,26 +301,26 @@ def parse_config_items(items: dict[str, tuple[str, str]]) -> ParsedConfig:
             values[key] = _CASTS[key](value)
         except ValueError as exc:
             raise ConfigError(f"{source}: bad value for {key!r}: {value!r}") from exc
-    out_dir = values.pop("out_dir", ".")
-    # n and R are refused from their own items before k and the speed read them, in
-    # the words of the speed when one is given (it reads them first), else of FlowConfig.
-    _sourced((lambda n=FlowConfig.n, R=FlowConfig.R: SpeedSpec("mean", n, R)) if "speed" in values
-            else FlowConfig, {key: values[key] for key in ("n", "R") if key in values}, items)
-    n, R = values.get("n", FlowConfig.n), values.get("R", FlowConfig.R)
-    if "k" in values and not -1 <= values["k"] <= n - 1:
-        raise ConfigError(
-            f"{items['k'][1]}: k = {values['k']} is outside [-1, {n - 1}] for n = {n}")
-    if "speed" in values:
-        values["speed"] = _sourced(lambda speed: SpeedSpec.parse(speed, n, R),
-                                  {"speed": values["speed"]}, items)
-    init = (_parse_init(values.pop("init"), items["init"][1]) if "init" in values
-            else InitSpec("const", (0.0,)))
-    config = _sourced(FlowConfig, values, items)
+    out_dir, init_text = values.pop("out_dir", "."), values.pop("init", None)
+    config = _sourced(_flow_config, values, items)
+    init = (InitSpec("const", (0.0,)) if init_text is None
+            else _parse_init(init_text, items["init"][1]))
     try:
         init._check_grid(config.L_max, config.n)
     except ConfigError as exc:
         raise ConfigError(f"{items['init'][1]}: {exc}") from exc
     return ParsedConfig(config=config, init=init, out_dir=out_dir)
+
+
+def _flow_config(speed: str | None = None, **values) -> FlowConfig:
+    """FlowConfig of cast values and the speed's text, which is read at their n and R.
+
+    FlowConfig checks n and R alone first, so they are refused in its words
+    whether or not a speed is given."""
+    base = FlowConfig(**{key: values[key] for key in ("n", "R") if key in values})
+    if speed is not None:
+        values["speed"] = SpeedSpec.parse(speed, base.n, base.R)
+    return FlowConfig(**values)
 
 
 def _sourced(build: Callable, values: dict, items: dict[str, tuple[str, str]]):
@@ -372,32 +381,34 @@ def run_meta(parsed: ParsedConfig, grid: Grid) -> list[str]:
     return [f"version = {__version__}", f"grid = {gdesc}"] + config_echo(parsed)
 
 
-def run_to_files(parsed: ParsedConfig, out_dir: str, head: tuple[str, ...] = ()
+def run_to_files(parsed: ParsedConfig, head: tuple[str, ...] = ()
                  ) -> tuple[FlowRun, tuple[str, str]]:
-    """Run a parsed config from its init; write run.csv and final_state.snapshot into out_dir.
+    """Run a parsed config from its init; write run.csv and final_state.snapshot.
 
-    out_dir is resolved and made only after the run returns.  The run.csv
-    header is `head`, then `run_meta`.  A failed run writes its records so
-    far and last recorded state.  Returns (run, paths).
+    They go into `resolve_out_dir(parsed.out_dir)`, resolved and made only
+    after the run returns.  The run.csv header is `head`, then `run_meta`.
+    A failed run writes its records so far and last recorded state.
+    Returns (run, paths).
     """
     cfg = parsed.config
     prob = FlowProblem(cfg)
     out = run(cfg, parsed.init.build(prob.grid, cfg.R), problem=prob)
-    target = resolve_out_dir(out_dir)
+    target = resolve_out_dir(parsed.out_dir)
     csv_path, snap_path = f"{target}/run.csv", f"{target}/final_state.snapshot"
     write_lines(csv_path, run_csv_lines(out.records, [*head, *run_meta(parsed, prob.grid)]))
     write_snapshot(out.final, snap_path)
     return out, (csv_path, snap_path)
 
 
-def spectrum_to_file(parsed: ParsedConfig, l_max: int, out_dir: str) -> tuple[SpectrumReport, str]:
+def spectrum_to_file(parsed: ParsedConfig, l_max: int) -> tuple[SpectrumReport, str]:
     """Numerical Jacobian of a parsed config at degrees <= l_max, written as spectrum.csv.
 
     The Jacobian is built first, so an l_max it refuses (SpectrumRangeError)
-    writes nothing; out_dir is then resolved and made.  Returns (report, path).
+    writes nothing; `resolve_out_dir(parsed.out_dir)` is then resolved and
+    made.  Returns (report, path).
     """
     _, report = numerical_jacobian(parsed.config, l_max)
-    path = f"{resolve_out_dir(out_dir)}/spectrum.csv"
+    path = f"{resolve_out_dir(parsed.out_dir)}/spectrum.csv"
     write_lines(path, csv_lines(report.rows))
     return report, path
 

@@ -67,7 +67,7 @@ def _check_le(name: str, value: float, threshold: float) -> CheckResult:
 
 
 def _checks_stationarity(parsed: ParsedConfig, out: FlowRun) -> list[CheckResult]:
-    tol = 1e-10 * reference_speed(out.config.speed)
+    tol = 1e-10 * reference_speed(parsed.config.speed)
     sup = max(r.sup_G for r in out.records)
     return [_check_le("sup_G_on_sphere", sup, tol)]
 
@@ -82,7 +82,7 @@ def _decay_degree(parsed: ParsedConfig) -> int:
 
 def _checks_linear_decay(parsed: ParsedConfig, out: FlowRun) -> list[CheckResult]:
     l = _decay_degree(parsed)
-    target = stable_decay_rate(out.config.speed, l)
+    target = stable_decay_rate(parsed.config.speed, l)
     ts = [r.t for r in out.records]
     amps = [math.sqrt(r.mode_energy[l]) for r in out.records]
     rate = -fit_decay_rate(ts, amps)
@@ -90,7 +90,7 @@ def _checks_linear_decay(parsed: ParsedConfig, out: FlowRun) -> list[CheckResult
 
 
 def _checks_zero_modes(parsed: ParsedConfig, out: FlowRun) -> list[CheckResult]:
-    cfg = out.config
+    cfg = parsed.config
     ts = [r.t for r in out.records]
     amps = [r.center_norm for r in out.records]
     rate = abs(fit_decay_rate(ts, amps))
@@ -107,7 +107,7 @@ def _checks_conservation(parsed: ParsedConfig, out: FlowRun) -> list[CheckResult
 
 
 def _checks_nonlinear(parsed: ParsedConfig, out: FlowRun) -> list[CheckResult]:
-    cfg = out.config
+    cfg = parsed.config
     res = np.array([r.sphere_residual_sup for r in out.records])
     ts = np.array([r.t for r in out.records])
     peak = int(np.argmax(res))
@@ -184,12 +184,13 @@ _PRESETS = {
 PRESET_NAMES = tuple(_PRESETS)
 
 
-def run_experiment(name: str, overrides: dict[str, str] | None = None,
-                   out_dir: str | None = None) -> ExperimentResult:
+def run_experiment(name: str, overrides: dict[str, str] | None = None) -> ExperimentResult:
     """Run a preset, write its artifacts, and evaluate its checks.
 
     Writes run.csv (or spectrum.csv for the spectrum preset), a final-state
-    snapshot for flow presets, and summary.txt.  Output is deterministic:
+    snapshot for flow presets, and summary.txt into `resolve_out_dir` of
+    the parsed out_dir, which an `out_dir` override sets like any other
+    setting (the working directory by default).  Output is deterministic:
     rerunning a preset reproduces every file byte for byte.  A flow preset
     whose run failed writes its files, skips its checks and does not pass.
     One whose checks cannot be evaluated, because a decay-rate or sphere fit
@@ -204,15 +205,14 @@ def run_experiment(name: str, overrides: dict[str, str] | None = None,
     parsed = preset.config(overrides)
     if name == "linear-decay":
         _decay_degree(parsed)  # refused before anything is written
-    requested = out_dir if out_dir is not None else parsed.out_dir
     extra_lines: list[str] = []
     if preset.checks is None:
-        report, path = spectrum_to_file(parsed, parsed.config.L_max, requested)
+        report, path = spectrum_to_file(parsed, parsed.config.L_max)
         checks, files, status = _checks_spectrum(report), (path,), "spectrum"
         extra_lines = [f"lambda_max_abs = {report.lambda_max_abs!r}",
                        f"zero_multiplicity = {report.zero_multiplicity_numeric}"]
     else:
-        out, files = run_to_files(parsed, requested, head=(f"preset = {name}",))
+        out, files = run_to_files(parsed, head=(f"preset = {name}",))
         status = out.status
         if out.error is None:
             try:
@@ -222,7 +222,7 @@ def run_experiment(name: str, overrides: dict[str, str] | None = None,
                 extra_lines = [f"error = {exc}"]
         else:
             checks, extra_lines = [], [f"error = {out.error}"]
-    target_dir = resolve_out_dir(requested)
+    target_dir = resolve_out_dir(parsed.out_dir)
     passed = status != "failed" and all(c.passed for c in checks)
     summary = [f"preset = {name}", *config_echo(parsed),
                f"status = {status}", *extra_lines, *(c.line() for c in checks),

@@ -22,6 +22,7 @@ of them) normalizes the linear theory.
 from __future__ import annotations
 
 import math
+import numbers
 from collections import namedtuple
 from dataclasses import dataclass
 
@@ -62,6 +63,11 @@ def _kind(name: str) -> SpeedKind:
     return SPEED_KINDS[name]
 
 
+def is_integer(x) -> bool:
+    """True for an int, numpy's included, that is not a bool."""
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
 def format_number(x: float) -> str:
     """Short `:g` text of x when it parses back to x exactly, else repr."""
     text = f"{x:g}"
@@ -86,7 +92,10 @@ class SpeedSpec:
 
     def __post_init__(self):
         kind = _kind(self.kind)
-        if self.n not in (1, 2):
+        for name in ("m", "l"):
+            if not is_integer(value := getattr(self, name)):
+                raise SpeedError(f"speed parameter {name} must be an integer, got {value!r}")
+        if not is_integer(self.n) or self.n not in (1, 2):
             raise SpeedError(f"speeds are defined for n in {{1, 2}}, got {self.n}")
         if self.R <= 0:
             raise SpeedError(f"reference radius must be positive, got {self.R}")

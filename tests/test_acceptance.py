@@ -172,9 +172,9 @@ def test_05_linear_decay_rates():
 
 def test_06_zero_modes_stay_put(tmp_path, monkeypatch):
     monkeypatch.delenv("MIXEDFLOW_OUT", raising=False)
-    res2 = run_experiment("zero-modes", out_dir=str(tmp_path / "n2"))
-    res1 = run_experiment("zero-modes", {"n": "1", "L_max": "16"},
-                          out_dir=str(tmp_path / "n1"))
+    res2 = run_experiment("zero-modes", {"out_dir": str(tmp_path / "n2")})
+    res1 = run_experiment("zero-modes", {"n": "1", "L_max": "16",
+                                         "out_dir": str(tmp_path / "n1")})
     passed = res2.passed and res1.passed
     rate2 = next(c.value for c in res2.checks if c.name == "zero_mode_rate")
     resid2 = next(c.value for c in res2.checks if c.name == "final_sphere_residual")
@@ -211,7 +211,7 @@ def test_07_conserved_quantities():
 
 def test_08_nonlinear_convergence(tmp_path, monkeypatch):
     monkeypatch.delenv("MIXEDFLOW_OUT", raising=False)
-    res = run_experiment("nonlinear-convergence", out_dir=str(tmp_path / "nl"))
+    res = run_experiment("nonlinear-convergence", {"out_dir": str(tmp_path / "nl")})
     by_name = {c.name: c for c in res.checks}
     _report(8, res.passed,
             f"monotone defect {by_name['residual_monotone_defect'].value:.2e} (<= 0), "
@@ -244,8 +244,8 @@ def test_09_sphere_chart_round_trip():
 
 def test_10_reruns_are_byte_identical(tmp_path, monkeypatch):
     monkeypatch.delenv("MIXEDFLOW_OUT", raising=False)
-    run_experiment("nonlinear-convergence", out_dir=str(tmp_path / "a"))
-    run_experiment("nonlinear-convergence", out_dir=str(tmp_path / "b"))
+    run_experiment("nonlinear-convergence", {"out_dir": str(tmp_path / "a")})
+    run_experiment("nonlinear-convergence", {"out_dir": str(tmp_path / "b")})
     csv_a = (tmp_path / "a" / "run.csv").read_bytes()
     csv_b = (tmp_path / "b" / "run.csv").read_bytes()
     passed = csv_a == csv_b

@@ -335,6 +335,19 @@ def test_flow_config_refuses_end_time_and_cadence(kwargs, message):
         FlowConfig(**kwargs)
     assert type(info.value) is ValueError and str(info.value) == message
 
+@pytest.mark.parametrize("field,value", [
+    ("n", 2.0), ("n", True), ("k", -1.0), ("k", False), ("L_max", 16.0), ("cadence", 2.5),
+    ("cadence", 10.0), ("L_max", "16")])
+def test_flow_config_refuses_a_non_integer_count(field, value):
+    # cadence=2.5 recorded every 5 steps, n=True built a circle grid, and
+    # L_max=16.0 or n=2.0 failed later with a raw TypeError
+    with pytest.raises(ValueError) as info:
+        FlowConfig(**{field: value})
+    assert type(info.value) is ValueError
+    assert str(info.value) == f"{field} must be an integer, got {value!r}"
+    FlowConfig(**{field: np.int64(getattr(FlowConfig, field))})  # numpy's ints are ints
+
+
 @pytest.mark.parametrize("field,value", [("T", math.nan), ("T", math.inf), ("dt", math.nan),
                                          ("dt", math.inf), ("R", math.nan), ("R", math.inf)])
 def test_flow_config_rejects_non_finite(field, value):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from mixedflow.analysis import fit_sphere, sphere_from_coords
 from mixedflow.cli import main
-from mixedflow.errors import ConfigError, SnapshotError
+from mixedflow.errors import ConfigError, SnapshotError, SpeedError
 from mixedflow.flow import (DiagnosticsRecord, FlowConfig, FlowProblem, FlowState,
                             default_timestep, run)
 from mixedflow.harmonics import RadialField, build_grid
@@ -99,13 +99,17 @@ def test_parse_full_config():
     ("integrator = rk4\ndt = 1e-3\nL_max = 64\n",
      "line 2: rk4 dt=1.000e-03 exceeds the parabolic bound 1.202e-04"),
     ("n = 3\n", "line 1: n must be 1 or 2, got 3"),
-    ("n = 3\nspeed = mean\n", "line 1: speeds are defined for n in {1, 2}, got 3"),
+    ("n = 3\nspeed = mean\n", "line 1: n must be 1 or 2, got 3"),
     ("n = 3\nk = 5\n", "line 1: n must be 1 or 2, got 3"),
     ("R = -1\nspeed = mean\n", "line 1: reference radius must be positive, got -1.0"),
     ("R = 1e200\n", "line 1: R=1e+200 gives no positive finite step bound"),
     ("n = 2\nR = 1e-200\n", "line 2: R=1e-200 gives no positive finite step bound"),
     ("dt = 1e-3\nspeed = mean\nR = 1e200\n",
      "line 3: R=1e+200 gives no positive finite step bound"),
+    ("R = 1e-200\nspeed = elementary l=2\n",
+     "line 1: R=1e-200 gives no positive finite step bound"),
+    ("n = 3\ninit = blob:1\n", "line 1: n must be 1 or 2, got 3"),
+    ("T = 0\ninit = blob:1\n", "line 1: T must be positive"),
     ("n = 2\nT = 0\ncadence = 0\n", "line 2: T must be positive"),
     ("init = const:nan\n", "line 1: init parameters must be finite, got 'nan'"),
     ("n = 2\ninit = harmonic:2,1,nan\n", "line 2: init parameters must be finite"),
@@ -183,6 +187,15 @@ def test_speed_kinds_round_trip_through_their_echo():
     for kind in SPEED_KINDS:
         s = SpeedSpec(kind, n=2, R=1.0, **samples[kind])
         assert parse_config_text(f"speed = {s.describe()}").config.speed == s
+    # an integer parameter given as a float or a bool described itself as text
+    # (`power_mean m=1.0 beta=1`) that the parser refuses: refused when built
+    for kind, name, value in (("power_mean", "m", 1.0), ("elementary", "l", 2.0),
+                              ("elementary", "l", True), ("mean", "l", 1.0)):
+        with pytest.raises(SpeedError, match=re.escape(
+                f"speed parameter {name} must be an integer, got {value!r}")):
+            SpeedSpec(kind, n=2, R=1.0, **{name: value})
+    with pytest.raises(SpeedError, match=re.escape("speeds are defined for n in {1, 2}, got 2.0")):
+        SpeedSpec("mean", n=2.0, R=1.0)
 
 
 # -- initial data -----------------------------------------------------------------
@@ -289,6 +302,15 @@ def test_init_describe_round_trip():
                  InitSpec("zero_modes", (1e-3,))):
         parsed = parse_config_text(f"init = {spec.describe()}\n")
         assert parsed.init == spec
+    # an integer parameter given as a float or a bool described itself as text
+    # (`harmonic:2.0,1,0.0001`) that the parser refuses: refused when built
+    for kind, params, name, value in (("harmonic", (2.0, 1, 1e-4), "l", 2.0),
+                                      ("harmonic", (2, True, 1e-4), "p", True),
+                                      ("random", (0.05, 6.0, 42), "lmax", 6.0),
+                                      ("random", (0.05, 6, 42.0), "seed", 42.0)):
+        with pytest.raises(ConfigError, match=re.escape(
+                f"init {kind} parameter {name} must be an integer, got {value!r}")):
+            InitSpec(kind, params)
 
 
 @pytest.mark.parametrize("kind,params,fragment", [
@@ -595,7 +617,7 @@ def test_override_with_a_line_break_is_refused(tmp_path, monkeypatch, capsys, it
     assert capsys.readouterr().err == f"error: override {key!r} holds a line break\n"
     value = item.partition("=")[2]
     with pytest.raises(ConfigError, match=f"^override {re.escape(repr(key))} holds a line break$"):
-        run_experiment("stationarity", {key: value}, out_dir=str(tmp_path))
+        run_experiment("stationarity", {key: value, "out_dir": str(tmp_path)})
     assert not any(tmp_path.iterdir())
 
 
@@ -606,6 +628,8 @@ def test_override_with_a_line_break_is_refused(tmp_path, monkeypatch, capsys, it
     ("stationarity", {"L_max": "3"}, "override L_max: L_max must lie in [4, 64], got 3"),
     ("conservation", {"dt": "1"}, "override dt: rk4 dt=1.000e+00 exceeds the parabolic bound"
                                   " 8.333e-04"),
+    ("stationarity", {"R": "1e-200", "speed": "elementary l=2"},
+     "override R: R=1e-200 gives no positive finite step bound"),
 ])
 def test_preset_config_errors_name_their_source(tmp_path, monkeypatch, capsys,
                                                 name, overrides, message):
@@ -615,9 +639,26 @@ def test_preset_config_errors_name_their_source(tmp_path, monkeypatch, capsys,
     assert main(argv) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     with pytest.raises(ConfigError) as info:
-        run_experiment(name, overrides, out_dir=str(tmp_path))
+        run_experiment(name, {**overrides, "out_dir": str(tmp_path)})
     assert str(info.value) == message and "line" not in message
     assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("name,files", [
+    ("stationarity", {"run.csv", "final_state.snapshot", "summary.txt"}),
+    ("spectrum", {"spectrum.csv", "summary.txt"})])
+def test_preset_out_dir_override_holds_every_file(tmp_path, monkeypatch, capsys, name, files):
+    # out_dir is a setting like any other; MIXEDFLOW_OUT still wins over it
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("MIXEDFLOW_OUT", raising=False)
+    result = run_experiment(name, {"out_dir": "a/b"})
+    assert result.out_dir == "a/b" and set(result.files) == {f"a/b/{f}" for f in files}
+    assert {p.name for p in (tmp_path / "a" / "b").iterdir()} == files
+    monkeypatch.setenv("MIXEDFLOW_OUT", str(tmp_path / "env"))
+    assert main(["preset", name, "--set", "out_dir=c"]) == 0
+    assert capsys.readouterr().out.endswith(f" {tmp_path / 'env'}/summary.txt\n")
+    assert {p.name for p in (tmp_path / "env").iterdir()} == files
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a", "env"]
 
 
 @pytest.mark.parametrize("name", [name for name in PRESET_NAMES if _PRESETS[name].checks])
@@ -628,12 +669,12 @@ def test_flow_preset_reruns_from_its_header(tmp_path, monkeypatch, name):
     monkeypatch.delenv("MIXEDFLOW_OUT", raising=False)
     T = float(_PRESETS[name].settings["T"]) / 10
     preset = tmp_path / "preset"
-    run_experiment(name, {"T": repr(T)}, out_dir=str(preset))
+    run_experiment(name, {"T": repr(T), "out_dir": str(preset)})
     lines = (preset / "run.csv").read_text(encoding="utf-8").splitlines()
     echo = [line[2:] for line in lines if line.startswith("# ")
             and line[2:].partition("=")[0].strip() not in ("preset", "version", "grid")]
-    _, (csv_path, snap_path) = run_to_files(parse_config_text("\n".join(echo)),
-                                            str(tmp_path / "rerun"))
+    _, (csv_path, snap_path) = run_to_files(
+        replace(parse_config_text("\n".join(echo)), out_dir=str(tmp_path / "rerun")))
     rows = [line for line in Path(csv_path).read_text(encoding="utf-8").splitlines()
             if not line.startswith("#")]
     assert rows == [line for line in lines if not line.startswith("#")]
@@ -722,7 +763,7 @@ def test_cli_fit_sphere_unreadable_snapshot_is_input_error(tmp_path, capsys, tex
 
 def test_unknown_preset_is_refused_before_anything_is_written(tmp_path):
     with pytest.raises(ConfigError) as info:
-        run_experiment("nope", out_dir=str(tmp_path / "out"))
+        run_experiment("nope", {"out_dir": str(tmp_path / "out")})
     assert str(info.value) == (
         "unknown preset 'nope'; choose from stationarity, linear-decay, zero-modes, "
         "conservation, nonlinear-convergence, spectrum")
@@ -740,7 +781,7 @@ def test_speed_parameter_without_value_is_refused():
     ("dt = nan", "dt must be finite, got nan"),
     ("dt = inf", "dt must be finite, got inf"),
     ("R = nan", "R must be finite, got nan"),
-    ("R = nan\nspeed = power_mean m=1 beta=2", "reference radius must be finite, got nan"),
+    ("R = nan\nspeed = power_mean m=1 beta=2", "R must be finite, got nan"),
     ("T = 1e308", "T=1e+308 over dt=0.0015625 is not a finite number of steps"),
     ("dt = 5e-324", "T=1.0 over dt=5e-324 is not a finite number of steps"),
 ])
