@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Fitted vs analytic decay rates across modes, speeds, and constraint indices.
 
-Each row starts the flow at a single small harmonic and fits the amplitude
-decay of that degree against F'(kappa_0) (l-1)(l+n) / R^2.
+Each row starts the flow at a single small harmonic, runs the default
+integrator (rk4) at its default step (the parabolic bound), and fits the
+amplitude decay of that degree against F'(kappa_0) (l-1)(l+n) / R^2.
 
 Usage: python scripts/decay_rate_sweep.py [csv_path]
 """
@@ -44,9 +45,8 @@ def main() -> int:
     for n, kind, params, k, modes in cases:
         for l in modes:
             speed = SpeedSpec(kind, n=n, R=1.0, **params)
-            cfg = FlowConfig(n=n, R=1.0, k=k, speed=speed, integrator="imex",
-                             dt=1e-4, T=1.0, L_max=8 if n == 2 else 16,
-                             cadence=10)
+            cfg = FlowConfig(n=n, R=1.0, k=k, speed=speed, T=1.0,
+                             L_max=8 if n == 2 else 16, cadence=2)
             target = stable_decay_rate(cfg.speed, l)
             rate = fitted_rate(cfg, l)
             rel = abs(rate - target) / target

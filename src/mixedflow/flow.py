@@ -12,14 +12,17 @@ diagonal in the harmonic basis with per-degree rate
 
     -F'(kappa_0) (l - 1)(l + n) / R^2   (degree l >= 1; degree 0 is neutral).
 
-`FlowProblem.step` takes one step with the configured integrator: classical
-fourth-order Runge-Kutta, subject to a parabolic step restriction, or a
-first-order scheme that treats that diagonal implicitly and the remainder
-explicitly, which is what makes the stiff high modes harmless at desk-scale
-resolutions.  Every velocity evaluation re-truncates to the band limit, so
-quadratic interactions that the oversampled grid resolves are projected
-back exactly.  `run` analyses a record's velocity only for a step from it.
-`numerical_jacobian` checks that linearization by central differences.
+`FlowProblem.step` takes one step of classical fourth-order Runge-Kutta
+(rk4), whose step the stiffest of those rates bounds: that parabolic
+bound, `cfl_timestep`, is a run's step unless the config sets dt.  A config
+may name `imex` instead, a first-order scheme that treats the diagonal
+implicitly and the remainder explicitly; it remains only for the two
+benchmark workloads that name it with their own dt, until ROADMAP item 1
+retargets them to rk4.  Every velocity evaluation re-truncates to the band
+limit, so quadratic interactions that the oversampled grid resolves are
+projected back exactly.  `run` analyses a record's velocity only for a step
+from it.  `numerical_jacobian` checks that linearization by central
+differences.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from .errors import (AdmissibilityError, ConstraintDegenerateError, MixedFlowErr
 from .geometry import BundleWorkspace, CurvatureBundle, bundle_from_coeffs, principal_curvatures
 from .harmonics import (L_MAX_MAX, L_MAX_MIN, RadialField, build_grid, harmonic_multiplicity,
                         total_coefficients)
-from .speeds import SpeedSpec, eval_speed, is_integer, umbilic_derivative
+from .speeds import SpeedSpec, eval_speed, is_number, umbilic_derivative
 
 _INTEGRATORS = ("imex", "rk4")
 # Fraction of the parabolic stability limit that the explicit integrator may use.
@@ -56,7 +59,7 @@ class FlowConfig:
     R: float = 1.0
     k: int = -1
     speed: SpeedSpec | None = None
-    integrator: str = "imex"
+    integrator: str = "rk4"
     dt: float | None = None
     T: float = 1.0
     L_max: int = 16
@@ -64,11 +67,12 @@ class FlowConfig:
 
     def __post_init__(self):
         for name in ("n", "k", "L_max", "cadence"):
-            if not is_integer(value := getattr(self, name)):
+            if not is_number(value := getattr(self, name), int):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
-        for name in ("R", "T", "dt"):
-            value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
+        for name in ("R", "T") if self.dt is None else ("R", "T", "dt"):
+            if not is_number(value := getattr(self, name), float):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
+            if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
         if self.n not in (1, 2):
             raise ValueError(f"n must be 1 or 2, got {self.n}")
@@ -89,15 +93,14 @@ class FlowConfig:
         if self.speed.n != self.n or self.speed.R != self.R:
             raise ValueError("speed was built for a different dimension or radius")
         try:
-            bound, dt = cfl_timestep(self), default_timestep(self)
+            bound = cfl_timestep(self)
         except OverflowError:  # R ** 2 is beyond the float range
-            bound = dt = math.inf
-        if not (0.0 < bound < math.inf and 0.0 < dt < math.inf):
+            bound = math.inf
+        if not 0.0 < bound < math.inf:
             raise ValueError(f"R={self.R!r} gives no positive finite step bound")
-        if self.integrator == "rk4" and self.dt is not None:
-            if self.dt > bound * (1.0 + _CFL_SLACK):
-                raise ValueError(f"rk4 dt={self.dt:.3e} exceeds the parabolic bound {bound:.3e}")
-        if not math.isfinite(self.T / dt):
+        if self.integrator == "rk4" and (self.dt or 0.0) > bound * (1.0 + _CFL_SLACK):
+            raise ValueError(f"rk4 dt={self.dt:.3e} exceeds the parabolic bound {bound:.3e}")
+        if not math.isfinite(self.T / (dt := default_timestep(self))):
             raise ValueError(f"T={self.T!r} over dt={dt!r} is not a finite number of steps")
 
 
@@ -157,18 +160,14 @@ def stable_decay_rate(speed: SpeedSpec, l: int | np.ndarray) -> float | np.ndarr
 
 
 def cfl_timestep(config: FlowConfig) -> float:
-    """Parabolic step bound for the explicit integrator."""
+    """Parabolic step bound of rk4, 0.5 R^2 / (F' L (L + n - 1)); every run's default step."""
     L = config.L_max
     return _C_CFL * config.R ** 2 / (umbilic_derivative(config.speed) * L * (L + config.n - 1))
 
 
 def default_timestep(config: FlowConfig) -> float:
-    if config.dt is not None:
-        return config.dt
-    if config.integrator == "rk4":
-        return cfl_timestep(config)
-    fp = umbilic_derivative(config.speed)
-    return 0.1 * config.R ** 2 / (fp * config.L_max ** 2)
+    """The configured dt, or the parabolic bound when dt is unset, whatever the integrator."""
+    return cfl_timestep(config) if config.dt is None else config.dt
 
 
 class FlowProblem:

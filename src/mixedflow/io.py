@@ -60,7 +60,7 @@ from .flow import (DiagnosticsRecord, FlowConfig, FlowProblem, FlowRun, FlowStat
                    default_timestep, numerical_jacobian, run)
 from .harmonics import (SPHERE_AREA, Grid, RadialField, build_grid, harmonic_multiplicity,
                         total_coefficients)
-from .speeds import SpeedSpec, format_number, format_param, is_integer
+from .speeds import NUMBER_KINDS, SpeedSpec, format_number, format_param, is_number
 
 # Config key -> cast of its text; speed and init are parsed further below.  The flow
 # keys come in the order `_sourced` seeks a refusal's source in: the problem's keys
@@ -95,9 +95,9 @@ class InitSpec:
             raise ConfigError(
                 f"init kind {self.kind} takes {len(params)} parameters, got {len(self.params)}")
         for (name, cast), value in zip(params.items(), self.params):
-            if cast is int and not is_integer(value):
-                raise ConfigError(
-                    f"init {self.kind} parameter {name} must be an integer, got {value!r}")
+            if not is_number(value, cast):
+                raise ConfigError(f"init {self.kind} parameter {name} must be "
+                                  f"{NUMBER_KINDS[cast]}, got {value!r}")
         if not all(map(math.isfinite, self.params)):
             raise ConfigError(
                 f"init parameters must be finite, got {self.describe().partition(':')[2]!r}")
@@ -209,7 +209,7 @@ def _uniform_draws(seed: int, count: int) -> np.ndarray:
     mapped to -1 + 2u.  ConfigError for a negative or non-integer seed,
     whose word split would never end or not be numpy's.
     """
-    if not is_integer(seed) or seed < 0:
+    if not is_number(seed, int) or seed < 0:
         raise ConfigError(f"random init seed must be a non-negative integer, got {seed!r}")
     w0, w1, w2, w3 = _seed_words(int(seed))
     inc = ((w2 << 64 | w3) << 1 | 1) & _M128

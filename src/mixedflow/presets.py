@@ -164,13 +164,13 @@ class _Preset:
 
 _PRESETS = {
     "stationarity": _Preset(
-        dict(n="2", R="1", k="-1", speed="mean", integrator="imex", T="0.05", L_max="16",
+        dict(n="2", R="1", k="-1", speed="mean", integrator="rk4", T="0.05", L_max="16",
              init="const:0.2", cadence="1"), _checks_stationarity),
     "linear-decay": _Preset(
-        dict(n="2", R="1", k="-1", speed="mean", integrator="imex", dt="1e-4", T="1",
-             L_max="8", init="harmonic:2,1,1e-4", cadence="10"), _checks_linear_decay),
+        dict(n="2", R="1", k="-1", speed="mean", integrator="rk4", T="1",
+             L_max="8", init="harmonic:2,1,1e-4", cadence="2"), _checks_linear_decay),
     "zero-modes": _Preset(
-        dict(n="2", R="1", k="-1", speed="mean", integrator="imex", dt="1e-3", T="2",
+        dict(n="2", R="1", k="-1", speed="mean", integrator="rk4", T="2",
              L_max="8", init="zero_modes:0.001", cadence="10"), _checks_zero_modes),
     "conservation": _Preset(
         dict(n="2", R="1", k="0", speed="mean", integrator="rk4", dt="1e-4", T="0.5",

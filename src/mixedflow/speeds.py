@@ -63,9 +63,15 @@ def _kind(name: str) -> SpeedKind:
     return SPEED_KINDS[name]
 
 
-def is_integer(x) -> bool:
-    """True for an int, numpy's included, that is not a bool."""
-    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+# What a number of each cast must be, for the refusal of a value that is not one.
+NUMBER_KINDS = {int: "an integer", float: "a real number"}
+
+
+def is_number(x, cast: type) -> bool:
+    """True for an x of cast's kind, int or float, that is not a bool: numpy's numbers
+    count, and an int counts as a float."""
+    return (isinstance(x, numbers.Integral if cast is int else numbers.Real)
+            and not isinstance(x, bool))
 
 
 def format_number(x: float) -> str:
@@ -92,11 +98,14 @@ class SpeedSpec:
 
     def __post_init__(self):
         kind = _kind(self.kind)
-        for name in ("m", "l"):
-            if not is_integer(value := getattr(self, name)):
-                raise SpeedError(f"speed parameter {name} must be an integer, got {value!r}")
-        if not is_integer(self.n) or self.n not in (1, 2):
+        for name, cast in (("m", int), ("beta", float), ("l", int)):
+            if not is_number(value := getattr(self, name), cast):
+                raise SpeedError(
+                    f"speed parameter {name} must be {NUMBER_KINDS[cast]}, got {value!r}")
+        if not is_number(self.n, int) or self.n not in (1, 2):
             raise SpeedError(f"speeds are defined for n in {{1, 2}}, got {self.n}")
+        if not is_number(self.R, float):
+            raise SpeedError(f"reference radius must be a real number, got {self.R!r}")
         if self.R <= 0:
             raise SpeedError(f"reference radius must be positive, got {self.R}")
         if not math.isfinite(self.R):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from mixedflow.analysis import sphere_from_coords
-from mixedflow.errors import AdmissibilityError, SpeedError, StepRejectedError
+from mixedflow.errors import AdmissibilityError, ConfigError, SpeedError, StepRejectedError
 from mixedflow.flow import (
     DiagnosticsRecord,
     FlowConfig,
@@ -19,7 +19,7 @@ from mixedflow.flow import (
     run,
 )
 from mixedflow.harmonics import RadialField, build_grid
-from mixedflow.io import random_band_field
+from mixedflow.io import InitSpec, random_band_field
 from mixedflow.speeds import SpeedSpec, reference_speed
 from conftest import band_coeffs
 from oracles import speed_at
@@ -184,7 +184,7 @@ def test_speed_failure_rejects_step():
     # beta = 0.5 needs a positive mean curvature; this admissible field's
     # turns negative, so the speed is undefined there and the step is rejected
     speed = SpeedSpec("power_mean", n=2, R=1.0, m=1, beta=0.5)
-    cfg = FlowConfig(n=2, R=1.0, speed=speed, L_max=16)
+    cfg = FlowConfig(n=2, R=1.0, speed=speed, integrator="imex", L_max=16)
     prob = FlowProblem(cfg)
     c0 = random_band_field(prob.grid, 1.0, 0.6, 6, 10, 3).coeffs
     for step, dt in ((prob.step, default_timestep(cfg)),
@@ -211,7 +211,7 @@ def test_step_refuses_a_dt_that_is_not_positive_and_finite(monkeypatch, integrat
         assert str(info.value) == f"dt must be positive and finite, got {dt!r}"
 
 def test_steppers_decay_degree_two():
-    cfg = FlowConfig(n=2, R=1.0, k=-1, L_max=8)
+    cfg = FlowConfig(n=2, R=1.0, k=-1, integrator="imex", L_max=8)
     prob = FlowProblem(cfg)
     c0 = np.zeros(prob.grid.size)
     c0[prob.grid.flat_index(2, 1)] = 1e-3
@@ -226,7 +226,7 @@ def test_steppers_decay_degree_two():
 
 def test_default_timesteps_frozen():
     cfg = FlowConfig(n=2, R=1.0, k=-1, integrator="imex", L_max=16)
-    assert abs(default_timestep(cfg) - 0.1 / 256.0) < 1e-18
+    assert abs(default_timestep(cfg) - 0.5 / 272.0) < 1e-18
     cfg = FlowConfig(n=2, R=1.0, k=-1, integrator="rk4", L_max=16)
     assert abs(default_timestep(cfg) - 0.5 / 272.0) < 1e-18
 
@@ -346,6 +346,35 @@ def test_flow_config_refuses_a_non_integer_count(field, value):
     assert type(info.value) is ValueError
     assert str(info.value) == f"{field} must be an integer, got {value!r}"
     FlowConfig(**{field: np.int64(getattr(FlowConfig, field))})  # numpy's ints are ints
+
+
+@pytest.mark.parametrize("build,error,message", [
+    (lambda: FlowConfig(R="1"), ValueError, "R must be a real number, got '1'"),
+    (lambda: FlowConfig(dt="1e-3"), ValueError, "dt must be a real number, got '1e-3'"),
+    (lambda: FlowConfig(T=True), ValueError, "T must be a real number, got True"),
+    (lambda: FlowConfig(R=True), ValueError, "R must be a real number, got True"),
+    (lambda: InitSpec("const", ("0.1",)), ConfigError,
+     "init const parameter c must be a real number, got '0.1'"),
+    (lambda: InitSpec("sphere", (0.1, 0.0, False, 0.0)), ConfigError,
+     "init sphere parameter z2 must be a real number, got False"),
+    (lambda: SpeedSpec("power_mean", n=2, R=1.0, m=1, beta="2"), SpeedError,
+     "speed parameter beta must be a real number, got '2'"),
+    (lambda: SpeedSpec("mean", n=2, R="1"), SpeedError,
+     "reference radius must be a real number, got '1'"),
+    (lambda: SpeedSpec("mean", n=2, R=True), SpeedError,
+     "reference radius must be a real number, got True"),
+], ids=["FlowConfig-R-str", "FlowConfig-dt-str", "FlowConfig-T-bool", "FlowConfig-R-bool",
+        "InitSpec-str", "InitSpec-bool", "SpeedSpec-beta-str", "SpeedSpec-R-str",
+        "SpeedSpec-R-bool"])
+def test_a_non_number_in_a_float_field_is_refused(build, error, message):
+    # a str raised a raw TypeError from the first arithmetic on it, and a
+    # bool passed as 1.0 or 0.0; each is now its constructor's typed refusal
+    with pytest.raises(error) as info:
+        build()
+    assert type(info.value) is error and str(info.value) == message
+    # ints and numpy's floats remain numbers
+    FlowConfig(R=np.float64(1.0), T=1, dt=np.float32(1e-3))
+    SpeedSpec("power_mean", n=2, R=1, m=1, beta=np.float64(2.0))
 
 
 @pytest.mark.parametrize("field,value", [("T", math.nan), ("T", math.inf), ("dt", math.nan),

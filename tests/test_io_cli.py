@@ -58,7 +58,7 @@ def test_parse_defaults():
     cfg = parsed.config
     assert (cfg.n, cfg.R, cfg.k) == (2, 1.0, -1)
     assert cfg.speed.kind == "mean"
-    assert cfg.integrator == "imex" and cfg.dt is None
+    assert cfg.integrator == "rk4" and cfg.dt is None
     assert (cfg.T, cfg.L_max, cfg.cadence) == (1.0, 16, 10)
     assert parsed.init == InitSpec("const", (0.0,))
     assert parsed.out_dir == "."
@@ -145,7 +145,7 @@ def test_readme_example_config_parses_to_the_defaults():
 def test_config_echo_resolves_dt():
     parsed = parse_config_text("n = 2\nL_max = 16\n")
     echo = config_echo(parsed)
-    assert "dt = 0.000390625" in echo
+    assert "dt = 0.001838235294117647" in echo
     assert "init = const:0" in echo
     assert "speed = mean" in echo
 
@@ -539,12 +539,12 @@ def test_cli_preset_override(tmp_path, monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("name,overrides", [
-    ("linear-decay", ["dt=1e-2"]),
+    ("linear-decay", ["cadence=20"]),
     ("zero-modes", ["T=0.1", "cadence=20"]),
     ("nonlinear-convergence", ["T=0.1", "cadence=20"]),
 ])
 def test_cli_preset_failed_decay_fit(tmp_path, monkeypatch, capsys, name, overrides):
-    # 11 or 6 records leave too few samples in the fit window: the preset
+    # 9, 2 or 6 records leave too few samples in the fit window: the preset
     # still writes summary.txt, with the fit's error and a failed check, and exits 1
     monkeypatch.setenv("MIXEDFLOW_OUT", str(tmp_path))
     assert main(["preset", name, *(arg for o in overrides for arg in ("--set", o))]) == 1
@@ -682,7 +682,7 @@ def test_flow_preset_reruns_from_its_header(tmp_path, monkeypatch, name):
 
 
 def test_cli_run_failure_writes_records(tmp_path, monkeypatch, capsys):
-    # the imex step leaves the cone at t ~ 0.018: exit 1 with the records so far
+    # the imex step leaves the cone at t ~ 0.03: exit 1 with the records so far
     monkeypatch.setenv("MIXEDFLOW_OUT", str(tmp_path / "out"))
     cfg = _write_config(
         tmp_path, "n = 2\nspeed = elementary l=2\nintegrator = imex\nT = 0.2\n"
@@ -732,7 +732,7 @@ def test_cli_rk4_dt_above_bound_is_input_error(tmp_path, monkeypatch, capsys):
     # the bound itself is allowed, as is any dt under imex
     assert parse_config_text("integrator = rk4\ndt = 0.0018382352941176471\n").config.dt \
         == 0.5 / 272.0
-    assert parse_config_text("dt = 1e-2\n").config.dt == 1e-2
+    assert parse_config_text("integrator = imex\ndt = 1e-2\n").config.dt == 1e-2
 
 
 @pytest.mark.parametrize("lmax", ["0", "-1", "9"])
@@ -782,7 +782,7 @@ def test_speed_parameter_without_value_is_refused():
     ("dt = inf", "dt must be finite, got inf"),
     ("R = nan", "R must be finite, got nan"),
     ("R = nan\nspeed = power_mean m=1 beta=2", "R must be finite, got nan"),
-    ("T = 1e308", "T=1e+308 over dt=0.0015625 is not a finite number of steps"),
+    ("T = 1e308", "T=1e+308 over dt=0.006944444444444444 is not a finite number of steps"),
     ("dt = 5e-324", "T=1.0 over dt=5e-324 is not a finite number of steps"),
 ])
 def test_cli_non_finite_config_is_input_error(tmp_path, monkeypatch, capsys, line, fragment):
