@@ -5,10 +5,11 @@ key -> value settings that `io.parse_config_items` reads with the
 command-line overrides, so both pass the checks of a config file's lines
 and an error names its source (`preset` or `override KEY`); and the checks
 its summary reports.  Every preset's initial data is its `init` setting, so
-the config echo in its headers reruns it.  The spectrum preset runs no
-flow: it writes spectrum.csv through `io.spectrum_to_file`, the routine
-behind `mixedflow spectrum`, at its own L_max, and checks the returned
-report.
+the config echo in its headers reruns it.  No preset sets dt: each flow
+preset steps at the parabolic bound of its L_max and speed, overrides of
+either included.  The spectrum preset runs no flow: it writes spectrum.csv
+through `io.spectrum_to_file`, the routine behind `mixedflow spectrum`, at
+its own L_max, and checks the returned report.
 """
 
 from __future__ import annotations
@@ -173,10 +174,10 @@ _PRESETS = {
         dict(n="2", R="1", k="-1", speed="mean", integrator="rk4", T="2",
              L_max="8", init="zero_modes:0.001", cadence="10"), _checks_zero_modes),
     "conservation": _Preset(
-        dict(n="2", R="1", k="0", speed="mean", integrator="rk4", dt="1e-4", T="0.5",
+        dict(n="2", R="1", k="0", speed="mean", integrator="rk4", T="0.5",
              L_max="24", init="random:0.05,6,42", cadence="50"), _checks_conservation),
     "nonlinear-convergence": _Preset(
-        dict(n="2", R="1", k="-1", speed="mean", integrator="rk4", dt="1e-3", T="3",
+        dict(n="2", R="1", k="-1", speed="mean", integrator="rk4", T="3",
              L_max="16", init="random:0.05,6,42", cadence="10"), _checks_nonlinear),
     "spectrum": _Preset(dict(n="2", R="1", k="-1", speed="mean", L_max="8"), None),
 }

@@ -163,8 +163,12 @@ def _echo_round_trips(parsed):
     assert back.init == parsed.init
 
 
+# No preset fixes its step, so every flow preset parses at any L_max and speed.
 @pytest.mark.parametrize("name,overrides", [
-    *((name, {}) for name in PRESET_NAMES), ("zero-modes", {"n": "1", "L_max": "16"})])
+    *((name, {}) for name in PRESET_NAMES), ("zero-modes", {"n": "1", "L_max": "16"}),
+    *(pytest.param(name, {"L_max": L, **speed}, id=f"{name}-L{L}{'-power_mean' * bool(speed)}")
+      for name in PRESET_NAMES if _PRESETS[name].checks
+      for L in ("16", "24", "32", "64") for speed in ({}, {"speed": "power_mean m=2 beta=2"}))])
 def test_preset_echo_round_trips(name, overrides):
     _echo_round_trips(_PRESETS[name].config(overrides))
 
@@ -544,7 +548,7 @@ def test_cli_preset_override(tmp_path, monkeypatch, capsys):
     ("nonlinear-convergence", ["T=0.1", "cadence=20"]),
 ])
 def test_cli_preset_failed_decay_fit(tmp_path, monkeypatch, capsys, name, overrides):
-    # 9, 2 or 6 records leave too few samples in the fit window: the preset
+    # 9, 2 or 4 records leave too few samples in the fit window: the preset
     # still writes summary.txt, with the fit's error and a failed check, and exits 1
     monkeypatch.setenv("MIXEDFLOW_OUT", str(tmp_path))
     assert main(["preset", name, *(arg for o in overrides for arg in ("--set", o))]) == 1

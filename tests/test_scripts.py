@@ -1,5 +1,6 @@
 """The study scripts still import: every public name they use exists.  code_lines also
-counts a small source, and compare_runs runs on two small trees."""
+counts a small source, compare_runs runs on two small trees, and conservation_order
+builds its step ladder at any L_max."""
 
 import importlib.util
 from pathlib import Path
@@ -21,6 +22,18 @@ def _load(path):
 @pytest.mark.parametrize("path", SCRIPTS, ids=[p.stem for p in SCRIPTS])
 def test_script_imports(path):
     assert callable(_load(path).main)
+
+
+def test_conservation_order_ladder_starts_at_the_bound(monkeypatch, capsys):
+    # rk4's bound 0.5/(L(L+1)) falls below any fixed first rung as L_max grows.
+    conservation_order = _load(SCRIPT_DIR / "conservation_order.py")
+    monkeypatch.setattr(conservation_order, "drift", lambda cfg: cfg.dt ** 4)
+    for L in (32, 64):
+        monkeypatch.setattr("sys.argv", ["conservation_order.py", "0", str(L)])
+        assert conservation_order.main() == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert [row.split("=")[1] for row in rows] == ["bound/1", "bound/2", "bound/4", "bound/8"]
+        assert all(row.endswith("order  4.00") for row in rows[1:])
 
 
 def test_code_lines_counts_only_lines_with_code(tmp_path, capsys):
