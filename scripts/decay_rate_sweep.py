@@ -1,57 +1,58 @@
 #!/usr/bin/env python3
 """Fitted vs analytic decay rates across modes, speeds, and constraint indices.
 
-Each row starts the flow at a single small harmonic, runs the default
-integrator (rk4) at its default step (the parabolic bound), and fits the
-amplitude decay of that degree against F'(kappa_0) (l-1)(l+n) / R^2.
+Each case runs the linear-decay preset from a single small harmonic
+(`harmonic:l,1,1e-4`) at the case's n, L_max, k and speed, and reads its
+`decay_rate_relative_error` check: the fitted amplitude decay of degree l
+against F'(kappa_0) (l-1)(l+n) / R^2, under rk4 at its parabolic bound.
+The preset's files go to a temporary directory, removed at the end, and
+MIXEDFLOW_OUT is cleared, since it would send them elsewhere.  ACCEPTANCE 5
+gates every case at 1%; the script exits 1 when one misses it.
 
 Usage: python scripts/decay_rate_sweep.py [csv_path]
 """
 
-import math
+import os
 import sys
+import tempfile
 
-import numpy as np
-
-from mixedflow.analysis import fit_decay_rate
-from mixedflow.flow import FlowConfig, FlowProblem, run, stable_decay_rate
-from mixedflow.harmonics import RadialField
+from mixedflow.flow import stable_decay_rate
+from mixedflow.presets import run_experiment
 from mixedflow.speeds import SpeedSpec
 
 
-def fitted_rate(cfg: FlowConfig, l: int) -> float:
-    prob = FlowProblem(cfg)
-    coeffs = np.zeros(prob.grid.size)
-    coeffs[prob.grid.flat_index(l, 1)] = 1e-4 * cfg.R
-    out = run(cfg, RadialField(prob.grid, cfg.R, coeffs=coeffs), problem=prob)
-    ts = [r.t for r in out.records]
-    amps = [math.sqrt(r.mode_energy[l]) for r in out.records]
-    return -fit_decay_rate(ts, amps)
+def cases() -> list[tuple[int, SpeedSpec, int, int]]:
+    """(n, speed, k, l) of every case: degrees 2-4 on S^2, 2-5 on S^1, every admissible k."""
+    out = []
+    for n, modes in ((2, (2, 3, 4)), (1, (2, 3, 4, 5))):
+        speeds = [SpeedSpec("mean", n=n, R=1.0),
+                  SpeedSpec("power_mean", n=n, R=1.0, m=1, beta=2.0)]
+        if n == 2:
+            speeds.append(SpeedSpec("elementary", n=n, R=1.0, l=2))
+        out += [(n, speed, k, l) for speed in speeds for k in range(-1, n) for l in modes]
+    return out
+
+
+def relative_errors(out_dir: str):
+    """Yield (n, speed, k, l, relative error) per case, each run written into out_dir."""
+    for n, speed, k, l in cases():
+        result = run_experiment("linear-decay", {
+            "n": str(n), "L_max": "8" if n == 2 else "16", "k": str(k),
+            "speed": speed.describe(), "init": f"harmonic:{l},1,1e-4", "out_dir": out_dir})
+        checks = {c.name: c.value for c in result.checks}
+        yield n, speed, k, l, checks["decay_rate_relative_error"]
 
 
 def main() -> int:
     csv_path = sys.argv[1] if len(sys.argv) > 1 else None
-    cases = []
-    for n, modes in ((2, (2, 3, 4)), (1, (2, 3, 4, 5))):
-        speeds = [("mean", {}), ("power_mean", dict(m=1, beta=2.0))]
-        if n == 2:
-            speeds.append(("elementary", dict(l=2)))
-        for kind, params in speeds:
-            for k in range(-1, n):
-                cases.append((n, kind, params, k, modes))
-
-    lines = ["n,speed,k,l,rate_fit,rate_analytic,rel_err"]
+    os.environ.pop("MIXEDFLOW_OUT", None)
+    lines = ["n,speed,k,l,rate_analytic,rel_err"]
     worst = 0.0
-    for n, kind, params, k, modes in cases:
-        for l in modes:
-            speed = SpeedSpec(kind, n=n, R=1.0, **params)
-            cfg = FlowConfig(n=n, R=1.0, k=k, speed=speed, T=1.0,
-                             L_max=8 if n == 2 else 16, cadence=2)
-            target = stable_decay_rate(cfg.speed, l)
-            rate = fitted_rate(cfg, l)
-            rel = abs(rate - target) / target
+    with tempfile.TemporaryDirectory() as out_dir:
+        for n, speed, k, l, rel in relative_errors(out_dir):
             worst = max(worst, rel)
-            lines.append(f"{n},{cfg.speed.describe()},{k},{l},{rate!r},{target!r},{rel:.2e}")
+            target = stable_decay_rate(speed, l)
+            lines.append(f"{n},{speed.describe()},{k},{l},{target!r},{rel:.2e}")
             print(lines[-1])
     print(f"worst relative error: {worst:.2e}")
     if csv_path:

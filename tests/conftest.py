@@ -1,7 +1,12 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from mixedflow.harmonics import build_grid
+
+SCRIPT_DIR = Path(__file__).resolve().parent.parent / "scripts"
 
 
 @pytest.fixture(scope="session")
@@ -43,3 +48,13 @@ def band_coeffs(grid, rng, l_lo=0, l_hi=None, scale=1.0):
     c = rng.standard_normal(grid.size) * scale
     c[(grid.degrees < l_lo) | (grid.degrees > l_hi)] = 0.0
     return c
+
+
+def load_script(name):
+    """The module of scripts/<name>.py, loaded under a name other than "__main__",
+    so its main() does not run."""
+    path = SCRIPT_DIR / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"script_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

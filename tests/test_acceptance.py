@@ -6,29 +6,17 @@ as a ten-line report.  Thresholds are pinned here on purpose; loosening
 them is a behavior change, not a test fix.
 """
 
-from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 
-from mixedflow.analysis import (
-    fit_decay_rate,
-    fit_sphere,
-    mixed_volume,
-    sphere_from_coords,
-)
-from mixedflow.flow import (
-    FlowConfig,
-    FlowProblem,
-    cfl_timestep,
-    numerical_jacobian,
-    run,
-    stable_decay_rate,
-)
+from mixedflow.analysis import fit_sphere, mixed_volume, sphere_from_coords
+from mixedflow.flow import FlowConfig, FlowProblem, numerical_jacobian
 from mixedflow.geometry import bundle_from_coeffs, principal_curvatures
 from mixedflow.harmonics import RadialField, build_grid
-from mixedflow.io import random_band_field
 from mixedflow.presets import run_experiment
 from mixedflow.speeds import SpeedSpec
+from conftest import load_script
 from oracles import graph_area, mesh_principal_curvatures, speed_at, y21, y21_grad
 
 
@@ -140,41 +128,15 @@ def test_04_jacobian_is_the_analytic_spectrum():
     assert passed
 
 
-def _single_mode_rate(n, speed, k, m, L):
-    cfg = FlowConfig(n=n, R=1.0, k=k, speed=speed, T=1.0, L_max=L, cadence=2)
-    prob = FlowProblem(cfg)
-    c0 = np.zeros(prob.grid.size)
-    c0[prob.grid.flat_index(m, 1)] = 1e-4
-    out = run(cfg, RadialField(prob.grid, 1.0, coeffs=c0), problem=prob)
-    t = [r.t for r in out.records]
-    a = [float(np.sqrt(r.mode_energy[m])) for r in out.records]
-    return -fit_decay_rate(t, a)
-
-
-def test_05_linear_decay_rates():
-    worst, worst_case = 0.0, ""
-    cases = []
-    for speed_kind, k in (("mean", -1), ("mean", 0), ("power_mean", -1)):
-        if speed_kind == "mean":
-            speed = SpeedSpec("mean", n=2, R=1.0)
-        else:
-            speed = SpeedSpec("power_mean", n=2, R=1.0, m=1, beta=2.0)
-        for m in (2, 3, 4):
-            cases.append((2, speed, k, m, 8))
-    mean1 = SpeedSpec("mean", n=1, R=1.0)
-    for m in (2, 3, 4):
-        cases.append((1, mean1, -1, m, 16))
-    for n, speed, k, m, L in cases:
-        rate = _single_mode_rate(n, speed, k, m, L)
-        target = stable_decay_rate(speed, m)
-        rel = abs(rate - target) / target
-        if rel > worst:
-            worst = rel
-            worst_case = f"n={n} {speed.kind} k={k} m={m}: {rate:.6g} vs {target:g}"
+def test_05_linear_decay_rates(tmp_path, monkeypatch):
+    # every case of scripts/decay_rate_sweep.py: the linear-decay preset from one harmonic
+    monkeypatch.delenv("MIXEDFLOW_OUT", raising=False)
+    rows = list(load_script("decay_rate_sweep").relative_errors(str(tmp_path)))
+    n, speed, k, l, worst = max(rows, key=lambda row: row[-1])
     passed = worst <= 1e-2
     _report(5, passed,
-            f"12 single-mode decay rates within 1%; worst rel error {worst:.2e} "
-            f"({worst_case})")
+            f"{len(rows)} single-mode decay rates within 1%; worst rel error {worst:.2e} "
+            f"(n={n} {speed.describe()} k={k} l={l})")
     assert passed
 
 
@@ -194,23 +156,16 @@ def test_06_zero_modes_stay_put(tmp_path, monkeypatch):
     assert passed
 
 
-def _drift(k, halvings):
-    # rk4 at the parabolic bound, its default step, halved `halvings` times
-    cfg = FlowConfig(n=2, R=1.0, k=k, integrator="rk4", T=0.5, L_max=24, cadence=50)
-    cfg = replace(cfg, dt=cfl_timestep(cfg) / 2 ** halvings)
-    prob = FlowProblem(cfg)
-    rho0 = random_band_field(prob.grid, 1.0, 0.05, 2, 6, 42)
-    out = run(cfg, rho0, problem=prob)
-    V0 = out.records[0].V
-    return max(abs(r.V - V0) for r in out.records) / abs(V0)
-
-
-def test_07_conserved_quantities():
+def test_07_conserved_quantities(tmp_path, monkeypatch):
+    # the first two rungs of scripts/conservation_order.py: the conservation preset
+    # at its parabolic bound and at half of it
+    monkeypatch.delenv("MIXEDFLOW_OUT", raising=False)
+    ladder = load_script("conservation_order").ladder
     details = []
     passed = True
     for k in (-1, 0, 1):
-        drift = _drift(k, 0)
-        order = float(np.log2(drift / _drift(k, 1)))
+        (_, drift), (_, half_step_drift) = ladder(k, 24, str(tmp_path), rungs=2)
+        order = float(np.log2(drift / half_step_drift))
         ok = drift <= 1e-6 and order >= 3.5
         passed = passed and ok
         details.append(f"k={k}: drift {drift:.2e} (tol 1e-6), order {order:.2f}")
@@ -253,12 +208,13 @@ def test_09_sphere_chart_round_trip():
 
 def test_10_reruns_are_byte_identical(tmp_path, monkeypatch):
     monkeypatch.delenv("MIXEDFLOW_OUT", raising=False)
-    run_experiment("nonlinear-convergence", {"out_dir": str(tmp_path / "a")})
-    run_experiment("nonlinear-convergence", {"out_dir": str(tmp_path / "b")})
-    csv_a = (tmp_path / "a" / "run.csv").read_bytes()
-    csv_b = (tmp_path / "b" / "run.csv").read_bytes()
-    passed = csv_a == csv_b
+    a, b = [run_experiment("nonlinear-convergence", {"out_dir": str(tmp_path / d)})
+            for d in "ab"]
+    names = [Path(path).name for path in a.files]
+    differing = [name for name, path_a, path_b in zip(names, a.files, b.files)
+                 if Path(path_a).read_bytes() != Path(path_b).read_bytes()]
+    passed = names == ["run.csv", "final_state.snapshot", "summary.txt"] and not differing
     _report(10, passed,
-            f"two runs of the same preset: run.csv identical = {csv_a == csv_b} "
-            f"({len(csv_a)} bytes)")
+            f"two runs of the same preset: {', '.join(names)}; "
+            f"not byte-identical: {', '.join(differing) or 'none'}")
     assert passed

@@ -238,21 +238,6 @@ def test_step_admissibility_guard(grid2):
         prob.velocity_values(const_coeffs(grid2, -1.2))
 
 
-def test_conservation_order_rk4():
-    # drift falls at fourth order while truncation dominates the aliasing floor
-    drifts = []
-    for dt in (8e-4, 4e-4, 2e-4):
-        cfg = FlowConfig(n=2, R=1.0, k=0, integrator="rk4", dt=dt, T=0.5,
-                         L_max=24, cadence=10 ** 9)
-        prob = FlowProblem(cfg)
-        rho0 = random_band_field(prob.grid, 1.0, 0.05, 2, 6, 42)
-        out = run(cfg, rho0, problem=prob)
-        V0 = out.records[0].V
-        drifts.append(max(abs(r.V - V0) for r in out.records) / abs(V0))
-    slope = np.polyfit(np.log([8e-4, 4e-4, 2e-4]), np.log(drifts), 1)[0]
-    assert 3.0 <= slope <= 5.0
-
-
 def test_conservation_order_imex():
     drifts = []
     for dt in (2e-3, 1e-3, 5e-4):

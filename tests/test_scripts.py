@@ -1,33 +1,35 @@
 """The study scripts still import: every public name they use exists.  code_lines also
-counts a small source, compare_runs runs on two small trees, and conservation_order
-builds its step ladder at any L_max."""
+counts a small source, compare_runs runs on two small trees, conservation_order
+builds its step ladder at any L_max, and the two preset studies write no file that
+outlives them."""
 
-import importlib.util
-from pathlib import Path
+import tempfile
+from types import SimpleNamespace
 
 import pytest
 
-SCRIPT_DIR = Path(__file__).resolve().parent.parent / "scripts"
-SCRIPTS = sorted(SCRIPT_DIR.glob("*.py"))
+from mixedflow.speeds import SpeedSpec
+from conftest import SCRIPT_DIR, load_script
+
+SCRIPTS = sorted(p.stem for p in SCRIPT_DIR.glob("*.py"))
 
 
-def _load(path):
-    # Loaded under a name other than "__main__", so main() does not run.
-    spec = importlib.util.spec_from_file_location(f"script_{path.stem}", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+@pytest.mark.parametrize("name", SCRIPTS)
+def test_script_imports(name):
+    assert callable(load_script(name).main)
 
 
-@pytest.mark.parametrize("path", SCRIPTS, ids=[p.stem for p in SCRIPTS])
-def test_script_imports(path):
-    assert callable(_load(path).main)
+def _stub_conservation(name, overrides):
+    # The preset run of one rung, with a drift of dt^4.
+    assert name == "conservation"
+    drift = SimpleNamespace(name="relative_V_drift", value=float(overrides["dt"]) ** 4)
+    return SimpleNamespace(checks=[drift])
 
 
 def test_conservation_order_ladder_starts_at_the_bound(monkeypatch, capsys):
     # rk4's bound 0.5/(L(L+1)) falls below any fixed first rung as L_max grows.
-    conservation_order = _load(SCRIPT_DIR / "conservation_order.py")
-    monkeypatch.setattr(conservation_order, "drift", lambda cfg: cfg.dt ** 4)
+    conservation_order = load_script("conservation_order")
+    monkeypatch.setattr(conservation_order, "run_experiment", _stub_conservation)
     for L in (32, 64):
         monkeypatch.setattr("sys.argv", ["conservation_order.py", "0", str(L)])
         assert conservation_order.main() == 0
@@ -37,7 +39,7 @@ def test_conservation_order_ladder_starts_at_the_bound(monkeypatch, capsys):
 
 
 def test_code_lines_counts_only_lines_with_code(tmp_path, capsys):
-    code_lines = _load(SCRIPT_DIR / "code_lines.py")
+    code_lines = load_script("code_lines")
     source = ('"""Module docstring,\n\nthree lines."""\n'
               "# a comment\n"
               "\n"
@@ -67,7 +69,7 @@ def _write_tree(root, V1):
 
 
 def test_compare_runs_reports_equal_and_differing_trees(tmp_path, capsys):
-    compare_runs = _load(SCRIPT_DIR / "compare_runs.py")
+    compare_runs = load_script("compare_runs")
     a, b = tmp_path / "a", tmp_path / "b"
     _write_tree(a, 4.0)
     _write_tree(b, 4.0)
@@ -97,7 +99,7 @@ def test_compare_runs_reports_equal_and_differing_trees(tmp_path, capsys):
 
 def test_run_all_presets_keeps_one_directory_per_preset(tmp_path, monkeypatch, capsys):
     # MIXEDFLOW_OUT would override every preset's out_dir; the script clears it.
-    run_all_presets = _load(SCRIPT_DIR / "run_all_presets.py")
+    run_all_presets = load_script("run_all_presets")
     monkeypatch.setattr(run_all_presets, "PRESET_NAMES", ("stationarity", "spectrum"))
     monkeypatch.setattr("sys.argv", ["run_all_presets.py", str(tmp_path / "out")])
     monkeypatch.setenv("MIXEDFLOW_OUT", str(tmp_path / "env"))
@@ -108,3 +110,23 @@ def test_run_all_presets_keeps_one_directory_per_preset(tmp_path, monkeypatch, c
         assert {p.name for p in (tmp_path / "out" / name).iterdir()} == files
         assert f"-> {tmp_path / 'out' / name}\n" in table
     assert not (tmp_path / "env").exists()
+
+
+def test_preset_studies_leave_no_files(tmp_path, monkeypatch, capsys):
+    # Both studies clear MIXEDFLOW_OUT and run their presets in a temporary directory.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "tmp").mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "tmp"))
+    decay_rate_sweep = load_script("decay_rate_sweep")
+    mean = SpeedSpec("mean", n=2, R=1.0)
+    monkeypatch.setattr(decay_rate_sweep, "cases", lambda: [(2, mean, -1, 2)])
+    for script, args in ((decay_rate_sweep, ["sweep.csv"]),
+                         (load_script("conservation_order"), ["0", "8"])):
+        monkeypatch.setenv("MIXEDFLOW_OUT", str(tmp_path / "env"))
+        monkeypatch.setattr("sys.argv", ["study.py", *args])
+        assert script.main() == 0
+    header, row = (tmp_path / "sweep.csv").read_text().splitlines()
+    assert header == "n,speed,k,l,rate_analytic,rel_err" and row.startswith("2,mean,-1,2,")
+    assert "dt=bound/8=" in capsys.readouterr().out
+    assert {p.name for p in tmp_path.iterdir()} == {"tmp", "sweep.csv"}
+    assert not any((tmp_path / "tmp").iterdir())
