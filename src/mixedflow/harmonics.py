@@ -498,9 +498,6 @@ class RadialField:
             self._coeffs.flags.writeable = False
         return self._coeffs
 
-    def min_radius(self) -> float:
-        return self.R + float(np.min(self.values))
-
     def sup_abs(self) -> float:
         if self._sup_abs is None:  # values are read-only, so it is taken once
             self._sup_abs = float(np.max(np.abs(self.values)))

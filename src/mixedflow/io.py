@@ -56,8 +56,8 @@ import numpy as np
 
 from .analysis import sphere_from_coords
 from .errors import ConfigError, SnapshotError, SpeedError
-from .flow import (DiagnosticsRecord, FlowConfig, FlowProblem, FlowRun, FlowState, SpectrumReport,
-                   default_timestep, numerical_jacobian, run)
+from .flow import (FlowConfig, FlowProblem, FlowRun, FlowState, SpectrumReport, default_timestep,
+                   numerical_jacobian, run)
 from .harmonics import (SPHERE_AREA, Grid, RadialField, build_grid, harmonic_multiplicity,
                         total_coefficients)
 from .speeds import NUMBER_KINDS, SpeedSpec, format_number, format_param, is_number
@@ -527,9 +527,6 @@ def csv_lines(rows, meta: Iterable[str] = ()) -> list[str]:
     lines = [f"# {m}" for m in meta] + [",".join(csv_columns(type(rows[0])))]
     return lines + [",".join(cell for name, kind in kinds
                              for cell in _csv_cells(getattr(row, name), kind)) for row in rows]
-
-
-RUN_COLUMNS = csv_columns(DiagnosticsRecord)
 
 
 def run_csv_lines(records, meta: list[str]) -> list[str]:

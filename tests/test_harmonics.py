@@ -1,12 +1,8 @@
 """Transform-layer tests: grids, layouts, round trips, calculus identities."""
 
 import math
-import os
 import re
-import subprocess
-import sys
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,7 +17,7 @@ from mixedflow.harmonics import (
     harmonic_multiplicity,
     total_coefficients,
 )
-from conftest import band_coeffs
+from conftest import band_coeffs, fresh_python
 from oracles import (
     coefficient_layout_loop,
     gauss_legendre_leggauss,
@@ -185,12 +181,7 @@ def test_set_up_imports_no_numpy_polynomial_or_random():
             "parsed = parse_config_text('L_max = 16\\ninit = random:0.05,6,42\\n')\n"
             "parsed.init.build(FlowProblem(parsed.config).grid, parsed.config.R)\n"
             "print(sorted({'numpy.polynomial', 'numpy.random'} & set(sys.modules)))\n")
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, timeout=120, check=True)
-    assert proc.stdout.strip() == "[]"
+    assert fresh_python(code).strip() == "[]"
 
 
 @pytest.mark.parametrize("n,L", [(1, 4), (1, 17), (1, 64), (2, 4), (2, 5), (2, 16), (2, 64)])
@@ -329,7 +320,6 @@ def test_radial_field_lazy_coeffs(grid2_small):
     c = np.zeros(grid2_small.size)
     c[4] = 0.1
     f = RadialField(grid2_small, 1.0, coeffs=c)
-    assert f.min_radius() > 0.8
     g = RadialField(grid2_small, 1.0, values=f.values)
     assert np.max(np.abs(g.coeffs - c)) < 1e-13
     with pytest.raises(ValueError):

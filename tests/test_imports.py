@@ -1,7 +1,7 @@
 """No import goes unused in the package, the tests or the scripts, at module
 level or inside a function; the package's submodules import each other
-without a cycle; and every entry point the benchmark's tracer wraps still
-exists."""
+without a cycle, and importing one loads none above it; and every entry point
+the benchmark's tracer wraps still exists."""
 
 import ast
 import graphlib
@@ -10,12 +10,12 @@ from pathlib import Path
 
 import pytest
 
+from conftest import fresh_python
+
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "mixedflow"
-# The package's __init__ imports are its public API, read by its users.
-FILES = sorted(p for p in (*PACKAGE.glob("*.py"),
-                           *(ROOT / "tests").glob("*.py"), *(ROOT / "scripts").glob("*.py"))
-               if p.name != "__init__.py")
+FILES = sorted((*PACKAGE.glob("*.py"), *(ROOT / "tests").glob("*.py"),
+                *(ROOT / "scripts").glob("*.py")))
 _FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
@@ -109,6 +109,18 @@ def test_package_imports_are_acyclic():
         graphlib.TopologicalSorter(graph).prepare()
     except graphlib.CycleError as exc:
         pytest.fail(f"submodules import each other in a cycle: {' -> '.join(exc.args[1])}")
+
+
+@pytest.mark.parametrize("module,above", [("flow", {"io", "presets", "cli"}),
+                                          ("io", {"presets", "cli"})])
+def test_importing_a_submodule_loads_none_above_it(module, above):
+    # the package has no facade: importing the engine loads only the engine,
+    # and the experiment layers load only what sits below them
+    code = (f"import sys\nimport mixedflow.{module}\n"
+            "print(*sorted(m for m in sys.modules if m.startswith('mixedflow.')))\n")
+    loaded = {name.removeprefix("mixedflow.") for name in fresh_python(code).split()}
+    assert module in loaded
+    assert loaded.isdisjoint(above), f"mixedflow.{module} loads {sorted(loaded & above)}"
 
 
 def test_benchmark_entry_points_resolve():

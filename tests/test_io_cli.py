@@ -17,9 +17,9 @@ from mixedflow.flow import (DiagnosticsRecord, FlowConfig, FlowProblem, FlowStat
 from mixedflow.harmonics import RadialField, build_grid
 from mixedflow.io import (
     CONFIG_KEYS,
-    RUN_COLUMNS,
     InitSpec,
     config_echo,
+    csv_columns,
     _uniform_draws,
     parse_config_text,
     random_band_field,
@@ -425,12 +425,12 @@ def test_run_csv_layout():
     assert any(ln.startswith("# grid = ") for ln in meta)
     assert "# init = random:0.05,6,42" in meta
     header = lines[len(meta)]
-    assert header == ",".join(RUN_COLUMNS)
+    assert header == ",".join(csv_columns(DiagnosticsRecord))
     data = lines[len(meta) + 1:]
     assert len(data) == len(out.records)
     for row in data:
         cells = row.split(",")
-        assert len(cells) == len(RUN_COLUMNS)
+        assert len(cells) == len(csv_columns(DiagnosticsRecord))
         # shortest round-trip formatting: re-printing reproduces the cell
         for cell in cells:
             assert repr(float(cell)) == cell
@@ -442,8 +442,8 @@ def test_run_csv_layout():
 def test_run_columns_are_the_record_fields():
     expanded = [[f"mode_energy_l{l}" for l in range(2, 9)] if f.name == "mode_energy"
                 else [f.name] for f in fields(DiagnosticsRecord)]
-    assert RUN_COLUMNS == tuple(column for group in expanded for column in group)
-    assert RUN_COLUMNS[-3:] == ("center_norm", "kappa_min", "kappa_max")
+    assert csv_columns(DiagnosticsRecord) == tuple(column for group in expanded for column in group)
+    assert csv_columns(DiagnosticsRecord)[-3:] == ("center_norm", "kappa_min", "kappa_max")
 
 
 def test_run_csv_cells_are_the_record_figures():
