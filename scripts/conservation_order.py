@@ -10,7 +10,10 @@ and the printed order means nothing.  The floor is the reason the ladder
 starts at the coarsest step rk4 takes: at L_max = 24 the drift of the last
 rung is already near 1e-13.  The preset's files go to a temporary directory,
 removed at the end, and MIXEDFLOW_OUT is cleared, since it would send them
-elsewhere.  ACCEPTANCE 7 gates the first two rungs at L_max = 24.
+elsewhere.  ACCEPTANCE 7 gates the first two rungs at L_max = 24.  A rung
+whose drift fell less than 8x from the previous rung, an observed order below
+3, prints `floor` after its order: it has reached the floor, and its order is
+not rk4's.
 
 Usage: python scripts/conservation_order.py [k] [L_max]
 """
@@ -22,6 +25,10 @@ import tempfile
 
 from mixedflow.flow import FlowConfig, cfl_timestep
 from mixedflow.presets import run_experiment
+
+# A rung whose drift fell by less than this from the previous one (observed order
+# below 3, where rk4 gives 4) is marked as sitting on the floor.
+_FLOOR_RATIO = 8.0
 
 
 def ladder(k: int, L_max: int, out_dir: str, rungs: int = 4):
@@ -45,6 +52,8 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as out_dir:
         for i, (dt, d) in enumerate(ladder(k, L, out_dir)):
             order = "" if prev is None else f"  order {math.log2(prev / d):5.2f}"
+            if prev is not None and prev / d < _FLOOR_RATIO:
+                order += "  floor"
             print(f"  rk4 dt=bound/{2 ** i}={dt:.4g}: drift {d:.3e}{order}")
             prev = d
     return 0

@@ -21,8 +21,8 @@ benchmark workloads that name it with their own dt, until ROADMAP item 1
 retargets them to rk4.  Every velocity evaluation re-truncates to the band
 limit, so quadratic interactions that the oversampled grid resolves are
 projected back exactly.  `run` analyses a record's velocity only for a step
-from it.  `numerical_jacobian` checks that linearization by central
-differences.
+from it.  `numerical_jacobian` checks that linearization by a
+fourth-order difference stencil.
 """
 
 from __future__ import annotations
@@ -119,8 +119,9 @@ class DiagnosticsRecord:
     Its fields, in order, are the columns of run.csv, which `io.csv_lines`
     writes: a field added here is a column there.  mode_energy is written
     at degrees 2..8, one column each.  center_norm is the norm of the
-    degree-0 and degree-1 coefficients, the neutral centre modes, and
-    kappa_min, kappa_max bound the principal curvatures over the nodes.
+    degree-0 and degree-1 coefficients, the neutral centre modes, taken as
+    the root of those two mode energies, and kappa_min, kappa_max bound
+    the principal curvatures over the nodes.
     A record keeps no coefficients; a run's only coefficient state is its
     `FlowRun.final`, so a record costs O(L_max) memory, not O(L_max^2).
     """
@@ -263,8 +264,8 @@ class FlowProblem:
 
         One velocity evaluation serves both.  The record's field is r - R from the bundle's
         radius r, exact (Sterbenz) wherever the sphere fit runs, so the fit reads r itself.
-        The record keeps no reference to coeffs: its mode energies and center norm are
-        read from them here.
+        The record keeps no reference to coeffs: its mode energies are read from them here,
+        and its center norm from those energies.
         """
         R = self.config.R
         G, h, bundle = self.velocity_values(coeffs)
@@ -281,6 +282,7 @@ class FlowProblem:
             res_sup = float(np.max(np.abs(residual, out=residual)))
         except MixedFlowError:
             res_sup = float("nan")
+        energy = self.grid.mode_energies(coeffs)
         record = DiagnosticsRecord(
             t=t,
             h_k=h,
@@ -288,9 +290,8 @@ class FlowProblem:
             sup_G=float(np.max(np.abs(G))),
             sup_rho=rho.sup_abs(),
             sphere_residual_sup=res_sup,
-            mode_energy=self.grid.mode_energies(coeffs),
-            # Degree-major layout: degrees 0 and 1 are the first n + 2 coefficients.
-            center_norm=float(np.sqrt(np.sum(coeffs[:self.grid.n + 2] ** 2))),
+            mode_energy=energy,
+            center_norm=math.sqrt(energy[0] + energy[1]),
             kappa_min=kmin,
             kappa_max=kmax,
         )
@@ -378,9 +379,11 @@ class SpectrumReport:
 
 
 def numerical_jacobian(config: FlowConfig, l_max: int) -> tuple[np.ndarray, SpectrumReport]:
-    """Central-difference Jacobian of the velocity map at the round sphere.
+    """Fourth-order difference Jacobian of the velocity map at the round sphere.
 
-    Columns are one-coefficient perturbations of size 1e-5 R; the matrix is
+    Column j is (8 (g(h e_j) - g(-h e_j)) - (g(2h e_j) - g(-2h e_j))) / (12 h)
+    at h = 1e-5 R, an O(h^4) stencil: the O(h^2) error of a central
+    difference alone exceeds the 1e-7 symmetry gate at L_max = 16.  The matrix is
     restricted to degrees <= l_max (1 <= l_max <= L_max, at most 400 columns),
     which occupy the leading block of the flat layout.  Each report row puts a
     degree's analytic eigenvalue beside the mean of its diagonal entries and
@@ -398,12 +401,10 @@ def numerical_jacobian(config: FlowConfig, l_max: int) -> tuple[np.ndarray, Spec
     J = np.empty((D, D))
     e = np.zeros(prob.grid.size)
     for j in range(D):
-        e[j] = h
-        gp = prob.g_coeffs(e)
-        e[j] = -h
-        gm = prob.g_coeffs(e)
+        e[j] = 1.0
+        g = [prob.g_coeffs(step * e)[:D] for step in (h, -h, 2.0 * h, -2.0 * h)]
         e[j] = 0.0
-        J[:, j] = (gp[:D] - gm[:D]) / (2.0 * h)
+        J[:, j] = (8.0 * (g[0] - g[1]) - (g[2] - g[3])) / (12.0 * h)
 
     degrees = prob.grid.degrees[:D]
     offmask = ~np.eye(D, dtype=bool)

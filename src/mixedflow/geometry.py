@@ -13,10 +13,14 @@ shape operator g^-1 h:
 
 with H = den * h, which is polynomial in r and its derivatives.  Speeds
 read only E, so the principal curvatures are formed only when asked for,
-by principal_curvatures, their one name: the shape-operator entries from
-the stored g, H and den * det g, then the quadratic formula, with the
-discriminant clamped at zero against roundoff at umbilic points.  It
-writes into five given arrays, or fresh ones.
+by principal_curvatures, their one name, from the stored g, H and
+den * det g without forming g^-1 h either:
+
+    kappa_1,2 = (E_1 +- sqrt(Delta) / (den det g)) / 2,
+    Delta = (g22 H11 - g11 H22)^2 + 4 (g22 H12 - g12 H22)(g11 H12 - g12 H11),
+
+with Delta clamped at zero against roundoff at umbilic points.  It writes
+into three given arrays, or fresh ones.
 
 A bundle is computed with out= ufunc calls into a BundleWorkspace, in the
 operation order of the formulas above, so that a caller evaluating many
@@ -64,46 +68,40 @@ def principal_curvatures(bundle: CurvatureBundle,
                          out: tuple[np.ndarray, ...] | None = None) -> tuple[np.ndarray, ...]:
     """The principal curvatures of a bundle, largest first.
 
-    For n = 1 this is the bundle's kappa_1 itself.  For n = 2 the shape
-    operator W is formed from the bundle's shape_operator arrays, and its
-    eigenvalues by the quadratic formula, into five grid-shaped arrays: out,
-    which must not hold any of the bundle's arrays, or fresh ones.  The two
-    returned arrays are out[1] and out[2].
+    For n = 1 this is the bundle's kappa_1 itself.  For n = 2 they are
+    (E_1 +- sqrt(Delta) / (den det g)) / 2 from the bundle's shape_operator
+    arrays, written into three grid-shaped arrays: out, which must not hold
+    any of the arrays the formula reads, or fresh ones.  The two returned
+    arrays are out[0] and out[2].
     """
     if len(bundle.shape_operator) == 1:
         return bundle.shape_operator
     g11, g12, g22, H11, H12, H22, den_detg = bundle.shape_operator
     if out is None:
-        out = tuple(np.empty(g11.shape) for _ in range(5))
-    w11, w12, w21, w22, s = out
+        out = tuple(np.empty(g11.shape) for _ in range(3))
+    a, b, s = out
     mul, sub = np.multiply, np.subtract
-    mul(g22, H11, out=w11)
-    mul(g12, H12, out=s)
-    sub(w11, s, out=w11)
-    np.divide(w11, den_detg, out=w11)
-    mul(g22, H12, out=w12)
+    # Delta is (w11 - w22)^2 + 4 w12 w21 of W = g^-1 h times (den det g)^2, with the
+    # g12 H12 terms cancelled: free of the cancellation tr^2 - 4 det suffers at umbilics.
+    mul(g22, H12, out=a)
     mul(g12, H22, out=s)
-    sub(w12, s, out=w12)
-    np.divide(w12, den_detg, out=w12)
-    mul(g11, H12, out=w21)
+    sub(a, s, out=a)
+    mul(g11, H12, out=b)
     mul(g12, H11, out=s)
-    sub(w21, s, out=w21)
-    np.divide(w21, den_detg, out=w21)
-    mul(g11, H22, out=w22)
-    mul(g12, H12, out=s)
-    sub(w22, s, out=w22)
-    np.divide(w22, den_detg, out=w22)
-    # Discriminant in a form free of the cancellation that tr^2 - 4 det
-    # suffers at umbilics: (w11 - w22)^2 + 4 w12 w21 over w11.
-    sub(w11, w22, out=w11)
-    np.square(w11, out=w11)
-    mul(4.0, w12, out=s)
-    mul(s, w21, out=s)
-    np.add(w11, s, out=w11)
-    sq = np.sqrt(np.maximum(w11, 0.0, out=w11), out=w11)
+    sub(b, s, out=b)
+    mul(a, b, out=a)
+    mul(4.0, a, out=a)
+    mul(g22, H11, out=b)
+    mul(g11, H22, out=s)
+    sub(b, s, out=b)
+    np.square(b, out=b)
+    np.add(b, a, out=b)
+    np.maximum(b, 0.0, out=b)
+    np.sqrt(b, out=b)
+    sq = np.divide(b, den_detg, out=b)
     trW = bundle.E[1]
-    k1 = mul(0.5, np.add(trW, sq, out=w12), out=w12)
-    k2 = mul(0.5, sub(trW, sq, out=w21), out=w21)
+    k1 = mul(0.5, np.add(trW, sq, out=a), out=a)
+    k2 = mul(0.5, sub(trW, sq, out=s), out=s)
     return (k1, k2)
 
 
@@ -130,9 +128,9 @@ class BundleWorkspace:
     next bundle.
 
     Two sets of views let a diagnostics record finish in the workspace.
-    kappa_buffers (None on the circle) are the five arrays in which an
-    n = 2 bundle holds its radius, mu, E_2 and graph_factor, and nothing,
-    so principal_curvatures may write into them once those are read.
+    kappa_buffers (None on the circle) are the three arrays in which an
+    n = 2 bundle holds its E_2 and graph_factor, and nothing, so
+    principal_curvatures may write into them once those are read.
     fit_buffers are the flat views (rows (n + 3, N), weighted rows
     (n + 2, N), values (N,)) that analysis.fit_sphere borrows once the
     whole bundle is consumed.
@@ -151,7 +149,7 @@ class BundleWorkspace:
             self.fit_buffers = (self.own.reshape(4, -1), d["u_ut_utt"].reshape(3, -1),
                                 self.scratch.reshape(-1))
             return
-        self.kappa_buffers = (self.own[5], self.own[6], d["u"], d["up"], d["ut"])
+        self.kappa_buffers = (self.own[5], self.own[6], d["ut"])
         self.fit_buffers = (d["u_up_upp_ut_utp"].reshape(5, -1), self.own[:4].reshape(4, -1),
                             self.own[4].reshape(-1))
         self.sin = grid.sin_theta[:, None]

@@ -254,9 +254,7 @@ class Grid:
         self._slot = cm if n == 1 else cm * (L1 + 1) + degrees
         self._container_shape = (2, L1) if n == 1 else (2, L1, L1 + 1)
         self.degrees = degrees
-        ell = np.arange(L1, dtype=float)
-        self.laplace_factor = -(ell * (ell + n - 1))
-        _freeze(self._slot, self.degrees, self.laplace_factor)
+        _freeze(self._slot, self.degrees)
         if n == 2:
             # Factors of the coefficient at each position of the container
             # (the k = 0 rows of derivs_buffers): the Laplacian's eigenvalue,

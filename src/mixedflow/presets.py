@@ -14,6 +14,7 @@ its own L_max, and checks the returned report.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -123,10 +124,18 @@ def _checks_nonlinear(parsed: ParsedConfig, out: FlowRun) -> list[CheckResult]:
     r_fit = cfg.R + float(zfit[0])
     V_fit = SPHERE_AREA[cfg.n] * r_fit ** (cfg.n - cfg.k) / (cfg.n + 1)
     V0 = out.records[0].V
+    # The flow keeps V_k, so it converges to the sphere whose V_k is V0, of radius
+    # r_inf, and decays at the rate of that sphere.  No sphere has V_k <= 0.
+    limit_error = math.nan
+    if V0 > 0.0:
+        r_inf = ((cfg.n + 1) * V0 / SPHERE_AREA[cfg.n]) ** (1.0 / (cfg.n - cfg.k))
+        target_inf = stable_decay_rate(dataclasses.replace(cfg.speed, R=r_inf), 2)
+        limit_error = abs(rate - target_inf) / target_inf
     return [
         _check_le("residual_monotone_defect", monotone, 0.0),
         _check_le("tail_rate_relative_error", abs(rate - target) / target, 0.10),
         _check_le("fitted_sphere_V_relative_error", abs(V_fit - V0) / abs(V0), 1e-4),
+        _check_le("tail_rate_error_at_limit", limit_error, 1e-4),
     ]
 
 

@@ -152,11 +152,8 @@ def bundle_reference(d, R, sin_theta=None, x=None):
     den_detg = den * detg
     trW = (g22 * H11 - 2.0 * g12 * H12 + g11 * H22) / den_detg
     detW = (H11 * H22 - H12 * H12) / (w2 * detg)
-    w11 = (g22 * H11 - g12 * H12) / den_detg
-    w12 = (g22 * H12 - g12 * H22) / den_detg
-    w21 = (g11 * H12 - g12 * H11) / den_detg
-    w22 = (g11 * H22 - g12 * H12) / den_detg
-    sq = np.sqrt(np.maximum((w11 - w22) ** 2 + 4.0 * w12 * w21, 0.0))
+    cross = 4.0 * ((g22 * H12 - g12 * H22) * (g11 * H12 - g12 * H11))
+    sq = np.sqrt(np.maximum((g22 * H11 - g11 * H22) ** 2 + cross, 0.0)) / den_detg
     return {"E": (np.ones_like(r), trW, detW), "mu": r * den / (R * R),
             "graph_factor": den / r, "radius": r,
             "shape_operator": (g11, g12, g22, H11, H12, H22, den_detg),

@@ -387,7 +387,7 @@ def test_synthesize_derivs_across_band_limits(grid_band, rng):
                     "utt": g.synthesize(phi_derivative(g, dc))}
     else:
         expected = {"u": g.synthesize(c),
-                    "lap": g.synthesize(g.laplace_factor[g.degrees] * c),
+                    "lap": g.synthesize(-(g.degrees * (g.degrees + 1.0)) * c),
                     "up": g.synthesize(dc),
                     "upp": g.synthesize(phi_derivative(g, dc))}
     for key, want in expected.items():

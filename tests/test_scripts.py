@@ -1,7 +1,7 @@
 """The study scripts still import: every public name they use exists.  code_lines also
 counts a small source, compare_runs runs on two small trees, conservation_order
-builds its step ladder at any L_max, and the two preset studies write no file that
-outlives them."""
+builds its step ladder at any L_max and marks the rungs on the floor, and the two
+preset studies write no file that outlives them."""
 
 import tempfile
 from types import SimpleNamespace
@@ -36,6 +36,23 @@ def test_conservation_order_ladder_starts_at_the_bound(monkeypatch, capsys):
         rows = capsys.readouterr().out.splitlines()[1:]
         assert [row.split("=")[1] for row in rows] == ["bound/1", "bound/2", "bound/4", "bound/8"]
         assert all(row.endswith("order  4.00") for row in rows[1:])
+
+
+def test_conservation_order_marks_rungs_on_the_floor(monkeypatch, capsys):
+    # Drifts that fall 16x, then under 8x twice: only the last two rungs sit on the floor.
+    conservation_order = load_script("conservation_order")
+    drifts = iter((1e-8, 6.25e-10, 3.2e-10, 3.1e-10))
+
+    def stub(name, overrides):
+        return SimpleNamespace(checks=[SimpleNamespace(name="relative_V_drift",
+                                                       value=next(drifts))])
+
+    monkeypatch.setattr(conservation_order, "run_experiment", stub)
+    monkeypatch.setattr("sys.argv", ["conservation_order.py", "0", "16"])
+    assert conservation_order.main() == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert [row.endswith("floor") for row in rows] == [False, False, True, True]
+    assert rows[1].endswith("order  4.00")
 
 
 def test_code_lines_counts_only_lines_with_code(tmp_path, capsys):
