@@ -1,5 +1,10 @@
 """Field instruments: conserved quantities, sphere fitting, decay-rate fits.
 
+Every mixed volume, the enclosed volume included, is read from the curvature
+bundle of the field's band-limited state, the caller's or one built from
+rho.coeffs, so a field's volume is that of the state a run evolves and the
+enclosed volume reads no radius but the bundle's.
+
 The sphere family is parametrized by n+2 numbers z = (z0, z1, ..., z_{n+1}):
 center sum(z_p omega_p) and radius R + z0, written as a height function over
 the reference sphere.  fit_sphere inverts that parametrization in the
@@ -14,8 +19,9 @@ in z and X the rows 1/q and omega_i (1 + s/q), so each Gauss-Newton step
 forms X and the residual in a handful of whole-array passes, takes the
 factored normal equations from one weighted matmul (Bjorck, Numerical
 Methods for Least Squares Problems, SIAM 1996, section 9.2) and undoes A
-in closed form.  With a BundleWorkspace the fit borrows its arrays and
-allocates nothing grid-sized, cheap enough to fit every diagnostics record.
+in closed form.  The fit's arrays are always a BundleWorkspace's
+fit_buffers, the caller's or a fresh one's; with the caller's it allocates
+nothing grid-sized, cheap enough to fit every diagnostics record.
 """
 
 from __future__ import annotations
@@ -24,8 +30,9 @@ import math
 
 import numpy as np
 
+from . import geometry
 from .errors import AdmissibilityError, DecayFitError, FitConvergenceError
-from .geometry import BundleWorkspace, CurvatureBundle, bundle_from_coeffs, check_radius
+from .geometry import BundleWorkspace, CurvatureBundle
 from .harmonics import SPHERE_AREA, Grid, RadialField
 
 _FIT_MAX_ITER = 50
@@ -41,25 +48,24 @@ def mixed_volume(rho: RadialField, k: int, bundle: CurvatureBundle | None = None
     k = -1 is the enclosed volume; 0 <= k <= n-1 is the E_k-weighted surface
     integral with the conventional binomial normalization, so the surface
     measure is (n + 1) * mixed_volume(rho, 0).  On a sphere of radius r these
-    reduce to |S^n| r^{n-k} / (n+1).  A caller holding the curvature bundle
-    of rho passes it, in place of a new one; k = -1 reads only the radius:
-    the bundle's, checked when it was built, or R + rho.values, checked here.
+    reduce to |S^n| r^{n-k} / (n+1).  Every k reads the curvature bundle
+    of rho's coefficients: a caller holding it passes it, else one is built
+    from rho.coeffs, which refuses a field that is not a graph with
+    AdmissibilityError.  k = -1 reads only the bundle's radius.
     """
     n = rho.grid.n
     if not -1 <= k <= n - 1:
         raise ValueError(f"k must lie in [-1, {n - 1}], got {k}")
+    if bundle is None:
+        bundle = geometry.bundle_from_coeffs(rho.grid, rho.R, rho.coeffs)
     if k == -1:
-        r = rho.R + rho.values if bundle is None else bundle.radius
-        if bundle is None:
-            check_radius(r)
+        r = bundle.radius
         # Products, not a generic pow: each node within 1 ulp of r ** (n + 1), at
         # under half its cost.
         power = r * r
         if n == 2:
             power *= r
         return rho.grid.integrate(power) / (n + 1)
-    if bundle is None:
-        bundle = bundle_from_coeffs(rho.grid, rho.R, rho.coeffs)
     total = rho.R ** n * rho.grid.integrate(bundle.E[k] * bundle.mu)
     return total / ((n + 1) * math.comb(n, k))
 
@@ -133,8 +139,8 @@ def fit_sphere(rho: RadialField, work: BundleWorkspace | None = None
     a few whole-grid passes into 2n + 6 flat rows, allocating nothing
     grid-sized.
 
-    Those rows are fresh without `work`.  With `work`, a BundleWorkspace
-    on rho's grid, they are its fit_buffers, so the fit overwrites the
+    Those rows are the fit_buffers of `work`, a BundleWorkspace on rho's
+    grid, or of a fresh one without it.  With `work` the fit overwrites the
     workspace's last bundle, and the residual returned is a view into the
     workspace that holds until the next bundle or fit there.  Both give
     the same bits.
@@ -147,12 +153,10 @@ def fit_sphere(rho: RadialField, work: BundleWorkspace | None = None
         raise AdmissibilityError("field is too far from the reference sphere to fit")
     n = grid.n
     if work is None:
-        size = grid.quad_weights.size
-        rows, xw, vals_R = np.empty((n + 3, size)), np.empty((n + 2, size)), np.empty(size)
+        work = BundleWorkspace(grid)
     elif work.grid is not grid:
         raise ValueError("workspace was built for a different grid")
-    else:
-        rows, xw, vals_R = work.fit_buffers
+    rows, xw, vals_R = work.fit_buffers
     omega = grid.directions().reshape(n + 1, -1)
     w = grid.quad_weights.reshape(-1)
     np.add(rho.values.reshape(-1), R, out=vals_R)

@@ -10,7 +10,7 @@ class GridError(MixedFlowError):
 
 
 class DegreeOverflowError(MixedFlowError):
-    """Coefficient vector exceeds the band limit of the grid."""
+    """Coefficient vector is not the grid's one layout: one-dimensional, of length Grid.size."""
 
 
 class AdmissibilityError(MixedFlowError):

@@ -227,6 +227,8 @@ class FlowProblem:
     def step(self, coeffs: np.ndarray, dt: float, g0: np.ndarray | None = None) -> np.ndarray:
         """Coefficients one step of length dt later, under the configured integrator.
 
+        coeffs is a full-length vector (Grid.size); without g0 one of another
+        length is refused with DegreeOverflowError by its first evaluation.
         g0, the velocity at coeffs in coefficient space if known, replaces
         the first stage's evaluation.  A dt that is not positive and finite
         is a ValueError, raised before any evaluation: no smaller dt cures it.
@@ -301,10 +303,10 @@ class FlowProblem:
 def run(config: FlowConfig, rho0: RadialField, problem: FlowProblem) -> FlowRun:
     """Evolve rho0 under `problem` until time T or until sup |G| of a record drops to 1e-10.
 
-    `problem` must be built from `config` and rho0 must live on its grid;
-    anything else is a ValueError.  The run takes ceil(T/dt) steps; when T
-    is not a whole number of steps (to a relative 1e-9 of a step), the last
-    one is shortened to end at T.
+    `problem` must be built from `config`, and rho0 must live on its grid
+    over the sphere of radius config.R; anything else is a ValueError.  The
+    run takes ceil(T/dt) steps; when T is not a whole number of steps (to a
+    relative 1e-9 of a step), the last one is shortened to end at T.
     Diagnostics are recorded at t = 0, every `cadence` steps, and at the
     final state.  Each record evaluates the curvature and velocity of its
     state once and returns the velocity's grid values; when a step starts
@@ -323,6 +325,8 @@ def run(config: FlowConfig, rho0: RadialField, problem: FlowProblem) -> FlowRun:
         raise ValueError("problem was built for a different configuration")
     if rho0.grid is not problem.grid:
         raise ValueError("initial field lives on a different grid")
+    if rho0.R != config.R:
+        raise ValueError(f"initial field lives over radius {rho0.R!r}, not R={config.R!r}")
     dt = default_timestep(config)
     n_steps = max(1, math.ceil(config.T / dt - 1e-9))
     whole = n_steps - config.T / dt <= 1e-9

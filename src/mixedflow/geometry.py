@@ -32,6 +32,9 @@ as a diagnostics record does for its curvature range and sphere fit (the
 workspace's kappa_buffers and fit_buffers).  So copy what must outlive
 that, or form the principal curvatures before it.  Without a workspace
 each bundle gets a fresh one and owns its arrays.
+
+A bundle is the one place the radius r = R + rho is checked: every node
+finite and positive, else AdmissibilityError.
 """
 
 from __future__ import annotations
@@ -48,10 +51,13 @@ class CurvatureBundle:
     """Pointwise curvature data of a radial graph on its grid.
 
     E holds the elementary symmetric functions E_0 = 1 through E_n, mu the
-    area element relative to the reference sphere measure, and graph_factor
+    area element relative to the reference sphere measure, graph_factor
     the length distortion sqrt(1 + |grad rho|^2 / r^2) relating normal speed
-    to radial speed.  shape_operator holds what principal_curvatures forms
-    the principal curvatures (n arrays, largest first) from: (kappa_1,) for
+    to radial speed, and radius the grid values of r = R + rho, found
+    finite and positive when the bundle was built, the one radius the
+    enclosed volume reads.  shape_operator
+    holds what principal_curvatures forms the principal curvatures (n
+    arrays, largest first) from: (kappa_1,) for
     n = 1; for n = 2 the fundamental forms and the common denominator of
     the shape operator, (g11, g12, g22, H11, H12, H22, den * det g) with
     H = den * h (see the module docstring).
@@ -105,7 +111,7 @@ def principal_curvatures(bundle: CurvatureBundle,
     return (k1, k2)
 
 
-def check_radius(r: np.ndarray) -> None:
+def _check_radius(r: np.ndarray) -> None:
     """Raise AdmissibilityError unless every radius is finite and positive."""
     if not np.all(np.isfinite(r)):
         raise AdmissibilityError("radius field contains non-finite values")
@@ -175,7 +181,7 @@ def bundle_from_coeffs(grid, R: float, coeffs: np.ndarray,
     s = work.derivs["tmp"]
     r = d["u"]
     np.add(R, r, out=r)
-    check_radius(r)
+    _check_radius(r)
     mul, add, sub, div = np.multiply, np.add, np.subtract, np.divide
     if grid.n == 1:
         rt, rtt = d["ut"], d["utt"]

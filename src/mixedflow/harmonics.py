@@ -6,7 +6,9 @@ phase some references attach to the associated Legendre functions.  On the
 circle the basis is 1/sqrt(2*pi), cos(m*theta)/sqrt(pi), sin(m*theta)/sqrt(pi).
 Coefficients are stored flat, degree-major: degree l ascending, and inside a
 degree the order p runs m = 0, (1, cos), (1, sin), (2, cos), ... for n = 2
-and cos, sin for n = 1.
+and cos, sin for n = 1.  A coefficient vector holds every degree up to the
+band limit, Grid.size entries: every method that takes one refuses another
+length with DegreeOverflowError, so no vector is padded or cut.
 
 Transforms are real matmuls only, with no FFT.  Both dimensions share one
 longitude stage against matrices of cos(m phi), sin(m phi) and their
@@ -281,21 +283,17 @@ class Grid:
             return 0 if l == 0 else 2 * l - 2 + p
         return l * l + p - 1
 
-    def _pad(self, coeffs: np.ndarray) -> np.ndarray:
-        """Coefficients as a full-length float vector, refused unless one-dimensional and
-        at most full length: a full-length one comes back as it is (no copy), a
-        shorter one is zero-padded into a fresh array."""
+    def _checked(self, coeffs: np.ndarray) -> np.ndarray:
+        """Coefficients as a float vector, refused with DegreeOverflowError unless
+        one-dimensional of length size: no vector is padded or cut to fit.  A float
+        vector comes back as it is (no copy)."""
         c = np.asarray(coeffs, dtype=float)
         if c.ndim != 1:
             raise DegreeOverflowError("coefficient vector must be one-dimensional")
-        if c.size == self.size:
-            return c
-        if c.size > self.size:
+        if c.size != self.size:
             raise DegreeOverflowError(
-                f"{c.size} coefficients exceed the {self.size} representable at L_max={self.L_max}")
-        out = np.zeros(self.size)
-        out[:c.size] = c
-        return out
+                f"{c.size} coefficients given; L_max={self.L_max} takes exactly {self.size}")
+        return c
 
     # -- spectral containers --------------------------------------------------
 
@@ -307,7 +305,7 @@ class Grid:
         they are."""
         if out is None:
             out = np.zeros(self._container_shape)
-        out.reshape(-1)[self._slot] = self._pad(coeffs)
+        out.reshape(-1)[self._slot] = self._checked(coeffs)
         return out
 
     def _field(self, values: np.ndarray) -> np.ndarray:
@@ -451,8 +449,8 @@ class Grid:
         return self._directions
 
     def mode_energies(self, coeffs: np.ndarray) -> np.ndarray:
-        """Sum of squared coefficients per degree, length L_max + 1."""
-        c = self._pad(coeffs)
+        """Sum of squared coefficients per degree of a full-length vector, length L_max + 1."""
+        c = self._checked(coeffs)
         return np.bincount(self.degrees, weights=c * c, minlength=self.L_max + 1)
 
     def __repr__(self) -> str:
@@ -469,18 +467,21 @@ class RadialField:
 
     Holds grid samples and, lazily, the coefficient vector.  The surface it
     describes is the radial graph r = R + values, admissible while r > 0.
+    R must be positive and finite, and coeffs, when given, full length.
     """
 
     def __init__(self, grid: Grid, R: float, values: np.ndarray | None = None,
                  coeffs: np.ndarray | None = None):
         if R <= 0:
             raise ValueError(f"reference radius must be positive, got {R}")
+        if not math.isfinite(R):
+            raise ValueError(f"reference radius must be finite, got {R}")
         if (values is None) == (coeffs is None):
             raise ValueError("construct from exactly one of values or coeffs")
         self.grid = grid
         self.R = float(R)
         if coeffs is not None:
-            self._coeffs = grid._pad(coeffs).copy()  # _pad may return the caller's array
+            self._coeffs = grid._checked(coeffs).copy()  # _checked may return the caller's array
             self._coeffs.flags.writeable = False
             self.values = grid.synthesize(self._coeffs)
         else:

@@ -3,8 +3,8 @@
 A speed is a symmetric function of the principal curvatures, evaluated here
 through the elementary symmetric combinations that the geometry module
 already provides.  Each kind is one `SPEED_KINDS` entry: the parameters it
-takes with their casts, its order j (the parameter naming the E_j it reads)
-with the range j must lie in, F of the elementary symmetric functions with
+takes with their casts, its order j (the parameter naming the E_j it reads,
+which must lie in [1, n]), F of the elementary symmetric functions with
 its domain check, and F and F' at the round sphere in closed form.
 Built-in kinds:
 
@@ -33,10 +33,10 @@ from .errors import SpeedError
 
 # One speed kind.  params maps each numeric parameter it takes to its cast; the others
 # keep their SpeedSpec defaults.  order names the parameter j of the E_j it reads, which
-# must lie in [min_order, n].  F(spec, E) is the speed field from E = (E_0, ..., E_n),
+# must lie in [1, n].  F(spec, E) is the speed field from E = (E_0, ..., E_n),
 # SpeedError outside its domain; F_sphere(spec) and dF_sphere(spec) are F and its
 # derivative in one principal curvature at the round sphere, in closed form.
-SpeedKind = namedtuple("SpeedKind", "params order F F_sphere dF_sphere min_order", defaults=(1,))
+SpeedKind = namedtuple("SpeedKind", "params order F F_sphere dF_sphere")
 
 
 def _power_mean(spec: SpeedSpec, E: tuple) -> np.ndarray:
@@ -115,9 +115,8 @@ class SpeedSpec:
             if name not in kind.params and value != getattr(SpeedSpec, name):
                 raise SpeedError(f"speed kind {self.kind!r} takes no parameter {name}={value!r}")
         j = getattr(self, kind.order)
-        if not kind.min_order <= j <= self.n:
-            raise SpeedError(
-                f"{self.kind} needs {kind.min_order} <= {kind.order} <= n, got {kind.order}={j}")
+        if not 1 <= j <= self.n:
+            raise SpeedError(f"{self.kind} needs 1 <= {kind.order} <= n, got {kind.order}={j}")
         if (fp := _at_sphere(self, "F'", umbilic_derivative)) <= 0.0:
             raise SpeedError(
                 f"speed {self.describe()} is not increasing at the reference sphere (F'={fp:.3e})")

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from mixedflow.analysis import sphere_from_coords
-from mixedflow.errors import AdmissibilityError, ConfigError, SpeedError, StepRejectedError
+from mixedflow.errors import (AdmissibilityError, ConfigError, DegreeOverflowError, SpeedError,
+                              StepRejectedError)
 from mixedflow.flow import (
     DiagnosticsRecord,
     FlowConfig,
@@ -238,6 +239,15 @@ def test_step_admissibility_guard(grid2):
         prob.velocity_values(const_coeffs(grid2, -1.2))
 
 
+@pytest.mark.parametrize("integrator", ("imex", "rk4"))
+def test_step_refuses_a_short_coefficient_vector(integrator):
+    # a vector shorter than the grid's is refused, not zero-padded
+    prob = FlowProblem(FlowConfig(n=2, R=1.0, k=-1, integrator=integrator, dt=1e-4, L_max=8))
+    c = random_band_field(prob.grid, 1.0, 0.05, 2, 6, 3).coeffs
+    with pytest.raises(DegreeOverflowError):
+        prob.step(c[:9], 1e-4)
+
+
 def test_conservation_order_imex():
     drifts = []
     for dt in (2e-3, 1e-3, 5e-4):
@@ -389,6 +399,18 @@ def test_run_rejects_a_field_on_another_grid():
     with pytest.raises(ValueError) as info:
         run(cfg, rho0, problem=prob)
     assert str(info.value) == "initial field lives on a different grid"
+
+
+def test_run_rejects_a_field_over_another_sphere():
+    # a radius-2 round sphere run under R = 1 would end converged with the
+    # unit sphere's volume
+    cfg = FlowConfig(n=2, R=1.0, T=0.01, L_max=8)
+    prob = FlowProblem(cfg)
+    rho0 = RadialField(prob.grid, 2.0, coeffs=np.zeros(prob.grid.size))
+    with pytest.raises(ValueError) as info:
+        run(cfg, rho0, problem=prob)
+    assert str(info.value) == "initial field lives over radius 2.0, not R=1.0"
+
 
 def test_run_determinism():
     cfg = FlowConfig(n=2, R=1.0, k=0, integrator="rk4", dt=1e-3, T=0.05,
@@ -548,6 +570,19 @@ def test_one_bundle_per_state(monkeypatch):
             assert len(calls) == evals_per_step * 6 + 1
 
 
+@pytest.mark.parametrize("k", (-1, 0))
+def test_bundle_counter_sees_the_volume_bundle(monkeypatch, k):
+    # mixed_volume without a bundle builds one through geometry at call time,
+    # so a counter set on the geometry module counts it
+    from mixedflow.analysis import mixed_volume
+
+    grid = build_grid(2, 8)
+    rho = random_band_field(grid, 1.0, 0.05, 2, 6, 3)
+    calls = _count_bundles(monkeypatch)
+    mixed_volume(rho, k)
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("integrator", ("imex", "rk4"))
 @pytest.mark.parametrize("n", (1, 2))
 def test_step_takes_the_first_stage_velocity(monkeypatch, n, integrator):
@@ -581,6 +616,21 @@ def test_record_cadence_leaves_the_trajectory_unchanged(integrator):
 # -- workspace: allocations and lifetimes --------------------------------------------
 
 
+def _traced_bytes(call):
+    """(retained, peak) bytes of call(), each above what was traced before it."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        call()
+        return tuple(b - base for b in tracemalloc.get_traced_memory())
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
 @pytest.mark.parametrize("n,L", ((1, 64), (2, 8), (2, 24), (2, 64)))
 def test_velocity_evaluation_allocation_budget(n, L):
     # once warm, an evaluation computes into the problem's workspace: its peak
@@ -591,17 +641,7 @@ def test_velocity_evaluation_allocation_budget(n, L):
     prob = FlowProblem(FlowConfig(n=n, L_max=L))
     c = random_band_field(prob.grid, 1.0, 0.05, 2, 6, 3).coeffs.copy()
     prob.g_coeffs(c)
-    tracing = tracemalloc.is_tracing()
-    if not tracing:
-        tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        base = tracemalloc.get_traced_memory()[0]
-        prob.g_coeffs(c)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        if not tracing:
-            tracemalloc.stop()
+    peak = _traced_bytes(lambda: prob.g_coeffs(c))[1]
     assert peak <= 4 * np.empty(prob.grid.shape).nbytes
 
 
@@ -613,17 +653,7 @@ def test_velocity_evaluation_allocates_only_G_and_its_analysis(L):
     prob = FlowProblem(FlowConfig(n=2, L_max=L))
     c = random_band_field(prob.grid, 1.0, 0.05, 2, 6, 3).coeffs.copy()
     prob.g_coeffs(c)
-    tracing = tracemalloc.is_tracing()
-    if not tracing:
-        tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        base = tracemalloc.get_traced_memory()[0]
-        prob.g_coeffs(c)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        if not tracing:
-            tracemalloc.stop()
+    peak = _traced_bytes(lambda: prob.g_coeffs(c))[1]
     assert peak <= 2 * np.empty(prob.grid.shape).nbytes
 
 
@@ -635,17 +665,7 @@ def test_diagnostics_allocation_budget(L):
     prob = FlowProblem(FlowConfig(n=2, L_max=L))
     c = random_band_field(prob.grid, 1.0, 0.05, 2, 6, 3).coeffs.copy()
     prob.diagnostics(0.0, c)
-    tracing = tracemalloc.is_tracing()
-    if not tracing:
-        tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        base = tracemalloc.get_traced_memory()[0]
-        prob.diagnostics(0.0, c)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        if not tracing:
-            tracemalloc.stop()
+    peak = _traced_bytes(lambda: prob.diagnostics(0.0, c))[1]
     assert peak <= 6 * np.empty(prob.grid.shape).nbytes
 
 
@@ -657,17 +677,9 @@ def _bytes_per_record(L):
         prob = FlowProblem(cfg)
         rho0 = random_band_field(prob.grid, 1.0, 0.05, 2, 6, 3)
         run(cfg, rho0, problem=prob)
-        tracing = tracemalloc.is_tracing()
-        if not tracing:
-            tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            out = run(cfg, rho0, problem=prob)
-            held[cadence] = (tracemalloc.get_traced_memory()[0] - base, len(out.records))
-            del out
-        finally:
-            if not tracing:
-                tracemalloc.stop()
+        outs = []
+        retained = _traced_bytes(lambda: outs.append(run(cfg, rho0, problem=prob)))[0]
+        held[cadence] = (retained, len(outs.pop().records))
     (dense, n_dense), (sparse, n_sparse) = held[1], held[10 ** 9]
     assert n_dense == 41 and n_sparse == 2
     return (dense - sparse) / (n_dense - n_sparse)
@@ -701,23 +713,3 @@ def test_returned_velocity_survives_later_evaluations(n):
     prob.step(c1, 1e-4)
     prob.diagnostics(0.0, c1)
     assert G.tobytes() == kept.tobytes() == prob.velocity_values(c2)[0].tobytes()
-
-
-@pytest.mark.parametrize("n", (1, 2))
-def test_record_volume_checks_its_radius_once(monkeypatch, n):
-    # building the bundle checks the radius, so the k = -1 volume of a
-    # record's field reads the bundle's radius without a second check
-    from mixedflow import analysis
-    from mixedflow.geometry import bundle_from_coeffs
-
-    prob = FlowProblem(FlowConfig(n=n, R=1.0, k=-1, L_max=12))
-    c = random_band_field(prob.grid, 1.0, 0.05, 2, 6, 3).coeffs.copy()
-    bundle = bundle_from_coeffs(prob.grid, 1.0, c)
-    rho = RadialField(prob.grid, 1.0, values=bundle.radius - 1.0)
-    plain = analysis.mixed_volume(rho, -1)
-
-    def refuse(r):
-        raise AssertionError("radius checked again")
-
-    monkeypatch.setattr(analysis, "check_radius", refuse)
-    assert analysis.mixed_volume(rho, -1, bundle=bundle) == plain

@@ -299,22 +299,36 @@ def test_mode_energies(grid2_small):
 
 
 
-def test_pad_passes_full_vectors_through_and_pads_shorter_ones(grid2_small):
+def test_checked_passes_full_vectors_through_and_refuses_shorter_ones(grid2_small):
     full = np.arange(grid2_small.size, dtype=float)
-    assert grid2_small._pad(full) is full
-    short = grid2_small._pad(full[:9])
-    assert short.shape == (grid2_small.size,) and short.flags.writeable
-    assert np.array_equal(short[:9], full[:9]) and not np.any(short[9:])
+    assert grid2_small._checked(full) is full
+    for call in (grid2_small._checked, grid2_small.synthesize, grid2_small.mode_energies,
+                 grid2_small.synthesize_derivs):
+        with pytest.raises(DegreeOverflowError) as info:
+            call(full[:9])
+        assert str(info.value) == f"9 coefficients given; L_max=8 takes exactly {full.size}"
 
 
 @pytest.mark.parametrize("size", ("full", "short"))
 def test_radial_field_keeps_its_own_coefficients(grid2_small, size):
     c = np.zeros(grid2_small.size if size == "full" else 9)
     c[4] = 0.1
+    if size == "short":  # refused, not zero-padded
+        with pytest.raises(DegreeOverflowError):
+            RadialField(grid2_small, 1.0, coeffs=c)
+        return
     f = RadialField(grid2_small, 1.0, coeffs=c)
     assert c.flags.writeable and not f.coeffs.flags.writeable
     c[4] = 0.2
     assert f.coeffs[4] == 0.1
+
+
+@pytest.mark.parametrize("R", (math.inf, math.nan))
+def test_radial_field_refuses_a_non_finite_radius(grid2_small, R):
+    with pytest.raises(ValueError) as info:
+        RadialField(grid2_small, R, values=np.zeros(grid2_small.shape))
+    assert str(info.value) == f"reference radius must be finite, got {R}"
+
 
 def test_radial_field_lazy_coeffs(grid2_small):
     c = np.zeros(grid2_small.size)

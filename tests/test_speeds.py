@@ -16,12 +16,12 @@ from oracles import elementary_symmetric, speed_at, umbilic_difference
 
 
 def all_speeds(n, R=1.0):
-    """Every SPEED_KINDS entry, each int parameter (an order) at every value from the
-    entry's lowest order to n, each float parameter at 0.5, 1 and 2."""
+    """Every SPEED_KINDS entry, each int parameter (an order) at every value from 1
+    to n, each float parameter at 0.5, 1 and 2."""
     return [SpeedSpec(kind, n=n, R=R, **dict(zip(entry.params, values)))
             for kind, entry in SPEED_KINDS.items()
             for values in itertools.product(*(
-                range(entry.min_order, n + 1) if cast is int else (0.5, 1.0, 2.0)
+                range(1, n + 1) if cast is int else (0.5, 1.0, 2.0)
                 for cast in entry.params.values()))]
 
 
