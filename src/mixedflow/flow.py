@@ -227,17 +227,19 @@ class FlowProblem:
     def step(self, coeffs: np.ndarray, dt: float, g0: np.ndarray | None = None) -> np.ndarray:
         """Coefficients one step of length dt later, under the configured integrator.
 
-        coeffs is a full-length vector (Grid.size); without g0 one of another
-        length is refused with DegreeOverflowError by its first evaluation.
-        g0, the velocity at coeffs in coefficient space if known, replaces
-        the first stage's evaluation.  A dt that is not positive and finite
-        is a ValueError, raised before any evaluation: no smaller dt cures it.
+        coeffs is a full-length vector (Grid.size): one of another length is
+        a DegreeOverflowError, raised before any arithmetic whether or not
+        g0 is given.  g0, the velocity at coeffs in coefficient space if
+        known, replaces the first stage's evaluation.  A dt that is not
+        positive and finite is a ValueError, raised before any evaluation.
+        No smaller dt cures either fault, so neither is a StepRejectedError.
         rk4 then checks dt against the parabolic bound.  A dt above it, a
         failed velocity evaluation or a non-finite result raises
         StepRejectedError with a suggested smaller dt.
         """
         if not 0.0 < dt < math.inf:
             raise ValueError(f"dt must be positive and finite, got {dt!r}")
+        coeffs = self.grid._checked(coeffs)
         rk4 = self.config.integrator == "rk4"
         bound = self._rk4_bound
         if rk4 and dt > bound * (1.0 + _CFL_SLACK):

@@ -50,17 +50,18 @@ from .errors import AdmissibilityError
 class CurvatureBundle:
     """Pointwise curvature data of a radial graph on its grid.
 
-    E holds the elementary symmetric functions E_0 = 1 through E_n, mu the
-    area element relative to the reference sphere measure, graph_factor
-    the length distortion sqrt(1 + |grad rho|^2 / r^2) relating normal speed
-    to radial speed, and radius the grid values of r = R + rho, found
-    finite and positive when the bundle was built, the one radius the
-    enclosed volume reads.  shape_operator
-    holds what principal_curvatures forms the principal curvatures (n
-    arrays, largest first) from: (kappa_1,) for
-    n = 1; for n = 2 the fundamental forms and the common denominator of
-    the shape operator, (g11, g12, g22, H11, H12, H22, den * det g) with
-    H = den * h (see the module docstring).
+    E holds the elementary symmetric functions E_0 = 1 through E_n, where
+    E_0 is np.broadcast_to(1.0, shape): read-only and zero-stride, no
+    array of its own.  mu is the area element relative to the reference
+    sphere measure, graph_factor the length distortion
+    sqrt(1 + |grad rho|^2 / r^2) relating normal speed to radial speed,
+    and radius the grid values of r = R + rho, found finite and positive
+    when the bundle was built, the one radius the enclosed volume reads.
+    shape_operator holds what principal_curvatures forms the principal
+    curvatures (n arrays, largest first) from: (kappa_1,) for n = 1; for
+    n = 2 the fundamental forms and the common denominator of the shape
+    operator, (g11, g12, g22, H11, H12, H22, den * det g) with H = den * h
+    (see the module docstring).
     """
 
     E: tuple[np.ndarray, ...]
@@ -126,9 +127,10 @@ class BundleWorkspace:
     FlowProblem): the derivative buffers of Grid.synthesize_derivs, own
     arrays for the bundle fields that do not fit in those (one block,
     (7, *shape) on the sphere and (4, *shape) on the circle, where the
-    bundle uses three rows), a read-only ones array for E_0 and, for n = 2,
-    the grid-constant columns sin(theta), cot(theta), sin(theta) cos(theta)
-    and sin(theta)^2, shaped (n_lat, 1), which only the bundle reads.
+    bundle uses three rows) and, for n = 2, the grid-constant columns
+    sin(theta), cot(theta), sin(theta) cos(theta) and sin(theta)^2, shaped
+    (n_lat, 1), which only the bundle reads.  It holds no array for E_0,
+    which each bundle takes as a read-only broadcast of 1.0.
     scratch is the derivative buffers' tmp array: a bundle uses it while it
     is computed and holds nothing in it, so a caller may use it until the
     next bundle.
@@ -146,8 +148,6 @@ class BundleWorkspace:
         self.grid = grid
         self.derivs = grid.derivs_buffers()
         self.scratch = self.derivs["tmp"]
-        self.ones = np.ones(grid.shape)
-        self.ones.flags.writeable = False
         self.own = np.empty((4 if grid.n == 1 else 7,) + grid.shape)
         d = self.derivs
         if grid.n == 1:
@@ -178,6 +178,7 @@ def bundle_from_coeffs(grid, R: float, coeffs: np.ndarray,
     elif work.grid is not grid:
         raise ValueError("workspace was built for a different grid")
     d = grid.synthesize_derivs(coeffs, out=work.derivs)
+    E0 = np.broadcast_to(1.0, grid.shape)
     s = work.derivs["tmp"]
     r = d["u"]
     np.add(R, r, out=r)
@@ -201,7 +202,7 @@ def bundle_from_coeffs(grid, R: float, coeffs: np.ndarray,
         kappa1 = div(rt, w2, out=rt)
         div(den, R, out=mu)
         graph_factor = div(den, r, out=den)
-        return CurvatureBundle(E=(work.ones, kappa1), mu=mu, graph_factor=graph_factor,
+        return CurvatureBundle(E=(E0, kappa1), mu=mu, graph_factor=graph_factor,
                                radius=r, shape_operator=(kappa1,))
     rt, rp = d["ut"], d["up"]
     rtt, rtp, rpp = d["utt"], d["utp"], d["upp"]
@@ -260,7 +261,7 @@ def bundle_from_coeffs(grid, R: float, coeffs: np.ndarray,
     mu = div(rp, R * R, out=rp)
     graph_factor = div(den, r, out=den)
     return CurvatureBundle(
-        E=(work.ones, trW, detW),
+        E=(E0, trW, detW),
         mu=mu,
         graph_factor=graph_factor,
         radius=r,

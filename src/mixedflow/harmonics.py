@@ -381,8 +381,9 @@ class Grid:
         """Field together with the surface derivatives the geometry needs.
 
         Keys for n = 1: u, ut, utt, straight from the three longitude
-        matrices.  Keys for n = 2: u, ut, up, utt, utp, upp, lap.  All
-        derivatives are taken spectrally.  For n = 2 the row sets k = 1, 2
+        matrices.  Keys for n = 2: u, ut, up, utt, utp, upp.  The keys are
+        the same with or without `out`.  All derivatives are taken
+        spectrally.  For n = 2 the row sets k = 1, 2
         of B (see derivs_buffers) are made from its coefficient rows by
         multiplies and one add, each over contiguous flat arrays: a move by
         one degree is a shift by one element, since every row ends on degree
@@ -399,8 +400,8 @@ class Grid:
 
         Without `out` every array is fresh.  With `out`, buffers from
         derivs_buffers, every array is written into them and nothing
-        grid-sized is allocated; the result then has no lap key, and its
-        arrays hold until `out` is written again.
+        grid-sized is allocated; the result's arrays then hold until `out`
+        is written again.
         """
         buf = self.derivs_buffers() if out is None else out
         B = self._container(coeffs, buf["B"])
@@ -420,9 +421,6 @@ class Grid:
         np.multiply(inv_sin, D_t, out=D_t)
         np.matmul(D_u.T, self._lon, out=buf["u_up_upp"])
         np.matmul(D_t.T, self._lon[:2], out=buf["ut_utp"])
-        fields = {key: buf[key] for key in ("u", "ut", "up", "utp", "upp", "utt")}
-        if out is None:
-            fields["lap"] = D_lap.T @ self._lon[0]
         # utt = lap - cot(theta) ut - upp / sin(theta)^2 with upp = -m^2 u,
         # taken on the latitude rows, whose D_u and D_t are no longer needed
         np.multiply(cot, D_t, out=D_t)
@@ -430,7 +428,7 @@ class Grid:
         np.multiply(m2_sin2, D_u, out=D_u)
         np.add(D_lap, D_u, out=D_lap)
         np.matmul(D_lap.T, self._lon[0], out=buf["utt"])
-        return fields
+        return {key: buf[key] for key in ("u", "ut", "up", "utt", "utp", "upp")}
 
     # -- quadrature and geometry helpers ---------------------------------------
 

@@ -280,7 +280,7 @@ def sphere_transform_reference(grid, coeffs):
     """Sphere transforms by loops over degree l and order m.
 
     Returns the field with every derivative synthesize_derivs gives (u, ut,
-    up, utt, utp, upp, lap) and the analysis of the field.  The real
+    up, utt, utp, upp) and its Laplacian lap, and the analysis of the field.  The real
     harmonic of flat index l*l (m = 0) is P[0, l](cos theta); those of l*l +
     2m - 1 and l*l + 2m are sqrt(2) P[m, l](cos theta) times cos(m phi) and
     sin(m phi).  Each term's second theta-derivative comes from the

@@ -248,6 +248,18 @@ def test_step_refuses_a_short_coefficient_vector(integrator):
         prob.step(c[:9], 1e-4)
 
 
+@pytest.mark.parametrize("integrator", ("rk4", "imex"))
+def test_step_refuses_a_short_vector_with_g0(monkeypatch, integrator):
+    # a given g0 skips the evaluation that would refuse the vector, so step
+    # checks it itself, before any arithmetic
+    prob = FlowProblem(FlowConfig(n=2, R=1.0, k=-1, integrator=integrator, dt=1e-4, L_max=8))
+    c = random_band_field(prob.grid, 1.0, 0.05, 2, 6, 3).coeffs
+    g0 = prob.g_coeffs(c)
+    monkeypatch.setattr(prob, "velocity_values", lambda coeffs: pytest.fail("evaluated"))
+    with pytest.raises(DegreeOverflowError):
+        prob.step(c[:9], 1e-4, g0=g0)
+
+
 def test_conservation_order_imex():
     drifts = []
     for dt in (2e-3, 1e-3, 5e-4):

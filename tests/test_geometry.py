@@ -214,6 +214,18 @@ def test_bundle_matches_allocating_reference(n, L):
                 assert _same_bits(getattr(b, name), ref[name]), name
 
 
+@pytest.mark.parametrize("n", (1, 2))
+def test_bundle_E0_is_a_read_only_broadcast(n, rng):
+    # E_0 = 1 is no grid array of its own, with or without a workspace
+    grid = build_grid(n, 8)
+    c = band_coeffs(grid, rng, l_hi=6, scale=0.02)
+    for work in (None, BundleWorkspace(grid)):
+        E0 = bundle_from_coeffs(grid, 1.0, c, work).E[0]
+        assert E0.shape == grid.shape and E0.strides == (0,) * n
+        assert not E0.flags.writeable
+        assert np.all(E0 == 1.0)
+
+
 def test_bundles_without_workspace_are_independent(grid2, rng):
     c1 = band_coeffs(grid2, rng, l_hi=8, scale=0.02)
     c2 = band_coeffs(grid2, rng, l_hi=8, scale=0.02)

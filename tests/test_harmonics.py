@@ -194,9 +194,18 @@ def test_coefficient_layout_matches_loop_reference(n, L):
 
 
 # -- calculus --------------------------------------------------------------------
-# On the unit sphere the Laplace-Beltrami operator is synthesize_derivs' "lap"
-# ("utt" on the circle) and the surface gradient is (ut, up / sin(theta)); on the
-# radius-R sphere the Laplacian and the squared gradient scale by R^-2.
+# On the unit sphere the Laplace-Beltrami operator is formed from synthesize_derivs'
+# fields by laplacian below, and the surface gradient is (ut, up / sin(theta)); on
+# the radius-R sphere the Laplacian and the squared gradient scale by R^-2.
+
+
+def laplacian(grid, d):
+    """Unit-sphere Laplacian from the fields d of synthesize_derivs: utt on the
+    circle, utt + cot(theta) ut + upp / sin(theta)^2 on the sphere."""
+    if grid.n == 1:
+        return d["utt"]
+    sin = grid.sin_theta[:, None]
+    return d["utt"] + (grid.x[:, None] / sin) * d["ut"] + d["upp"] / (sin * sin)
 
 
 def grad_sq(grid, coeffs, R):
@@ -211,7 +220,7 @@ def test_laplacian_eigenvalue(grid2, grid1):
             c[grid.flat_index(l, 1)] = 1.0
             u = grid.synthesize(c)
             for R in (1.0, 2.0):
-                lap = grid.synthesize_derivs(c)["lap" if n == 2 else "utt"] / R ** 2
+                lap = laplacian(grid, grid.synthesize_derivs(c)) / R ** 2
                 expect = -l * (l + n - 1) / R ** 2 * u
                 assert np.max(np.abs(lap - expect)) < 1e-10 * l * (l + n - 1)
 
@@ -222,8 +231,8 @@ def test_laplacian_self_adjoint(grid2_small, seed):
     rng = np.random.default_rng(seed)
     cu, cv = band_coeffs(grid2_small, rng), band_coeffs(grid2_small, rng)
     u, v = grid2_small.synthesize(cu), grid2_small.synthesize(cv)
-    a = grid2_small.integrate(grid2_small.synthesize_derivs(cu)["lap"] * v)
-    b = grid2_small.integrate(u * grid2_small.synthesize_derivs(cv)["lap"])
+    a = grid2_small.integrate(laplacian(grid2_small, grid2_small.synthesize_derivs(cu)) * v)
+    b = grid2_small.integrate(u * laplacian(grid2_small, grid2_small.synthesize_derivs(cv)))
     scale = max(1.0, abs(a))
     assert abs(a - b) <= 1e-10 * scale
 
@@ -234,7 +243,7 @@ def test_integration_by_parts(grid2_small, seed):
     rng = np.random.default_rng(seed)
     c = band_coeffs(grid2_small, rng)
     u = grid2_small.synthesize(c)
-    lap = grid2_small.synthesize_derivs(c)["lap"]
+    lap = laplacian(grid2_small, grid2_small.synthesize_derivs(c))
     for R in (1.0, 1.7):
         lhs = R ** 2 * grid2_small.integrate(grad_sq(grid2_small, c, R))
         rhs = -R ** 2 * grid2_small.integrate(u * lap / R ** 2)
@@ -394,6 +403,7 @@ def test_synthesize_derivs_across_band_limits(grid_band, rng):
     g = grid_band
     c = band_coeffs(g, rng)
     d = g.synthesize_derivs(c)
+    d["lap"] = laplacian(g, d)
     dc = phi_derivative(g, c)
     if g.n == 1:
         expected = {"u": g.synthesize(c),
@@ -406,6 +416,19 @@ def test_synthesize_derivs_across_band_limits(grid_band, rng):
                     "upp": g.synthesize(phi_derivative(g, dc))}
     for key, want in expected.items():
         assert np.max(np.abs(d[key] - want)) <= 1e-12 * np.max(np.abs(want)), key
+
+
+@pytest.mark.parametrize("n", (1, 2))
+def test_synthesize_derivs_keys_do_not_depend_on_out(n, rng):
+    # one field set, the same bits, whether synthesize_derivs allocates or reuses buffers
+    grid = build_grid(n, 8)
+    c = band_coeffs(grid, rng)
+    fresh = grid.synthesize_derivs(c)
+    reused = grid.synthesize_derivs(c, out=grid.derivs_buffers())
+    keys = {"u", "ut", "utt"} if n == 1 else {"u", "ut", "up", "utt", "utp", "upp"}
+    assert set(fresh) == set(reused) == keys
+    for key in keys:
+        assert fresh[key].tobytes() == reused[key].tobytes(), key
 
 
 def circle_fft_reference(grid, c):
@@ -502,6 +525,7 @@ def test_sphere_transforms_match_loop_reference(grid2_band, rng):
     c = band_coeffs(g, rng)
     want, want_back = sphere_transform_reference(g, c)
     got = g.synthesize_derivs(c)
+    got["lap"] = laplacian(g, got)
     for key, ref in want.items():
         assert np.max(np.abs(got[key] - ref)) <= 1e-12 * np.max(np.abs(ref)), key
     assert np.max(np.abs(g.synthesize(c) - want["u"])) <= 1e-12 * np.max(np.abs(want["u"]))
