@@ -196,7 +196,7 @@ def fit_decay_rate(times, values) -> float:
     """Least-squares slope of log(values) over the trailing half of the time interval.
 
     At least 10 samples must fall inside that window and the values must be
-    positive there, else DecayFitError.
+    positive and finite there, else DecayFitError.
     """
     t = np.asarray(times, dtype=float)
     v = np.asarray(values, dtype=float)
@@ -206,7 +206,7 @@ def fit_decay_rate(times, values) -> float:
     mask = t >= cut
     if int(np.sum(mask)) < 10:
         raise DecayFitError(f"only {int(np.sum(mask))} samples in the fit window; need at least 10")
-    if np.any(v[mask] <= 0.0):
-        raise DecayFitError("values must be positive inside the fit window")
+    if not np.all((v[mask] > 0.0) & (v[mask] < math.inf)):
+        raise DecayFitError("values must be positive and finite inside the fit window")
     slope = np.polyfit(t[mask], np.log(v[mask]), 1)[0]
     return float(slope)

@@ -10,7 +10,10 @@ of F and 1.  The constant-h structure makes round spheres stationary points
 of every admissible flow, and the linearization at the reference sphere is
 diagonal in the harmonic basis with per-degree rate
 
-    -F'(kappa_0) (l - 1)(l + n) / R^2   (degree l >= 1; degree 0 is neutral).
+    -F'(kappa_0) (l - 1)(l + n) / R^2   (degree l >= 2),
+
+and 0 on degrees 0 and 1, the n + 2 neutral centre modes.  That table is
+`FlowProblem.linear_diag`, built from `stable_decay_rate` alone.
 
 `FlowProblem.step` takes one step of classical fourth-order Runge-Kutta
 (rk4), whose step the stiffest of those rates bounds: that parabolic
@@ -36,8 +39,7 @@ from . import analysis
 from .errors import (AdmissibilityError, ConstraintDegenerateError, MixedFlowError,
                      SpectrumRangeError, SpeedError, StepRejectedError)
 from .geometry import BundleWorkspace, CurvatureBundle, bundle_from_coeffs, principal_curvatures
-from .harmonics import (L_MAX_MAX, L_MAX_MIN, RadialField, build_grid, harmonic_multiplicity,
-                        total_coefficients)
+from .harmonics import L_MAX_MAX, L_MAX_MIN, RadialField, build_grid, total_coefficients
 from .speeds import SpeedSpec, eval_speed, is_number, umbilic_derivative
 
 _INTEGRATORS = ("imex", "rk4")
@@ -153,11 +155,13 @@ class FlowRun:
 
 
 def stable_decay_rate(speed: SpeedSpec, l: int | np.ndarray) -> float | np.ndarray:
-    """Linear-theory decay rate of a degree-l perturbation (positive for l >= 2).
+    """Linear-theory decay rate of a degree-l perturbation: F'(l - 1)(l + n) / R^2
+    for l >= 2, and 0 on degrees 0 and 1, the centre spanned by the nearby
+    spheres (a change of radius and the n + 1 translations).
 
     For an array of degrees the rate is taken elementwise.
     """
-    return umbilic_derivative(speed) * (l - 1.0) * (l + speed.n) / speed.R ** 2
+    return umbilic_derivative(speed) * (l > 1) * (l - 1.0) * (l + speed.n) / speed.R ** 2
 
 
 def cfl_timestep(config: FlowConfig) -> float:
@@ -174,6 +178,11 @@ def default_timestep(config: FlowConfig) -> float:
 class FlowProblem:
     """Precomputed engine for one configuration: grid, tables, linear rates.
 
+    `linear_diag` is the linearization's diagonal in the flat layout,
+    -stable_decay_rate of each slot's degree: 0 on degrees 0 and 1.  imex
+    steps with it and `numerical_jacobian` reports it as the analytic
+    spectrum.
+
     `step` advances coefficients with the configured integrator, and `run`
     drives it.  Every evaluation, of a stage or a record, goes through
     velocity_values, and nothing is kept from one to the next.  Its bundle
@@ -189,9 +198,8 @@ class FlowProblem:
         self.config = config
         self.grid = build_grid(config.n, config.L_max)
         self._rk4_bound = cfl_timestep(config)
-        ell = self.grid.degrees.astype(float)
-        diag = -stable_decay_rate(config.speed, ell)
-        diag[ell == 0] = 0.0
+        # 0.0 - keeps +0.0, not -0.0, on the neutral degrees 0 and 1.
+        diag = 0.0 - stable_decay_rate(config.speed, self.grid.degrees)
         diag.flags.writeable = False
         self.linear_diag = diag
         self._work = BundleWorkspace(self.grid)
@@ -227,10 +235,11 @@ class FlowProblem:
     def step(self, coeffs: np.ndarray, dt: float, g0: np.ndarray | None = None) -> np.ndarray:
         """Coefficients one step of length dt later, under the configured integrator.
 
-        coeffs is a full-length vector (Grid.size): one of another length is
-        a DegreeOverflowError, raised before any arithmetic whether or not
-        g0 is given.  g0, the velocity at coeffs in coefficient space if
-        known, replaces the first stage's evaluation.  A dt that is not
+        coeffs is a full-length vector (Grid.size): one of another length or
+        shape is a DegreeOverflowError, raised before any arithmetic whether
+        or not g0 is given.  g0, the velocity at coeffs in coefficient space
+        if known, replaces the first stage's evaluation; it is checked the
+        same way, so it is never broadcast.  A dt that is not
         positive and finite is a ValueError, raised before any evaluation.
         No smaller dt cures either fault, so neither is a StepRejectedError.
         rk4 then checks dt against the parabolic bound.  A dt above it, a
@@ -246,7 +255,7 @@ class FlowProblem:
             raise StepRejectedError(
                 f"dt={dt:.3e} exceeds the parabolic bound {bound:.3e}", suggested_dt=bound)
         try:
-            g = self.g_coeffs(coeffs) if g0 is None else g0
+            g = self.g_coeffs(coeffs) if g0 is None else self.grid._checked(g0)
             if rk4:
                 k2 = self.g_coeffs(coeffs + 0.5 * dt * g)
                 k3 = self.g_coeffs(coeffs + 0.5 * dt * k2)
@@ -392,8 +401,10 @@ def numerical_jacobian(config: FlowConfig, l_max: int) -> tuple[np.ndarray, Spec
     difference alone exceeds the 1e-7 symmetry gate at L_max = 16.  The matrix is
     restricted to degrees <= l_max (1 <= l_max <= L_max, at most 400 columns),
     which occupy the leading block of the flat layout.  Each report row puts a
-    degree's analytic eigenvalue beside the mean of its diagonal entries and
-    its worst off-diagonal entry; the report adds the near-null dimension.
+    degree's analytic eigenvalue, its `FlowProblem.linear_diag` entry, beside
+    the mean of its Jacobian diagonal entries and its worst off-diagonal
+    entry; its multiplicity is the degree's slot count in the layout.  The
+    report adds the near-null dimension.
     """
     if not 1 <= l_max <= config.L_max:
         raise SpectrumRangeError(
@@ -418,8 +429,8 @@ def numerical_jacobian(config: FlowConfig, l_max: int) -> tuple[np.ndarray, Spec
     for l in range(l_max + 1):
         sel = degrees == l
         rows.append(SpectrumRow(
-            l=l, lambda_analytic=0.0 if l <= 1 else -stable_decay_rate(config.speed, l),
-            multiplicity=harmonic_multiplicity(l, config.n),
+            l=l, lambda_analytic=float(prob.linear_diag[prob.grid.flat_index(l, 1)]),
+            multiplicity=int(np.count_nonzero(sel)),
             lambda_numeric=float(np.mean(np.diag(J)[sel])),
             offdiag_max=float(np.max(np.abs(J[:, sel][offmask[:, sel]])))))
     lam_max = max(abs(row.lambda_analytic) for row in rows)

@@ -64,6 +64,12 @@ def test_stable_decay_rate_frozen():
     # radius scaling: rate ~ R^-2 for the 1-homogeneous mean speed
     mean2b = SpeedSpec("mean", n=2, R=2.0)
     assert stable_decay_rate(mean2b, 2) == pytest.approx(1.0, rel=1e-15)
+    # degrees 0 and 1 are the neutral centre, for every built-in kind
+    for n in (1, 2):
+        for speed in (SpeedSpec("mean", n=n, R=1.0), SpeedSpec("elementary", n=n, R=1.0, l=n),
+                      SpeedSpec("power_mean", n=n, R=1.0, m=1, beta=2.0)):
+            assert [stable_decay_rate(speed, l) for l in (0, 1)] == [0.0, 0.0]
+            assert np.all(stable_decay_rate(speed, np.array([0, 1])) == 0.0)
 
 
 def test_analytic_spectrum_structure():
@@ -232,3 +238,12 @@ def test_fit_decay_rate():
         fit_decay_rate(t, v - 1.0)
     with pytest.raises(ValueError):
         fit_decay_rate(t, v[:-1])
+
+
+@pytest.mark.parametrize("bad", (np.nan, np.inf))
+def test_fit_decay_rate_refuses_a_non_finite_value_in_its_window(bad):
+    t = np.linspace(0.0, 1.0, 30)
+    v = np.exp(-t)
+    v[25] = bad
+    with pytest.raises(DecayFitError, match="values must be positive"):
+        fit_decay_rate(t, v)

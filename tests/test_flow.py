@@ -260,6 +260,16 @@ def test_step_refuses_a_short_vector_with_g0(monkeypatch, integrator):
         prob.step(c[:9], 1e-4, g0=g0)
 
 
+@pytest.mark.parametrize("integrator", ("rk4", "imex"))
+def test_step_refuses_a_malformed_g0(integrator):
+    # a g0 of another shape would broadcast against coeffs into a wrong state
+    prob = FlowProblem(FlowConfig(n=2, R=1.0, k=-1, integrator=integrator, dt=1e-4, L_max=8))
+    c = random_band_field(prob.grid, 1.0, 0.05, 2, 6, 3).coeffs
+    for g0 in (np.zeros(1), np.zeros(()), prob.g_coeffs(c)[None, :]):
+        with pytest.raises(DegreeOverflowError):
+            prob.step(c, 1e-4, g0=g0)
+
+
 def test_conservation_order_imex():
     drifts = []
     for dt in (2e-3, 1e-3, 5e-4):

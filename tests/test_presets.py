@@ -3,7 +3,7 @@ and band limits, where a gate must hold for the reason it states."""
 
 import pytest
 
-from mixedflow.flow import stable_decay_rate
+from mixedflow.flow import FlowProblem, stable_decay_rate
 from mixedflow.presets import run_experiment
 from mixedflow.speeds import SpeedSpec
 
@@ -39,3 +39,23 @@ def test_spectrum_preset_passes_at_band_limit_16(tmp_path, monkeypatch, speed, k
     checks = {c.name: c for c in result.checks}
     assert result.passed
     assert checks["symmetry_defect_over_lambda_max"].value < 1e-10
+
+
+def test_spectrum_preset_checks_the_linear_diag_table(tmp_path, monkeypatch):
+    # The report's analytic column is the table imex steps with, so a table
+    # off by 1% on one degree fails the 1e-6 diagonal gate.
+    monkeypatch.delenv("MIXEDFLOW_OUT", raising=False)
+    build = FlowProblem.__init__
+
+    def scaled(self, config):
+        build(self, config)
+        diag = self.linear_diag.copy()
+        diag[self.grid.degrees == 5] *= 1.01
+        self.linear_diag = diag
+
+    monkeypatch.setattr(FlowProblem, "__init__", scaled)
+    result = run_experiment("spectrum", {"out_dir": str(tmp_path)})
+    checks = {c.name: c for c in result.checks}
+    assert not result.passed
+    assert not checks["diagonal_relative_error"].passed
+    assert checks["diagonal_relative_error"].value == pytest.approx(0.01 / 1.01, rel=1e-3)
