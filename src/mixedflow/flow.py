@@ -235,27 +235,29 @@ class FlowProblem:
     def step(self, coeffs: np.ndarray, dt: float, g0: np.ndarray | None = None) -> np.ndarray:
         """Coefficients one step of length dt later, under the configured integrator.
 
-        coeffs is a full-length vector (Grid.size): one of another length or
-        shape is a DegreeOverflowError, raised before any arithmetic whether
-        or not g0 is given.  g0, the velocity at coeffs in coefficient space
-        if known, replaces the first stage's evaluation; it is checked the
-        same way, so it is never broadcast.  A dt that is not
-        positive and finite is a ValueError, raised before any evaluation.
-        No smaller dt cures either fault, so neither is a StepRejectedError.
-        rk4 then checks dt against the parabolic bound.  A dt above it, a
-        failed velocity evaluation or a non-finite result raises
-        StepRejectedError with a suggested smaller dt.
+        coeffs is a full-length vector (Grid.size).  g0, the velocity at
+        coeffs in coefficient space if known, replaces the first stage's
+        evaluation.  Each is refused before any evaluation: one of another
+        length or shape is a DegreeOverflowError, so g0 is never broadcast,
+        and one holding a NaN or inf is a ValueError, as is a dt that is
+        not positive and finite.  No smaller dt cures these faults, so none
+        is a StepRejectedError.  rk4 then checks dt against the parabolic
+        bound.  A dt above it, a failed velocity evaluation or a non-finite
+        result raises StepRejectedError with a suggested smaller dt.
         """
         if not 0.0 < dt < math.inf:
             raise ValueError(f"dt must be positive and finite, got {dt!r}")
         coeffs = self.grid._checked(coeffs)
+        g0 = None if g0 is None else self.grid._checked(g0)
+        if not (np.isfinite(coeffs).all() and (g0 is None or np.isfinite(g0).all())):
+            raise ValueError("coeffs and g0 must be finite")
         rk4 = self.config.integrator == "rk4"
         bound = self._rk4_bound
         if rk4 and dt > bound * (1.0 + _CFL_SLACK):
             raise StepRejectedError(
                 f"dt={dt:.3e} exceeds the parabolic bound {bound:.3e}", suggested_dt=bound)
         try:
-            g = self.g_coeffs(coeffs) if g0 is None else self.grid._checked(g0)
+            g = self.g_coeffs(coeffs) if g0 is None else g0
             if rk4:
                 k2 = self.g_coeffs(coeffs + 0.5 * dt * g)
                 k3 = self.g_coeffs(coeffs + 0.5 * dt * k2)
@@ -325,12 +327,17 @@ def run(config: FlowConfig, rho0: RadialField, problem: FlowProblem) -> FlowRun:
     An initial field whose band-limited state is not a graph, or on which
     the velocity cannot be evaluated, is rejected with AdmissibilityError
     by its t = 0 record, before any step.
-    A rejected step, or a later state whose record cannot be evaluated,
-    ends the run with status "failed": it keeps the records so far, its
-    final state is the last recorded one and `error` holds the cause.
+    Before each step the run checks its last record and stops if that
+    record's sup |G| is at most 1e-10; so a converged initial field takes
+    no step.  The status is decided once, after the loop: "failed" if a
+    step or a later record raised, else "converged" if the last record's
+    sup |G| is at most 1e-10, else "reached_T".  A failed run keeps the
+    records so far, its final state is the last recorded one and `error`
+    holds the cause.
     Records keep no coefficients: the run holds the coefficients of its
-    latest record, which `step` never writes to, and `final` is built
-    from them.
+    latest record, starting from rho0.coeffs itself (read-only, and never
+    copied: `step` never writes to its input), and `final` is a
+    RadialField built from them, which copies them.
     """
     if problem.config != config:
         raise ValueError("problem was built for a different configuration")
@@ -341,18 +348,16 @@ def run(config: FlowConfig, rho0: RadialField, problem: FlowProblem) -> FlowRun:
     dt = default_timestep(config)
     n_steps = max(1, math.ceil(config.T / dt - 1e-9))
     whole = n_steps - config.T / dt <= 1e-9
-    coeffs = rho0.coeffs.copy()
+    coeffs = rho0.coeffs
     try:
         rec, G = problem.diagnostics(0.0, coeffs)
     except _STAGE_ERRORS as exc:
         raise AdmissibilityError(f"initial field is outside the flow's domain: {exc}") from exc
-    records, recorded = [rec], coeffs
-    status, error = "reached_T", None
-    if rec.sup_G <= _SUP_G_CONVERGED:
-        status = "converged"
-        n_steps = 0
+    records, recorded, error = [rec], coeffs, None
     try:
         for step_no in range(1, n_steps + 1):
+            if rec.sup_G <= _SUP_G_CONVERGED:
+                break
             step_dt = dt if step_no < n_steps or whole else config.T - (n_steps - 1) * dt
             g0 = None if G is None else problem.grid.analyze(G)
             G = None
@@ -363,11 +368,10 @@ def run(config: FlowConfig, rho0: RadialField, problem: FlowProblem) -> FlowRun:
                 rec, G = problem.diagnostics(t, coeffs)
                 records.append(rec)
                 recorded = coeffs
-                if rec.sup_G <= _SUP_G_CONVERGED:
-                    status = "converged"
-                    break
     except (StepRejectedError, *_STAGE_ERRORS) as exc:
-        status, error = "failed", exc
+        error = exc
+    # rec is the last record: a record that raised appended nothing.
+    status = "failed" if error else "converged" if rec.sup_G <= _SUP_G_CONVERGED else "reached_T"
     final = FlowState(t=records[-1].t, rho=RadialField(problem.grid, config.R, coeffs=recorded))
     return FlowRun(status=status, records=records, final=final, error=error)
 

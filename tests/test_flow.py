@@ -327,6 +327,24 @@ def test_run_converged_status():
     assert out.records[-1].sup_G <= 1e-9
 
 
+def test_run_converged_at_t0_takes_no_step(monkeypatch):
+    # a record that already meets the convergence tolerance stops the run
+    # before the step that would start from it, also at t = 0
+    cfg = FlowConfig(n=2, R=1.0, integrator="rk4", T=0.05, L_max=8)
+    prob = FlowProblem(cfg)
+    rho0 = sphere_from_coords([0.2, 0.0, 0.0, 0.0], prob.grid, 1.0)
+    steps = []
+    original = FlowProblem.step
+    monkeypatch.setattr(FlowProblem, "step",
+                        lambda self, *args, **kw: steps.append(1) or original(self, *args, **kw))
+    out = run(cfg, rho0, problem=prob)
+    assert out.status == "converged"
+    assert len(out.records) == 1
+    assert out.final.t == 0.0
+    assert out.final.rho.coeffs.tobytes() == rho0.coeffs.tobytes()
+    assert steps == []
+
+
 def test_flow_config_validation():
     with pytest.raises(ValueError):
         FlowConfig(n=3)
@@ -620,6 +638,29 @@ def test_step_takes_the_first_stage_velocity(monkeypatch, n, integrator):
     given = prob.step(c, 1e-3, g0=g0)
     assert evaluated.tobytes() == given.tobytes()
     assert len(calls) == evaluations - 1
+
+
+@pytest.mark.parametrize("integrator", ("rk4", "imex"))
+def test_step_refuses_a_non_finite_state(monkeypatch, integrator):
+    # no smaller dt cures a NaN or inf in the state or in g0, so step refuses
+    # it as an input error, not a rejected step, and builds no bundle
+    prob = FlowProblem(FlowConfig(n=2, R=1.0, k=-1, integrator=integrator, dt=1e-4, L_max=8))
+    c = random_band_field(prob.grid, 1.0, 0.05, 2, 6, 3).coeffs
+    g0 = prob.g_coeffs(c)
+    calls = _count_bundles(monkeypatch)
+    cases = []
+    for bad in (math.nan, math.inf):
+        state = c.copy()
+        state[5] = bad
+        cases += [(state, None), (state, g0)]
+    nan_g0 = g0.copy()
+    nan_g0[5] = math.nan
+    cases.append((c, nan_g0))
+    for state, g in cases:
+        with pytest.raises(ValueError) as info:
+            prob.step(state, 1e-4, g0=g)
+        assert type(info.value) is ValueError
+    assert calls == []
 
 
 @pytest.mark.parametrize("integrator", ("imex", "rk4"))
